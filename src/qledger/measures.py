@@ -80,6 +80,9 @@ def coherence(rho, hamiltonian) -> float:
     return _entropy_from_probs(pops) - _entropy_from_probs(w)
 
 
+_VALIDATION_BLOCK = 4096
+
+
 class Trajectory:
     """An evolving state on a uniform time grid, with its Hamiltonian(s).
 
@@ -118,9 +121,13 @@ class Trajectory:
         d = s.shape[1]
         if not (1 <= d <= MAX_DIM):
             raise ValidationError(f"Trajectory: dimension {d} outside [1, {MAX_DIM}]")
-        if not np.all(np.isfinite(s)):
-            raise ValidationError("Trajectory: state entries must be finite")
-        herm = np.abs(s - s.conj().transpose(0, 2, 1)).max()
+        # block by block, so validation never holds a temporary of the full stack
+        herm = 0.0
+        for i in range(0, s.shape[0], _VALIDATION_BLOCK):
+            blk = s[i : i + _VALIDATION_BLOCK]
+            if not np.all(np.isfinite(blk)):
+                raise ValidationError("Trajectory: state entries must be finite")
+            herm = max(herm, np.abs(blk - blk.conj().transpose(0, 2, 1)).max())
         if herm > HERMITICITY_TOL:
             raise ValidationError(
                 f"Trajectory: worst state hermiticity defect {herm:.3e} exceeds {HERMITICITY_TOL:.0e}"

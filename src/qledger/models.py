@@ -108,29 +108,35 @@ class Example1Params:
         return self.alpha2 / math.hypot(self.alpha1, self.alpha2)
 
 
+def _envelope(t: np.ndarray, lam: float, rabi: float) -> np.ndarray:
+    """E(t) = exp(-lam t/2) [cosh(D t/2) + (lam/D) sinh(D t/2)], D = sqrt(lam^2 - 4 rabi^2).
+
+    The decay envelope of the superradiant combination, and the |c(t)| of
+    a single qubit with coupling rabi in the same bath.  D may be real or
+    imaginary.
+    """
+    d = np.sqrt(complex(lam * lam - 4.0 * rabi * rabi))
+    if abs(d) < 1e-7 * lam:
+        # degenerate branch; relative error below (|D| t / 2)^2 / 2, under
+        # 1e-12 for lam t <= 40
+        return (1.0 + 0.5 * lam * t) * np.exp(-0.5 * lam * t)
+    x = 0.5 * d * t
+    return (np.exp(-0.5 * lam * t) * (np.cosh(x) + (lam / d) * np.sinh(x))).real
+
+
 def example1_amplitude(t, p: Example1Params):
     """Battery excitation amplitude c1(t) in the frame rotating at omega0.
 
-    The superradiant combination decays with envelope
-    E(t) = exp(-lam t/2) [cosh(D t/2) + (lam/D) sinh(D t/2)],
-    D = sqrt(lam^2 - 4 Rabi^2) real or imaginary; the subradiant one is
-    frozen.  c1 = beta1 b_+(0) E(t) + beta2 b_-(0).  The lab-frame phase
+    The superradiant combination decays with the envelope E(t) of
+    ``_envelope`` at the Rabi frequency; the subradiant one is frozen.
+    c1 = beta1 b_+(0) E(t) + beta2 b_-(0).  The lab-frame phase
     exp(-i omega0 t) is dropped; it cancels in |c1|^2.
     """
     t = np.asarray(t, dtype=np.float64)
     b1, b2 = p.beta1, p.beta2
     bp0 = b1 * p.c01 + b2 * p.c02
     bm0 = b2 * p.c01 - b1 * p.c02
-    disc = complex(p.lam * p.lam - 4.0 * p.rabi * p.rabi)
-    d = np.sqrt(disc)
-    if abs(d) < 1e-7 * p.lam:
-        # degenerate branch; relative error below (|D| t / 2)^2 / 2, under
-        # 1e-12 for lam t <= 40
-        env = (1.0 + 0.5 * p.lam * t) * np.exp(-0.5 * p.lam * t)
-    else:
-        x = 0.5 * d * t
-        env = (np.exp(-0.5 * p.lam * t) * (np.cosh(x) + (p.lam / d) * np.sinh(x))).real
-    return b1 * bp0 * env + b2 * bm0
+    return b1 * bp0 * _envelope(t, p.lam, p.rabi) + b2 * bm0
 
 
 def run_example1(p: Example1Params) -> tuple[Trajectory, MeasureSeries]:
@@ -143,16 +149,6 @@ def run_example1(p: Example1Params) -> tuple[Trajectory, MeasureSeries]:
     h = np.diag([0.0, p.omega0]).astype(np.complex128)
     tr = Trajectory(times, states, h, p.beta)
     return tr, measure_series(tr)
-
-
-def _single_qubit_envelope(times: np.ndarray, lam: float, rabi: float) -> np.ndarray:
-    """Closed-form |c(t)| envelope of one qubit in the Lorentzian bath."""
-    disc = complex(lam * lam - 4.0 * rabi * rabi)
-    d = np.sqrt(disc)
-    if abs(d) < 1e-7 * lam:
-        return (1.0 + 0.5 * lam * times) * np.exp(-0.5 * lam * times)
-    x = 0.5 * d * times
-    return (np.exp(-0.5 * lam * times) * (np.cosh(x) + (lam / d) * np.sinh(x))).real
 
 
 def _oracle_grid(p: Example1Params) -> GridSpec:
@@ -192,7 +188,7 @@ def example1_pseudomode_oracle(p: Example1Params, grid: GridSpec | None = None,
         psd_check_every,
     )
     pop_cal = cal.states[:, 2, 2].real + cal.states[:, 3, 3].real
-    ref = _single_qubit_envelope(times, p.lam, rabi) ** 2
+    ref = _envelope(times, p.lam, rabi) ** 2
     defect = float(np.abs(pop_cal - ref).max())
     if defect > CALIBRATION_TOL:
         raise NumericError(

@@ -1,10 +1,12 @@
 """Dense complex linear algebra and quantum state primitives.
 
-All spectral work in this package goes through ``hermitian_eig``, a cyclic
-Jacobi eigensolver with complex rotations.  Target matrices are tiny
-(dimension 2 to 16 in practice, 64 as a hard cap), a regime where Jacobi is
-simple, accurate to machine precision and has no external dependencies
-beyond numpy arrays.
+Every reported spectral quantity in this package goes through
+``hermitian_eig``, a cyclic Jacobi eigensolver with complex rotations.
+Target matrices are tiny (dimension 2 to 16 in practice, 64 as a hard cap),
+a regime where Jacobi is simple, accurate to machine precision and has no
+external dependencies beyond numpy arrays.  The one exception is a monitor:
+``_min_eigvals`` takes LAPACK eigenvalues of a stack for the integrator's
+positivity check against its floor, and they never reach a reported number.
 
 Conventions:
   * matrices are dense ``numpy`` arrays of complex128, row-major,
@@ -321,6 +323,16 @@ def _jacobi(a: np.ndarray, want_vectors: bool = True):
     if V is None:
         return w, None
     return w, np.array(V, dtype=np.complex128)[:, order]
+
+
+def _min_eigvals(stack: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each matrix in a (T, d, d) Hermitian stack.
+
+    One batched ``numpy.linalg.eigvalsh`` call, eigenvalues only.  Its last
+    bits depend on the LAPACK build, so it serves threshold monitors only;
+    reported numbers come from ``_jacobi``.
+    """
+    return np.linalg.eigvalsh(stack)[:, 0]
 
 
 def hermitian_eig(operator) -> tuple[np.ndarray, np.ndarray]:

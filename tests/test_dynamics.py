@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qledger.dynamics import GridSpec, LindbladSpec, lindblad_evolve, schrodinger_evolve
+from qledger.models import Example1Params, example1_pseudomode_oracle
 from qledger.qcore import DensityMatrix, NumericError, PureState, ValidationError, tensor
 
 SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
@@ -143,6 +144,109 @@ def test_coarse_grid_raises_numeric_error():
     with pytest.raises(NumericError) as info:
         lindblad_evolve(spec, rho0, GridSpec(10.0, 20), beta=1.0)
     assert "steps" in str(info.value)
+
+
+def _stage_loop_rk4(spec, rho0, grid, psd_check_every):
+    """Reference: the four RK4 stages per step on the matrix-form generator,
+    with the same Hermitian projection and monitors as the integrator."""
+    h = spec.hamiltonian.matrix
+    ops, gamma = spec.jumps, spec.rate_matrix
+
+    def gen(rho):
+        out = -1j * (h @ rho - rho @ h)
+        for i, li in enumerate(ops):
+            for j, lj in enumerate(ops):
+                a = lj.conj().T @ li
+                out = out + gamma[i, j] * (li @ rho @ lj.conj().T - 0.5 * (a @ rho + rho @ a))
+        return out
+
+    dt, n = grid.dt, grid.steps
+    states = [rho0.matrix]
+    rho = rho0.matrix
+    for k in range(n):
+        k1 = gen(rho)
+        k2 = gen(rho + 0.5 * dt * k1)
+        k3 = gen(rho + 0.5 * dt * k2)
+        k4 = gen(rho + dt * k3)
+        rho = rho + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+        assert abs(rho.trace().real - 1.0) <= 1e-8
+        if k % psd_check_every == psd_check_every - 1 or k == n - 1:
+            assert np.linalg.eigvalsh(rho)[0] >= -1e-7
+        states.append(rho)
+    return np.array(states)
+
+
+def test_chunked_propagator_matches_stage_loop():
+    """1037 steps fit no chunk length evenly; cross terms and a coherent
+    exchange make every entry of the d=4 state move."""
+    h = tensor(NUM, I2) + 1.3 * tensor(I2, NUM) + 0.6 * (tensor(SP, SM) + tensor(SM, SP))
+    spec = LindbladSpec(
+        h,
+        [(tensor(SM, I2), 0.5), (tensor(I2, SM), 0.3), (tensor(NUM, I2), 0.2)],
+        cross_terms=[(0, 1, 0.2 + 0.1j)],
+    )
+    psi0 = np.array([0.1, 0.5 + 0.2j, 0.7, 0.3 - 0.4j])
+    rho0 = DensityMatrix.from_pure(psi0 / np.linalg.norm(psi0))
+    grid = GridSpec(6.0, 1037)
+    tr = lindblad_evolve(spec, rho0, grid, beta=1.0, psd_check_every=7)
+    ref = _stage_loop_rk4(spec, rho0, grid, psd_check_every=7)
+    assert np.abs(tr.states - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "run, expected",
+    [
+        (lambda: lindblad_evolve(LindbladSpec(10.0 * H2, [(SM, 8.0)]), DensityMatrix(np.diag([0.2, 0.8])),
+                                 GridSpec(10.0, 20), beta=1.0),
+         ("eigenvalue -7.812e+06 ", "at t=5;")),
+        (lambda: lindblad_evolve(LindbladSpec(10.0 * H2, [(SM, 8.0)]), DensityMatrix(np.diag([0.2, 0.8])),
+                                 GridSpec(10.0, 20), beta=1.0, psd_check_every=3),
+         ("eigenvalue -9.900e+01 ", "at t=1.5;")),
+        (lambda: example1_pseudomode_oracle(Example1Params(R=1.0), grid=GridSpec(20.0, 120)),
+         ("eigenvalue -1.821e-05 ", "at t=1.66667;")),
+    ],
+    ids=["every-10", "every-3", "oracle"],
+)
+def test_first_failure_matches_step_by_step_monitors(run, expected):
+    """The error names the quantity and time a step-by-step loop trips on
+    first, although later steps of the same chunk fail the trace check."""
+    with pytest.raises(NumericError) as info:
+        run()
+    msg = str(info.value)
+    for part in expected:
+        assert part in msg
+    assert "increase steps" in msg
+
+
+def test_overflowing_state_raises_numeric_error():
+    """Dephasing beyond RK4's stability limit: each step multiplies the
+    coherence by P4(-8) = 110.3 while the populations, and so the trace,
+    stay exact.  The state overflows at step 151, in the middle of a chunk,
+    and that must be a NumericError at its t."""
+    spec = LindbladSpec(np.zeros((2, 2)), [(NUM, 16.0)])
+    rho0 = DensityMatrix.from_pure(np.array([1.0, 1.0]) / math.sqrt(2.0))
+    with pytest.raises(NumericError) as info:
+        lindblad_evolve(spec, rho0, GridSpec(300.0, 300), beta=1.0, psd_check_every=1000)
+    assert "non-finite at t=151;" in str(info.value)
+
+
+def test_unstable_mode_left_empty_stays_exact():
+    """A coherence mode growing 4e30-fold per step, unoccupied: single steps
+    keep it at exact zero, and so must the chunks, although the high powers
+    of the step overflow."""
+    spec = LindbladSpec(np.zeros((2, 2)), [(NUM, 2.0e8)])
+    rho0 = DensityMatrix(np.diag([0.3, 0.7]))
+    tr = lindblad_evolve(spec, rho0, GridSpec(100.0, 100), beta=1.0)
+    assert np.array_equal(tr.states, np.broadcast_to(rho0.matrix, tr.states.shape))
+
+
+def test_psd_check_every_names_rejected_value():
+    spec = LindbladSpec(H2, [(SM, 0.5)])
+    rho0 = DensityMatrix(np.diag([0.5, 0.5]))
+    for bad in (0, 2.5):
+        with pytest.raises(ValidationError, match=f"got {bad!r}"):
+            lindblad_evolve(spec, rho0, GridSpec(1.0, 7), beta=1.0, psd_check_every=bad)
 
 
 def test_final_step_is_checked():
