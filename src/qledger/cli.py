@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -29,6 +30,7 @@ from .qcore import (
 from .measures import coherence, dephase
 from .svg import line_plot
 from .thermo import (
+    _energy,
     delta_S_ir,
     extractable_work,
     first_law_ledger,
@@ -37,32 +39,19 @@ from .thermo import (
     von_neumann_entropy,
 )
 
-_EXAMPLE1_DEFAULTS = {
-    "example": 1,
-    "omega0": 1.0,
-    "lambda": 1.0,
-    "R": 0.3,
-    "beta": 0.1,
-    "t_max": 20.0,
-    "steps": 20000,
-    "out": "example1.csv",
+# subcommand number -> (parameter dataclass, name of the runner in models,
+# the fields the CLI exposes); c01, c02, alpha1 and alpha2 stay library-only.
+# The runner is looked up at call time, so a rebound models attribute (a
+# profiler's wrapper, a test's stub) is the one that runs.
+_EXAMPLES = {
+    1: (models.Example1Params, "run_example1",
+        ("omega0", "lam", "R", "beta", "t_max", "steps")),
+    2: (models.Example2Params, "run_example2",
+        ("case", "omega0", "g", "omegap", "gamma", "beta", "t_max", "steps")),
 }
 
-_EXAMPLE2_DEFAULTS = {
-    "example": 2,
-    "case": 1,
-    "omega0": 1.0,
-    "g": 1.0,
-    "omegap": 2.0,
-    "gamma": 0.1,
-    "beta": 0.1,
-    "t_max": 20.0,
-    "steps": 8000,
-    "out": "example2.csv",
-}
-
-_INT_KEYS = {"example", "case", "steps"}
-_STR_KEYS = {"out"}
+# config keys that differ from the dataclass field names
+_ALIASES = {"lam": "lambda"}
 
 CONTRACTIVITY_TOL = 1e-10
 DUAL_PATH_TOL = 1e-10
@@ -77,12 +66,13 @@ def _read_json(path):
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _coerce(key: str, value):
-    if key in _STR_KEYS:
+def _coerce(key: str, value, default):
+    """Check ``value`` against the type of the key's default."""
+    if isinstance(default, str):
         if not isinstance(value, str):
             raise ValidationError(f"config key {key!r} must be a string, got {value!r}")
         return value
-    if key in _INT_KEYS:
+    if isinstance(default, int):
         if isinstance(value, bool):
             raise ValidationError(f"config key {key!r} must be an integer, got {value!r}")
         if isinstance(value, int):
@@ -117,12 +107,12 @@ def _effective_config(defaults: dict, config_path, overrides) -> dict:
         if unknown:
             raise ValidationError(f"unknown config keys {sorted(unknown)}")
         for k, v in data.items():
-            cfg[k] = _coerce(k, v)
+            cfg[k] = _coerce(k, v, defaults[k])
     for item in overrides or ():
         k, v = _parse_override(item)
         if k not in defaults:
             raise ValidationError(f"unknown override key {k!r}")
-        cfg[k] = _coerce(k, v)
+        cfg[k] = _coerce(k, v, defaults[k])
     return cfg
 
 
@@ -133,61 +123,26 @@ def _echo_comment(cfg: dict) -> list[str]:
     return ["config: " + json.dumps(physics, sort_keys=True)]
 
 
-def _cmd_example1(args) -> int:
-    cfg = _effective_config(_EXAMPLE1_DEFAULTS, args.config, args.override)
-    if cfg["example"] != 1:
-        raise ValidationError(f"config says example {cfg['example']} but the subcommand is example1")
+def _cmd_example(n: int, args) -> int:
+    params_cls, run, fields = _EXAMPLES[n]
+    base = params_cls()
+    defaults = {"example": n, "out": f"example{n}.csv"}
+    defaults.update((_ALIASES.get(f, f), getattr(base, f)) for f in fields)
+    cfg = _effective_config(defaults, args.config, args.override)
+    if cfg["example"] != n:
+        raise ValidationError(f"config says example {cfg['example']} but the subcommand is example{n}")
     if args.out:
         cfg["out"] = args.out
-    p = models.Example1Params(
-        omega0=cfg["omega0"],
-        lam=cfg["lambda"],
-        R=cfg["R"],
-        beta=cfg["beta"],
-        t_max=cfg["t_max"],
-        steps=cfg["steps"],
-    )
-    _, series = models.run_example1(p)
+    _, series = getattr(models, run)(params_cls(**{f: cfg[_ALIASES.get(f, f)] for f in fields}))
     write_csv(series, cfg["out"], _echo_comment(cfg))
     if args.svg:
-        line_plot(
-            args.svg,
-            series.times,
-            [("P", series.power)],
-            title=f"charging power, R = {cfg['R']:g}",
-            xlabel="t",
-            ylabel="P",
-        )
-    print(f"wrote {cfg['out']}")
-    return 0
-
-
-def _cmd_example2(args) -> int:
-    cfg = _effective_config(_EXAMPLE2_DEFAULTS, args.config, args.override)
-    if cfg["example"] != 2:
-        raise ValidationError(f"config says example {cfg['example']} but the subcommand is example2")
-    if args.out:
-        cfg["out"] = args.out
-    p = models.Example2Params(
-        g=cfg["g"],
-        omega0=cfg["omega0"],
-        omegap=cfg["omegap"],
-        gamma=cfg["gamma"],
-        beta=cfg["beta"],
-        case=cfg["case"],
-        t_max=cfg["t_max"],
-        steps=cfg["steps"],
-    )
-    _, series = models.run_example2(p)
-    write_csv(series, cfg["out"], _echo_comment(cfg))
-    if args.svg:
-        line_plot(
-            args.svg,
-            series.times,
-            [("C_r", series.coherence), ("P_c", series.coherent_power), ("P", series.power)],
-            title=f"coherence and power, case {cfg['case']}",
-            xlabel="t",
-        )
+        if n == 1:
+            curves = [("P", series.power)]
+            title, ylabel = f"charging power, R = {cfg['R']:g}", "P"
+        else:
+            curves = [("C_r", series.coherence), ("P_c", series.coherent_power), ("P", series.power)]
+            title, ylabel = f"coherence and power, case {cfg['case']}", ""
+        line_plot(args.svg, series.times, curves, title=title, xlabel="t", ylabel=ylabel)
     print(f"wrote {cfg['out']}")
     return 0
 
@@ -234,10 +189,6 @@ def _cmd_ledger(args) -> int:
     else:
         print(text)
     return 0
-
-
-def _energy(rho: DensityMatrix, h: HermitianOperator) -> float:
-    return float(np.einsum("ij,ji->", rho.matrix, h.matrix).real)
 
 
 def _cmd_audit(args) -> int:
@@ -290,7 +241,7 @@ def _cmd_audit(args) -> int:
         # free-energy change against its coherence decomposition (H fixed,
         # so the partition term drops)
         wf_t = extractable_work(rho_t, h, beta)
-        de = _energy(rho_t, h) - _energy(rho0, h)
+        de = _energy(rho_t.matrix, h.matrix) - _energy(rho0.matrix, h.matrix)
         dcoh = coherence(rho_t, h) - coherence(rho0, h)
         dsdeph = von_neumann_entropy(dephase(rho_t, h)) - von_neumann_entropy(dephase(rho0, h))
         closure = abs((wf_t - wf0) - (de + (dcoh - dsdeph) / beta))
@@ -321,8 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     specs = (
-        ("example1", _cmd_example1, "run the two-qubit Lorentzian-bath battery"),
-        ("example2", _cmd_example2, "run the photon-charged two-qubit battery"),
+        ("example1", functools.partial(_cmd_example, 1), "run the two-qubit Lorentzian-bath battery"),
+        ("example2", functools.partial(_cmd_example, 2), "run the photon-charged two-qubit battery"),
         ("ledger", _cmd_ledger, "first-law ledger from state/Hamiltonian JSON"),
         ("audit", _cmd_audit, "randomized self-check of the package inequalities"),
     )

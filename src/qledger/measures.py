@@ -22,6 +22,9 @@ matching the order of the integrators that produce the trajectories.
 Relative entropy against a Gibbs state is evaluated in closed form,
 S(rho||pi) = beta E + ln Z - S(rho), which is exact because pi has full
 rank for any finite beta.  All series share the trajectory grid.
+
+``measure_series`` is the one place these formulas are written; the five
+single-column ``*_series`` functions return its columns.
 """
 
 from __future__ import annotations
@@ -45,6 +48,16 @@ from .qcore import (
 from .thermo import _entropy_from_probs, _gibbs_probs
 
 
+def _energy_populations(rho, hamiltonian, name: str):
+    """The validated state, H's eigenvectors and the state's populations in them."""
+    a = _as_square(rho, f"{name} rho")
+    h = _as_square(hamiltonian, f"{name} hamiltonian")
+    if a.shape != h.shape:
+        raise ValidationError(f"{name}: state dim {a.shape[0]} does not match H dim {h.shape[0]}")
+    _, v = hermitian_eig(h)
+    return a, v, np.einsum("an,ab,bn->n", v.conj(), a, v).real
+
+
 def dephase(rho, hamiltonian) -> DensityMatrix:
     """Remove energy-basis coherences: zero the off-diagonals of rho in the
     eigenbasis of H.
@@ -54,12 +67,7 @@ def dephase(rho, hamiltonian) -> DensityMatrix:
     the convention the case studies rely on.  Idempotent, since the solver
     is deterministic.
     """
-    a = _as_square(rho, "dephase rho")
-    h = _as_square(hamiltonian, "dephase hamiltonian")
-    if a.shape != h.shape:
-        raise ValidationError(f"dephase: state dim {a.shape[0]} does not match H dim {h.shape[0]}")
-    _, v = hermitian_eig(h)
-    pops = np.einsum("an,ab,bn->n", v.conj(), a, v).real
+    _, v, pops = _energy_populations(rho, hamiltonian, "dephase")
     m = (v * pops) @ v.conj().T
     return DensityMatrix(0.5 * (m + m.conj().T), check_psd=False)
 
@@ -70,14 +78,9 @@ def coherence(rho, hamiltonian) -> float:
     Nonnegative up to rounding: dephasing is doubly stochastic on the
     spectrum, so it can only raise the entropy.
     """
-    a = _as_square(rho, "coherence rho")
-    h = _as_square(hamiltonian, "coherence hamiltonian")
-    if a.shape != h.shape:
-        raise ValidationError(f"coherence: state dim {a.shape[0]} does not match H dim {h.shape[0]}")
-    _, v = hermitian_eig(h)
-    pops = np.clip(np.einsum("an,ab,bn->n", v.conj(), a, v).real, 0.0, None)
+    a, _, pops = _energy_populations(rho, hamiltonian, "coherence")
     w = np.clip(hermitian_eigvals(a), 0.0, None)
-    return _entropy_from_probs(pops) - _entropy_from_probs(w)
+    return _entropy_from_probs(np.clip(pops, 0.0, None)) - _entropy_from_probs(w)
 
 
 _VALIDATION_BLOCK = 4096
@@ -147,17 +150,16 @@ class Trajectory:
         if h.ndim == 2:
             if h.shape != (d, d):
                 raise ValidationError(f"Trajectory: Hamiltonian shape {h.shape} does not match states")
-            hdef = np.abs(h - h.conj().T).max()
         elif h.ndim == 3:
             if h.shape != s.shape:
                 raise ValidationError(
                     f"Trajectory: Hamiltonian stack shape {h.shape} does not match states {s.shape}"
                 )
-            hdef = np.abs(h - h.conj().transpose(0, 2, 1)).max()
         else:
             raise ValidationError("Trajectory: hamiltonians must be one matrix or one per grid point")
         if not np.all(np.isfinite(h)):
             raise ValidationError("Trajectory: Hamiltonian entries must be finite")
+        hdef = np.abs(h - h.conj().swapaxes(-1, -2)).max()
         if hdef > HERMITICITY_TOL:
             raise ValidationError(
                 f"Trajectory: Hamiltonian hermiticity defect {hdef:.3e} exceeds {HERMITICITY_TOL:.0e}"
@@ -239,18 +241,7 @@ class MeasureSeries:
 
 CSV_HEADER = "t,E,S,C_r,S_ir,I,P,P_c,P_i,W_f"
 
-_CSV_FIELDS = (
-    "times",
-    "energy",
-    "entropy",
-    "coherence",
-    "irr_entropy",
-    "backflow",
-    "power",
-    "coherent_power",
-    "incoherent_power",
-    "extractable_work",
-)
+_CSV_FIELDS = tuple(f.name for f in fields(MeasureSeries))
 
 
 def format_csv(series: MeasureSeries, comments=()) -> str:
@@ -353,25 +344,22 @@ def irreversible_entropy_series(tr: Trajectory) -> np.ndarray:
     The Gibbs reference has full rank, so the relative entropies are always
     finite and the closed form beta E + ln Z - S(rho) applies.
     """
-    energy, s_rho, _, log_z = _tables(tr)
-    relent = tr.beta * energy + log_z - s_rho
-    return relent[0] - relent
+    return measure_series(tr).irr_entropy
 
 
 def non_markovianity_series(tr: Trajectory) -> np.ndarray:
     """Backflow rate I(t) = -dS_ir/dt; positive stretches mark memory effects."""
-    return -_ddt(irreversible_entropy_series(tr), tr.dt)
+    return measure_series(tr).backflow
 
 
 def charging_power_series(tr: Trajectory) -> np.ndarray:
     """P(t) = I(t)/beta, the rate of change of extractable work."""
-    return non_markovianity_series(tr) / tr.beta
+    return measure_series(tr).power
 
 
 def coherent_power_series(tr: Trajectory) -> np.ndarray:
     """P_c(t) = (dC_r/dt)/beta, the coherent share of the charging power."""
-    _, s_rho, s_deph, _ = _tables(tr)
-    return _ddt(s_deph - s_rho, tr.dt) / tr.beta
+    return measure_series(tr).coherent_power
 
 
 def incoherent_power_series(tr: Trajectory) -> np.ndarray:
@@ -380,11 +368,7 @@ def incoherent_power_series(tr: Trajectory) -> np.ndarray:
     With a constant Hamiltonian the partition-function term is identically
     zero and is skipped, not differentiated numerically.
     """
-    energy, _, s_deph, log_z = _tables(tr)
-    de = _ddt(energy, tr.dt)
-    if tr.constant_hamiltonian:
-        return de - _ddt(s_deph, tr.dt) / tr.beta
-    return de - (_ddt(s_deph, tr.dt) - _ddt(log_z, tr.dt)) / tr.beta
+    return measure_series(tr).incoherent_power
 
 
 def measure_series(tr: Trajectory) -> MeasureSeries:

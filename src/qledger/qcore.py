@@ -8,6 +8,12 @@ external dependencies beyond numpy arrays.  The one exception is a monitor:
 ``_min_eigvals`` takes LAPACK eigenvalues of a stack for the integrator's
 positivity check against its floor, and they never reach a reported number.
 
+Each input check lives in one place: ``_as_square`` coerces and bounds a
+matrix, ``_as_hermitian`` adds the hermiticity check on top and is the one
+gate in front of the operator and state containers and both eigensolver
+entry points.  ``partial_trace`` is the single-state case of
+``partial_trace_stack``, which validates ``dims`` and ``keep``.
+
 Conventions:
   * matrices are dense ``numpy`` arrays of complex128, row-major,
   * eigenvalues are returned ascending with matching eigenvector columns,
@@ -61,8 +67,13 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _hermiticity_defect(a: np.ndarray) -> float:
-    return float(np.abs(a - a.conj().T).max())
+def _as_hermitian(m, name: str) -> np.ndarray:
+    """``_as_square`` plus the hermiticity check against ``HERMITICITY_TOL``."""
+    a = _as_square(m, name)
+    defect = float(np.abs(a - a.conj().T).max())
+    if defect > HERMITICITY_TOL:
+        raise ValidationError(f"{name}: hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}")
+    return a
 
 
 class HermitianOperator:
@@ -71,12 +82,7 @@ class HermitianOperator:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix) -> None:
-        a = _as_square(matrix, "HermitianOperator")
-        defect = _hermiticity_defect(a)
-        if defect > HERMITICITY_TOL:
-            raise ValidationError(
-                f"HermitianOperator: hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
-            )
+        a = _as_hermitian(matrix, "HermitianOperator")
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
 
@@ -103,12 +109,7 @@ class DensityMatrix:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, *, check_psd: bool = True) -> None:
-        a = _as_square(matrix, "DensityMatrix")
-        defect = _hermiticity_defect(a)
-        if defect > HERMITICITY_TOL:
-            raise ValidationError(
-                f"DensityMatrix: hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
-            )
+        a = _as_hermitian(matrix, "DensityMatrix")
         tr = a.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"DensityMatrix: trace {tr} deviates from 1 beyond {TRACE_TOL:.0e}")
@@ -340,19 +341,12 @@ def hermitian_eig(operator) -> tuple[np.ndarray, np.ndarray]:
 
     Accepts a ``HermitianOperator``, ``DensityMatrix`` or bare array.
     """
-    a = _as_square(operator, "hermitian_eig")
-    defect = _hermiticity_defect(a)
-    if defect > HERMITICITY_TOL:
-        raise ValidationError(
-            f"hermitian_eig: hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
-        )
-    return _jacobi(a)
+    return _jacobi(_as_hermitian(operator, "hermitian_eig"))
 
 
 def hermitian_eigvals(operator) -> np.ndarray:
     """Eigenvalues only; skips eigenvector accumulation."""
-    a = _as_square(operator, "hermitian_eigvals")
-    return _jacobi(a, want_vectors=False)[0]
+    return _jacobi(_as_hermitian(operator, "hermitian_eigvals"), want_vectors=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -376,40 +370,27 @@ def partial_trace(rho, dims, keep) -> DensityMatrix:
     ``dims`` gives the local dimension of every tensor factor of ``rho``.
     """
     a = _as_square(rho, "partial_trace")
-    dims = [int(d) for d in dims]
-    n = len(dims)
-    if int(np.prod(dims)) != a.shape[0]:
-        raise ValidationError(f"partial_trace: dims {dims} do not factor dimension {a.shape[0]}")
-    keep = [int(k) for k in keep]
-    if keep != sorted(set(keep)) or not keep or any(k < 0 or k >= n for k in keep):
-        raise ValidationError(f"partial_trace: keep {keep} must be distinct ascending indices in 0..{n - 1}")
-    reduced = _partial_trace_raw(a.reshape(dims + dims), n, keep)
-    return DensityMatrix(reduced, check_psd=False)
-
-
-def _partial_trace_raw(reshaped: np.ndarray, n: int, keep: list[int]) -> np.ndarray:
-    keepset = set(keep)
-    row = list(range(n))
-    col = [i if i not in keepset else n + i for i in range(n)]
-    out = [k for k in keep] + [n + k for k in keep]
-    red = np.einsum(reshaped, row + col, out)
-    d = int(np.prod([reshaped.shape[k] for k in keep]))
-    return red.reshape(d, d)
+    return DensityMatrix(partial_trace_stack(a[None], dims, keep)[0], check_psd=False)
 
 
 def partial_trace_stack(states: np.ndarray, dims, keep) -> np.ndarray:
     """Vectorized partial trace over a (T, d, d) stack of states."""
-    dims = [int(d) for d in dims]
+    d = states.shape[-1]
+    dims = [int(x) for x in dims]
     n = len(dims)
-    keepset = set(int(k) for k in keep)
+    if int(np.prod(dims)) != d:
+        raise ValidationError(f"partial_trace: dims {dims} do not factor dimension {d}")
+    keep = [int(k) for k in keep]
+    if keep != sorted(set(keep)) or not keep or any(k < 0 or k >= n for k in keep):
+        raise ValidationError(f"partial_trace: keep {keep} must be distinct ascending indices in 0..{n - 1}")
     t = states.shape[0]
     reshaped = states.reshape([t] + dims + dims)
     row = list(range(1, n + 1))
-    col = [i if i - 1 not in keepset else n + i for i in range(1, n + 1)]
-    out = [0] + [k + 1 for k in sorted(keepset)] + [n + k + 1 for k in sorted(keepset)]
+    col = [i if i - 1 not in keep else n + i for i in range(1, n + 1)]
+    out = [0] + [k + 1 for k in keep] + [n + k + 1 for k in keep]
     red = np.einsum(reshaped, [0] + row + col, out)
-    d = int(np.prod([dims[k] for k in sorted(keepset)]))
-    return red.reshape(t, d, d)
+    dk = int(np.prod([dims[k] for k in keep]))
+    return red.reshape(t, dk, dk)
 
 
 def apply_channel(channel: QuantumChannel, rho) -> DensityMatrix:

@@ -131,6 +131,13 @@ def _gibbs_probs(hvals: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
     return shifted / zs, math.log(zs) - beta * float(hvals[0])
 
 
+def _gibbs_log_probs(hvals: np.ndarray, beta: float) -> np.ndarray:
+    """ln p = -beta w - ln Z in closed form, shifted like ``_gibbs_probs`` so
+    no large terms cancel; finite where a population underflows to 0."""
+    x = -beta * (hvals - hvals[0])
+    return x - math.log(float(np.exp(x).sum()))
+
+
 def gibbs_state(hamiltonian, beta: float) -> GibbsSpec:
     """Thermal state of a Hamiltonian at inverse temperature beta > 0."""
     if not (isinstance(beta, (int, float)) and beta > 0 and math.isfinite(beta)):
@@ -194,10 +201,22 @@ def extractable_work(rho, hamiltonian, beta: float) -> float:
 
 
 def delta_S_ir(rho0, h0, rho_tau, h_tau, beta: float) -> float:
-    """Irreversible entropy change S(rho0||gibbs0) - S(rho_tau||gibbs_tau)."""
+    """Irreversible entropy change S(rho0||gibbs0) - S(rho_tau||gibbs_tau).
+
+    The Gibbs states have full rank, so an infinite relative entropy can
+    only mean that a thermal population underflowed to zero; that raises
+    ``NumericError`` instead of returning inf or nan.
+    """
     g0 = gibbs_state(h0, beta)
     gt = gibbs_state(h_tau, beta)
-    return relative_entropy(rho0, g0.state) - relative_entropy(rho_tau, gt.state)
+    ds_ir = relative_entropy(rho0, g0.state) - relative_entropy(rho_tau, gt.state)
+    if not math.isfinite(ds_ir):
+        span = max(float(np.ptp(hermitian_eigvals(g.hamiltonian))) for g in (g0, gt))
+        raise NumericError(
+            f"delta_S_ir: a Gibbs population underflows to 0 at beta = {beta:g} over the spectral "
+            f"span {span:.6g}; lower beta, or use first_law_ledger, which takes the Gibbs log in closed form"
+        )
+    return ds_ir
 
 
 def delta_S_r(rho0, h0, rho_tau, h_tau, beta: float) -> float:
@@ -309,9 +328,10 @@ def first_law_ledger(rho0, h0, rho_tau, h_tau, beta: float) -> ThermoLedger:
     ds_r = -beta * ((et - float(pt @ wht)) - (e0 - float(p0 @ wh0)))
     q = -ds_r / beta
 
-    # relative entropies through eigenbasis overlaps
-    rel0 = _relent_from_spectra(wr0, vr0, p0, vh0)
-    relt = _relent_from_spectra(wrt, vrt, pt, vht)
+    # relative entropies through eigenbasis overlaps, against the Gibbs log
+    # in closed form, which stays finite where a population underflows
+    rel0 = _relent_from_spectra(wr0, vr0, _gibbs_log_probs(wh0, beta), vh0)
+    relt = _relent_from_spectra(wrt, vrt, _gibbs_log_probs(wht, beta), vht)
     ds_ir = rel0 - relt
 
     residual_eq2 = delta_e - (delta_we + w_ad_passive + q_op)
@@ -333,9 +353,8 @@ def first_law_ledger(rho0, h0, rho_tau, h_tau, beta: float) -> ThermoLedger:
     )
 
 
-def _relent_from_spectra(wr, vr, psigma, vsigma) -> float:
+def _relent_from_spectra(wr, vr, log_psigma, vsigma) -> float:
     overlap = np.abs(vr.conj().T @ vsigma) ** 2
     wr = np.clip(wr, 0.0, None)
     weights = wr @ overlap
-    # Gibbs populations are strictly positive; the floor only guards exp underflow
-    return -_entropy_from_probs(wr) - float(weights @ np.log(np.maximum(psigma, 1e-300)))
+    return -_entropy_from_probs(wr) - float(weights @ log_psigma)

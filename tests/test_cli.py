@@ -50,6 +50,21 @@ def test_override_beats_config_beats_default(tmp_path, capsys):
     assert echo["lambda"] == 1.0  # default survives
 
 
+@pytest.mark.parametrize("example, keys", [
+    ("example1", {"R", "beta", "example", "lambda", "omega0", "steps", "t_max"}),
+    ("example2", {"beta", "case", "example", "g", "gamma", "omega0", "omegap", "steps", "t_max"}),
+])
+def test_echoed_config_keys_are_pinned(tmp_path, capsys, example, keys):
+    """The echoed key set is part of the CSV bytes; library-only fields stay out."""
+    out = tmp_path / "o.csv"
+    assert run([example, "--override", "steps=50", "--out", str(out)]) == 0
+    echo = json.loads(out.read_text().splitlines()[0].removeprefix("# config: "))
+    assert set(echo) == keys
+    for library_only in ("alpha1", "alpha2", "c01", "c02", "lam"):
+        assert run([example, "--override", f"{library_only}=0.5"]) == 2
+    capsys.readouterr()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gamma": 0.2}))  # example2-only key

@@ -118,6 +118,12 @@ def test_eigensolver_rejects_nonhermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eigvals_only_rejects_nonhermitian():
+    """The eigenvalues-only entry point passes the same hermiticity gate."""
+    with pytest.raises(ValidationError, match="hermiticity defect 4.000e-01"):
+        hermitian_eigvals(np.array([[0.5, 0.4], [0.0, 0.5]]))
+
+
 # ---------------------------------------------------------------------------
 # validated containers
 
@@ -244,6 +250,18 @@ def test_partial_trace_stack_matches_single():
     for k in range(5):
         single = partial_trace(stack[k], [2, 2, 2], [0, 2])
         assert np.abs(red[k] - single.matrix).max() <= 1e-14
+
+
+def test_partial_trace_stack_validates_dims_and_keep():
+    stack = np.stack([np.eye(4, dtype=np.complex128) / 4.0] * 3)
+    with pytest.raises(ValidationError, match="do not factor"):
+        partial_trace_stack(stack, [2, 3], [0])
+    with pytest.raises(ValidationError, match="ascending"):
+        partial_trace_stack(stack, [2, 2], [1, 0])
+    with pytest.raises(ValidationError, match="ascending"):
+        partial_trace_stack(stack, [2, 2], [0, 0])
+    with pytest.raises(ValidationError, match="ascending"):
+        partial_trace_stack(stack, [2, 2], [2])
 
 
 def test_apply_channel_amplitude_damping():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qledger.qcore import DensityMatrix, HermitianOperator, ValidationError
+from qledger.qcore import DensityMatrix, HermitianOperator, NumericError, ValidationError
 from qledger.sampling import random_density, random_hermitian, spectral_span_bound
 from qledger.thermo import (
     ThermoLedger,
@@ -49,6 +49,11 @@ def test_entropy_known_values():
     assert von_neumann_entropy(np.eye(4) / 4) == pytest.approx(math.log(4), abs=1e-14)
     pi = gibbs_state(H2, 1.0).state
     assert von_neumann_entropy(pi) == pytest.approx(S_THERMAL, abs=1e-13)
+
+
+def test_entropy_rejects_nonhermitian():
+    with pytest.raises(ValidationError, match="hermiticity"):
+        von_neumann_entropy([[0.5, 0.4], [0.0, 0.5]])
 
 
 def test_entropy_basis_invariance():
@@ -285,3 +290,24 @@ def test_validation_errors():
         delta_S_r(rho, H2, rho, H2, 0.0)
     with pytest.raises(ValidationError):
         first_law_ledger(rho, H2, random_density(rng, 3), np.eye(3), 1.0)
+
+
+# a wide ladder at beta = 1: exp(-1000) underflows, so the excited Gibbs
+# population is exactly 0 in floating point, while its log is -1000 - ln Z
+H_WIDE = np.diag([0.0, 1000.0])
+RHO_HALF = np.diag([0.5, 0.5])
+RHO_MOSTLY_GROUND = np.diag([0.9, 0.1])
+
+
+def test_ledger_identity_survives_gibbs_underflow():
+    led = first_law_ledger(RHO_HALF, H_WIDE, RHO_MOSTLY_GROUND, H_WIDE, 1.0)
+    # S(rho||pi) = -S(rho) + 1000 p_1 + ln Z with ln Z = ln(1 + e^-1000) = 0
+    h01 = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
+    expected = (500.0 - math.log(2.0)) - (100.0 - h01)
+    assert led.deltaS_ir == pytest.approx(expected, rel=1e-13)
+    assert abs(led.deltaWf + led.deltaS_ir) <= 1e-12
+
+
+def test_delta_S_ir_names_gibbs_underflow():
+    with pytest.raises(NumericError, match=r"beta = 1 over the spectral span 1000"):
+        delta_S_ir(RHO_HALF, H_WIDE, RHO_MOSTLY_GROUND, H_WIDE, 1.0)
