@@ -40,21 +40,17 @@ from .qcore import (
     DensityMatrix,
     HermitianOperator,
     ValidationError,
-    _as_square,
+    _as_beta,
+    _as_operands,
     _jacobi,
-    hermitian_eig,
-    hermitian_eigvals,
 )
 from .thermo import _entropy_from_probs, _gibbs_probs
 
 
 def _energy_populations(rho, hamiltonian, name: str):
     """The validated state, H's eigenvectors and the state's populations in them."""
-    a = _as_square(rho, f"{name} rho")
-    h = _as_square(hamiltonian, f"{name} hamiltonian")
-    if a.shape != h.shape:
-        raise ValidationError(f"{name}: state dim {a.shape[0]} does not match H dim {h.shape[0]}")
-    _, v = hermitian_eig(h)
+    a, h = _as_operands(name, rho=rho, hamiltonian=hamiltonian)
+    _, v = _jacobi(h)
     return a, v, np.einsum("an,ab,bn->n", v.conj(), a, v).real
 
 
@@ -79,7 +75,7 @@ def coherence(rho, hamiltonian) -> float:
     spectrum, so it can only raise the entropy.
     """
     a, _, pops = _energy_populations(rho, hamiltonian, "coherence")
-    w = np.clip(hermitian_eigvals(a), 0.0, None)
+    w = np.clip(_jacobi(a, want_vectors=False)[0], 0.0, None)
     return _entropy_from_probs(np.clip(pops, 0.0, None)) - _entropy_from_probs(w)
 
 
@@ -101,6 +97,7 @@ class Trajectory:
     __slots__ = ("times", "states", "hamiltonians", "beta", "dt")
 
     def __init__(self, times, states, hamiltonians, beta: float) -> None:
+        beta = _as_beta(beta, "Trajectory")
         t = np.asarray(times, dtype=np.float64)
         if t.ndim != 1 or t.size < 3:
             raise ValidationError("Trajectory: need a 1-d grid with at least 3 points")
@@ -165,15 +162,12 @@ class Trajectory:
                 f"Trajectory: Hamiltonian hermiticity defect {hdef:.3e} exceeds {HERMITICITY_TOL:.0e}"
             )
 
-        if not (isinstance(beta, (int, float)) and beta > 0 and np.isfinite(beta)):
-            raise ValidationError(f"Trajectory: beta must be positive and finite, got {beta!r}")
-
         for arr in (t, s, h):
             arr.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", s)
         object.__setattr__(self, "hamiltonians", h)
-        object.__setattr__(self, "beta", float(beta))
+        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "dt", dt)
 
     def __setattr__(self, *_):
@@ -313,7 +307,7 @@ def _tables(tr: Trajectory):
 
     if tr.constant_hamiltonian:
         h = tr.hamiltonians
-        w, v = hermitian_eig(h)
+        w, v = _jacobi(h)
         _, log_z0 = _gibbs_probs(w, beta)
         log_z = np.full(T, log_z0)
         energy = np.einsum("tij,ji->t", s, h).real

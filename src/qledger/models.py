@@ -39,6 +39,7 @@ from .qcore import (
     NumericError,
     PureState,
     ValidationError,
+    _as_beta,
     partial_trace_stack,
     tensor,
 )
@@ -83,7 +84,7 @@ class Example1Params:
         _check_positive("Example1Params: omega0", self.omega0)
         _check_positive("Example1Params: lam", self.lam)
         _check_positive("Example1Params: R", self.R, allow_zero=True)
-        _check_positive("Example1Params: beta", self.beta)
+        _as_beta(self.beta, "Example1Params")
         _check_positive("Example1Params: t_max", self.t_max)
         if not (isinstance(self.steps, int) and self.steps >= 2):
             raise ValidationError(f"Example1Params: steps must be an integer >= 2, got {self.steps!r}")
@@ -241,7 +242,7 @@ class Example2Params:
         if not math.isfinite(float(self.omegap)):
             raise ValidationError(f"Example2Params: omegap must be finite, got {self.omegap!r}")
         _check_positive("Example2Params: gamma", self.gamma, allow_zero=True)
-        _check_positive("Example2Params: beta", self.beta)
+        _as_beta(self.beta, "Example2Params")
         _check_positive("Example2Params: t_max", self.t_max)
         if self.case not in (1, 2):
             raise ValidationError(f"Example2Params: case must be 1 or 2, got {self.case!r}")

@@ -11,8 +11,11 @@ positivity check against its floor, and they never reach a reported number.
 Each input check lives in one place: ``_as_square`` coerces and bounds a
 matrix, ``_as_hermitian`` adds the hermiticity check on top and is the one
 gate in front of the operator and state containers and both eigensolver
-entry points.  ``partial_trace`` is the single-state case of
-``partial_trace_stack``, which validates ``dims`` and ``keep``.
+entry points.  ``_as_operands`` runs it on each operand of a thermo or
+measures function under "<function> <argument>" and requires one shared
+dimension; ``_as_beta`` is the one inverse-temperature check.
+``partial_trace`` is the single-state case of ``partial_trace_stack``,
+which validates ``dims`` and ``keep``.
 
 Conventions:
   * matrices are dense ``numpy`` arrays of complex128, row-major,
@@ -26,6 +29,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -74,6 +78,22 @@ def _as_hermitian(m, name: str) -> np.ndarray:
     if defect > HERMITICITY_TOL:
         raise ValidationError(f"{name}: hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}")
     return a
+
+
+def _as_operands(name: str, **ops) -> tuple[np.ndarray, ...]:
+    """``_as_hermitian`` on each operand as ``"<name> <key>"``; all share one dimension."""
+    arrs = tuple(_as_hermitian(m, f"{name} {key}") for key, m in ops.items())
+    if len({a.shape[0] for a in arrs}) > 1:
+        dims = ", ".join(f"{key} {a.shape[0]}" for key, a in zip(ops, arrs))
+        raise ValidationError(f"{name}: operands must share one dimension, got {dims}")
+    return arrs
+
+
+def _as_beta(beta, name: str) -> float:
+    """An inverse temperature: a real number, not a bool, positive and finite."""
+    if isinstance(beta, bool) or not isinstance(beta, numbers.Real) or not 0 < float(beta) < math.inf:
+        raise ValidationError(f"{name}: beta must be a positive finite real number, got {beta!r}")
+    return float(beta)
 
 
 class HermitianOperator:

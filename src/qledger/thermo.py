@@ -14,6 +14,9 @@ construction.  Entropies are in nats; hbar = k_B = 1 throughout.
 
 The log of a Gibbs state is always evaluated in closed form,
 ln(gibbs) = -beta H - ln(Z) I, never through a numerical matrix log.
+
+Each public function checks its operands (``_as_operands``) and beta
+(``_as_beta``) at entry, so errors name the function and the argument.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ from .qcore import (
     DensityMatrix,
     HermitianOperator,
     NumericError,
-    ValidationError,
-    _as_square,
-    hermitian_eig,
-    hermitian_eigvals,
+    _as_beta,
+    _as_operands,
+    _jacobi,
 )
 
 # support cutoffs for relative entropy: sigma eigenvalues below
@@ -52,8 +54,7 @@ class GibbsSpec:
     state: DensityMatrix
 
     def __post_init__(self):
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValidationError(f"GibbsSpec: beta must be positive and finite, got {self.beta}")
+        _as_beta(self.beta, "GibbsSpec")
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,8 @@ def _entropy_from_probs(p: np.ndarray) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr[rho ln rho] in nats; 0 ln 0 contributes nothing."""
-    w = hermitian_eigvals(_as_square(rho, "von_neumann_entropy"))
-    return _entropy_from_probs(w)
+    (a,) = _as_operands("von_neumann_entropy", rho=rho)
+    return _entropy_from_probs(_jacobi(a, want_vectors=False)[0])
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -108,12 +109,9 @@ def relative_entropy(rho, sigma) -> float:
     ``SIGMA_SUPPORT_TOL`` carrying rho-weight above ``RHO_WEIGHT_TOL``; the
     weight is never silently floored.
     """
-    a = _as_square(rho, "relative_entropy rho")
-    b = _as_square(sigma, "relative_entropy sigma")
-    if a.shape != b.shape:
-        raise ValidationError("relative_entropy: dimension mismatch")
-    wr, vr = hermitian_eig(a)
-    ws, vs = hermitian_eig(b)
+    a, b = _as_operands("relative_entropy", rho=rho, sigma=sigma)
+    wr, vr = _jacobi(a)
+    ws, vs = _jacobi(b)
     overlap = np.abs(vr.conj().T @ vs) ** 2  # overlap[i, j] = |<r_i|s_j>|^2
     wr = np.clip(wr, 0.0, None)
     weights = wr @ overlap  # rho weight on each sigma eigenvector
@@ -140,19 +138,19 @@ def _gibbs_log_probs(hvals: np.ndarray, beta: float) -> np.ndarray:
 
 def gibbs_state(hamiltonian, beta: float) -> GibbsSpec:
     """Thermal state of a Hamiltonian at inverse temperature beta > 0."""
-    if not (isinstance(beta, (int, float)) and beta > 0 and math.isfinite(beta)):
-        raise ValidationError(f"gibbs_state: beta must be positive and finite, got {beta!r}")
-    h = hamiltonian if isinstance(hamiltonian, HermitianOperator) else HermitianOperator(hamiltonian)
-    w, v = hermitian_eig(h)
+    beta = _as_beta(beta, "gibbs_state")
+    (h,) = _as_operands("gibbs_state", hamiltonian=hamiltonian)
+    w, v = _jacobi(h)
     p, log_z = _gibbs_probs(w, beta)
     m = (v * p) @ v.conj().T
-    state = DensityMatrix(0.5 * (m + m.conj().T), check_psd=False)
     z = math.exp(log_z)
     # with the ground energy at exactly 0 the bare sum already is Z, so the
     # shift convention requires Z >= 1
     if w[0] == 0.0 and z < 1.0 - 1e-12:
         raise NumericError(f"gibbs_state: Z = {z} < 1 with ground energy 0")
-    return GibbsSpec(hamiltonian=h, beta=float(beta), Z=z, log_Z=log_z, state=state)
+    op = hamiltonian if isinstance(hamiltonian, HermitianOperator) else HermitianOperator(h)
+    state = DensityMatrix(0.5 * (m + m.conj().T), check_psd=False)
+    return GibbsSpec(hamiltonian=op, beta=beta, Z=z, log_Z=log_z, state=state)
 
 
 def passive_state(rho, hamiltonian) -> DensityMatrix:
@@ -161,30 +159,25 @@ def passive_state(rho, hamiltonian) -> DensityMatrix:
     Eigenvalues of rho in decreasing order sit on energy levels in
     increasing order, which minimizes the energy over unitary orbits.
     """
-    r = np.sort(hermitian_eigvals(_as_square(rho, "passive_state rho")))[::-1]
-    w, v = hermitian_eig(hamiltonian)
+    a, h = _as_operands("passive_state", rho=rho, hamiltonian=hamiltonian)
+    r = np.sort(_jacobi(a, want_vectors=False)[0])[::-1]
+    w, v = _jacobi(h)
     m = (v * r) @ v.conj().T
     return DensityMatrix(0.5 * (m + m.conj().T), check_psd=False)
 
 
 def ergotropy(rho, hamiltonian) -> float:
     """Unitarily extractable work Tr[rho H] - Tr[passive(rho) H]."""
-    a = _as_square(rho, "ergotropy rho")
-    h = _as_square(hamiltonian, "ergotropy hamiltonian")
-    if a.shape != h.shape:
-        raise ValidationError("ergotropy: dimension mismatch")
-    r = np.sort(hermitian_eigvals(a))[::-1]
-    w = hermitian_eigvals(h)
-    return _energy(a, h) - float(r @ w)
+    a, h = _as_operands("ergotropy", rho=rho, hamiltonian=hamiltonian)
+    r = np.sort(_jacobi(a, want_vectors=False)[0])[::-1]
+    return _energy(a, h) - float(r @ _jacobi(h, want_vectors=False)[0])
 
 
 def free_energy(rho, hamiltonian, beta: float) -> float:
     """F(rho) = Tr[H rho] - S(rho)/beta."""
-    if not beta > 0:
-        raise ValidationError(f"free_energy: beta must be positive, got {beta}")
-    a = _as_square(rho, "free_energy rho")
-    h = _as_square(hamiltonian, "free_energy hamiltonian")
-    return _energy(a, h) - von_neumann_entropy(a) / beta
+    beta = _as_beta(beta, "free_energy")
+    a, h = _as_operands("free_energy", rho=rho, hamiltonian=hamiltonian)
+    return _energy(a, h) - _entropy_from_probs(_jacobi(a, want_vectors=False)[0]) / beta
 
 
 def extractable_work(rho, hamiltonian, beta: float) -> float:
@@ -193,11 +186,12 @@ def extractable_work(rho, hamiltonian, beta: float) -> float:
     Evaluated through free energies; equals relative_entropy(rho, gibbs)/beta
     up to rounding, which is the dual path used in tests.
     """
-    h = _as_square(hamiltonian, "extractable_work hamiltonian")
-    w = hermitian_eigvals(h)
+    beta = _as_beta(beta, "extractable_work")
+    a, h = _as_operands("extractable_work", rho=rho, hamiltonian=hamiltonian)
+    w = _jacobi(h, want_vectors=False)[0]
     p, _ = _gibbs_probs(w, beta)
     f_gibbs = float(p @ w) - _entropy_from_probs(p) / beta
-    return free_energy(rho, h, beta) - f_gibbs
+    return free_energy(a, h, beta) - f_gibbs
 
 
 def delta_S_ir(rho0, h0, rho_tau, h_tau, beta: float) -> float:
@@ -207,11 +201,13 @@ def delta_S_ir(rho0, h0, rho_tau, h_tau, beta: float) -> float:
     only mean that a thermal population underflowed to zero; that raises
     ``NumericError`` instead of returning inf or nan.
     """
-    g0 = gibbs_state(h0, beta)
-    gt = gibbs_state(h_tau, beta)
-    ds_ir = relative_entropy(rho0, g0.state) - relative_entropy(rho_tau, gt.state)
+    beta = _as_beta(beta, "delta_S_ir")
+    a0, m0, at, mt = _as_operands("delta_S_ir", rho0=rho0, h0=h0, rho_tau=rho_tau, h_tau=h_tau)
+    g0 = gibbs_state(m0, beta).state
+    gt = gibbs_state(mt, beta).state
+    ds_ir = relative_entropy(a0, g0) - relative_entropy(at, gt)
     if not math.isfinite(ds_ir):
-        span = max(float(np.ptp(hermitian_eigvals(g.hamiltonian))) for g in (g0, gt))
+        span = max(float(np.ptp(_jacobi(m, want_vectors=False)[0])) for m in (m0, mt))
         raise NumericError(
             f"delta_S_ir: a Gibbs population underflows to 0 at beta = {beta:g} over the spectral "
             f"span {span:.6g}; lower beta, or use first_law_ledger, which takes the Gibbs log in closed form"
@@ -225,35 +221,31 @@ def delta_S_r(rho0, h0, rho_tau, h_tau, beta: float) -> float:
     Uses ln(gibbs) = -beta H - ln(Z) I, under which the ln Z parts cancel
     against the traceless deviations and the value reduces to energy terms.
     """
-    if not beta > 0:
-        raise ValidationError(f"delta_S_r: beta must be positive, got {beta}")
-    a0 = _as_square(rho0, "delta_S_r rho0")
-    at = _as_square(rho_tau, "delta_S_r rho_tau")
-    m0 = _as_square(h0, "delta_S_r h0")
-    mt = _as_square(h_tau, "delta_S_r h_tau")
+    beta = _as_beta(beta, "delta_S_r")
+    a0, m0, at, mt = _as_operands("delta_S_r", rho0=rho0, h0=h0, rho_tau=rho_tau, h_tau=h_tau)
     dev0 = _energy(a0, m0) - _gibbs_energy(m0, beta)
     devt = _energy(at, mt) - _gibbs_energy(mt, beta)
     return -beta * (devt - dev0)
 
 
 def _gibbs_energy(h: np.ndarray, beta: float) -> float:
-    w = hermitian_eigvals(h)
+    w = _jacobi(h, want_vectors=False)[0]
     p, _ = _gibbs_probs(w, beta)
     return float(p @ w)
 
 
 def heat(rho0, h0, rho_tau, h_tau, beta: float) -> float:
     """Heat exchanged, -delta_S_r/beta; equals dE minus Gibbs adiabatic work."""
-    return -delta_S_r(rho0, h0, rho_tau, h_tau, beta) / beta
+    beta = _as_beta(beta, "heat")
+    a0, m0, at, mt = _as_operands("heat", rho0=rho0, h0=h0, rho_tau=rho_tau, h_tau=h_tau)
+    return -delta_S_r(a0, m0, at, mt, beta) / beta
 
 
 def adiabatic_work_gibbs(h0, h_tau, beta: float) -> float:
     """Tr[gibbs_tau H_tau] - Tr[gibbs_0 H_0], the Gibbs-referenced quench work."""
-    if not beta > 0:
-        raise ValidationError(f"adiabatic_work_gibbs: beta must be positive, got {beta}")
-    return _gibbs_energy(_as_square(h_tau, "adiabatic_work_gibbs h_tau"), beta) - _gibbs_energy(
-        _as_square(h0, "adiabatic_work_gibbs h0"), beta
-    )
+    beta = _as_beta(beta, "adiabatic_work_gibbs")
+    m0, mt = _as_operands("adiabatic_work_gibbs", h0=h0, h_tau=h_tau)
+    return _gibbs_energy(mt, beta) - _gibbs_energy(m0, beta)
 
 
 def adiabatic_work_passive(rho_tau, h0, h_tau) -> float:
@@ -262,17 +254,17 @@ def adiabatic_work_passive(rho_tau, h0, h_tau) -> float:
     The final-state spectrum, passively ordered, is priced on H_tau and on
     H_0; the difference is the work of the drive stripped of ergotropy flow.
     """
-    r = np.sort(hermitian_eigvals(_as_square(rho_tau, "adiabatic_work_passive rho_tau")))[::-1]
-    w0 = hermitian_eigvals(_as_square(h0, "adiabatic_work_passive h0"))
-    wt = hermitian_eigvals(_as_square(h_tau, "adiabatic_work_passive h_tau"))
-    return float(r @ wt) - float(r @ w0)
+    at, m0, mt = _as_operands("adiabatic_work_passive", rho_tau=rho_tau, h0=h0, h_tau=h_tau)
+    r = np.sort(_jacobi(at, want_vectors=False)[0])[::-1]
+    return float(r @ _jacobi(mt, want_vectors=False)[0]) - float(r @ _jacobi(m0, want_vectors=False)[0])
 
 
 def operational_heat(rho0, rho_tau, h0) -> float:
     """Energy of the final spectrum minus the initial one, both passive on H_0."""
-    r0 = np.sort(hermitian_eigvals(_as_square(rho0, "operational_heat rho0")))[::-1]
-    rt = np.sort(hermitian_eigvals(_as_square(rho_tau, "operational_heat rho_tau")))[::-1]
-    w0 = hermitian_eigvals(_as_square(h0, "operational_heat h0"))
+    a0, at, m0 = _as_operands("operational_heat", rho0=rho0, rho_tau=rho_tau, h0=h0)
+    r0 = np.sort(_jacobi(a0, want_vectors=False)[0])[::-1]
+    rt = np.sort(_jacobi(at, want_vectors=False)[0])[::-1]
+    w0 = _jacobi(m0, want_vectors=False)[0]
     return float(rt @ w0) - float(r0 @ w0)
 
 
@@ -285,19 +277,13 @@ def first_law_ledger(rho0, h0, rho_tau, h_tau, beta: float) -> ThermoLedger:
     identity deltaWf = -deltaS_ir/beta is a genuine cross-check rather
     than a tautology.
     """
-    if not (isinstance(beta, (int, float)) and beta > 0 and math.isfinite(beta)):
-        raise ValidationError(f"first_law_ledger: beta must be positive and finite, got {beta!r}")
-    a0 = _as_square(rho0, "first_law_ledger rho0")
-    at = _as_square(rho_tau, "first_law_ledger rho_tau")
-    m0 = _as_square(h0, "first_law_ledger h0")
-    mt = _as_square(h_tau, "first_law_ledger h_tau")
-    if not (a0.shape == at.shape == m0.shape == mt.shape):
-        raise ValidationError("first_law_ledger: all operators must share one dimension")
+    beta = _as_beta(beta, "first_law_ledger")
+    a0, m0, at, mt = _as_operands("first_law_ledger", rho0=rho0, h0=h0, rho_tau=rho_tau, h_tau=h_tau)
 
-    wr0, vr0 = hermitian_eig(a0)
-    wrt, vrt = hermitian_eig(at)
-    wh0, vh0 = hermitian_eig(m0)
-    wht, vht = hermitian_eig(mt)
+    wr0, vr0 = _jacobi(a0)
+    wrt, vrt = _jacobi(at)
+    wh0, vh0 = _jacobi(m0)
+    wht, vht = _jacobi(mt)
 
     e0 = _energy(a0, m0)
     et = _energy(at, mt)

@@ -207,6 +207,24 @@ def test_audit_zero_count(capsys):
     capsys.readouterr()
 
 
+def test_audit_negative_count(capsys):
+    assert run(["audit", "--count", "-1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "validation", "detail": "count must be >= 0"}
+
+
+def test_subcommands_reject_options_they_do_not_read(tmp_path, capsys):
+    rho = matrix_to_json(np.diag([0.3, 0.7]).astype(complex))
+    path = ledger_config(tmp_path, rho_tau=rho)
+    for argv in (["ledger", "--config", str(path), "--override", "beta=2"],
+                 ["audit", "--count", "0", "--svg", str(tmp_path / "a.svg")],
+                 ["example1", "--count", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         run([])

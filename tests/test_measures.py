@@ -141,6 +141,19 @@ def test_trajectory_validation():
         Trajectory(times, skew, H2, 1.0)
     with pytest.raises(ValidationError):
         Trajectory(times, states, np.stack([H2] * 3), 1.0)  # H stack length
+    for bad in (math.inf, math.nan, True, "1"):
+        with pytest.raises(ValidationError, match="^Trajectory: beta must be"):
+            Trajectory(times, states, H2, bad)
+    for beta in (np.float32(0.5), np.int64(2)):
+        assert Trajectory(times, states, H2, beta).beta == float(beta)
+
+
+def test_coherence_error_names_the_caller():
+    skew = np.array([[0.5, 0.4], [0.0, 0.5]])
+    with pytest.raises(ValidationError, match="^coherence rho: hermiticity defect"):
+        coherence(skew, H2)
+    with pytest.raises(ValidationError, match="^dephase: operands must share one dimension"):
+        dephase(np.eye(3) / 3, H2)
 
 
 def test_trajectory_accepts_state_objects_and_h_stack():

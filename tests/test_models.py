@@ -27,6 +27,9 @@ def test_example1_params_validation():
         Example1Params(R=-0.5)
     with pytest.raises(ValidationError):
         Example1Params(beta=0.0)
+    for bad in (math.inf, math.nan, True, "1"):
+        with pytest.raises(ValidationError, match="^Example1Params: beta must be"):
+            Example1Params(beta=bad)
     with pytest.raises(ValidationError):
         Example1Params(t_max=-1.0)
     with pytest.raises(ValidationError):
@@ -112,6 +115,9 @@ def test_example2_params_validation():
         Example2Params(case=3)
     with pytest.raises(ValidationError):
         Example2Params(beta=-1.0)
+    for bad in (math.inf, math.nan, True, "1"):
+        with pytest.raises(ValidationError, match="^Example2Params: beta must be"):
+            Example2Params(beta=bad)
     with pytest.raises(ValidationError):
         Example2Params(g=0.0)
     assert Example2Params(omega0=1.0, omegap=2.0).detuning == pytest.approx(-1.0)

@@ -10,6 +10,7 @@ import pytest
 from qledger.qcore import DensityMatrix, HermitianOperator, NumericError, ValidationError
 from qledger.sampling import random_density, random_hermitian, spectral_span_bound
 from qledger.thermo import (
+    GibbsSpec,
     ThermoLedger,
     adiabatic_work_gibbs,
     adiabatic_work_passive,
@@ -311,3 +312,81 @@ def test_ledger_identity_survives_gibbs_underflow():
 def test_delta_S_ir_names_gibbs_underflow():
     with pytest.raises(NumericError, match=r"beta = 1 over the spectral span 1000"):
         delta_S_ir(RHO_HALF, H_WIDE, RHO_MOSTLY_GROUND, H_WIDE, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# input gates: every operand and every beta is checked at entry, and the
+# error names the function and the argument
+
+RHO3 = np.eye(3) / 3
+SKEW = np.array([[0.5, 0.4], [0.0, 0.5]])
+BAD_BETAS = (math.inf, math.nan, True, "1")
+
+
+MISMATCHED = [
+    (free_energy, (RHO_HALF, np.eye(3), 1.0)),
+    (extractable_work, (RHO_HALF, np.eye(3), 1.0)),
+    (passive_state, (RHO_HALF, np.eye(3))),
+    (delta_S_r, (RHO_HALF, np.eye(3), RHO_HALF, H2, 1.0)),
+    (adiabatic_work_passive, (RHO_HALF, H2, np.eye(3))),
+    (operational_heat, (RHO_HALF, RHO3, H2)),
+]
+
+
+@pytest.mark.parametrize("fn, args", MISMATCHED, ids=[fn.__name__ for fn, _ in MISMATCHED])
+def test_dimension_mismatch_is_a_validation_error(fn, args):
+    with pytest.raises(ValidationError, match=f"^{fn.__name__}: operands must share one dimension"):
+        fn(*args)
+
+
+def test_free_energy_rejects_nonhermitian_hamiltonian():
+    with pytest.raises(ValidationError, match="^free_energy hamiltonian: hermiticity defect"):
+        free_energy(RHO_HALF, [[0.0, 1.0], [0.0, 1.0]], 1.0)
+
+
+NON_HERMITIAN_CALLS = {
+    "von_neumann_entropy rho": lambda: von_neumann_entropy(SKEW),
+    "relative_entropy sigma": lambda: relative_entropy(RHO_HALF, SKEW),
+    "ergotropy rho": lambda: ergotropy(SKEW, H2),
+    "gibbs_state hamiltonian": lambda: gibbs_state(SKEW, 1.0),
+    "extractable_work hamiltonian": lambda: extractable_work(RHO_HALF, SKEW, 1.0),
+    "delta_S_ir rho_tau": lambda: delta_S_ir(RHO_HALF, H2, SKEW, H2, 1.0),
+    "first_law_ledger h_tau": lambda: first_law_ledger(RHO_HALF, H2, RHO_HALF, SKEW, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_HERMITIAN_CALLS))
+def test_hermiticity_error_names_the_caller(name):
+    with pytest.raises(ValidationError, match=f"^{name}: hermiticity defect 4.000e-01"):
+        NON_HERMITIAN_CALLS[name]()
+
+
+BETA_CALLS = {
+    "gibbs_state": lambda b: gibbs_state(H2, b),
+    "free_energy": lambda b: free_energy(RHO_HALF, H2, b),
+    "extractable_work": lambda b: extractable_work(RHO_HALF, H2, b),
+    "delta_S_ir": lambda b: delta_S_ir(RHO_HALF, H2, RHO_MOSTLY_GROUND, H2, b),
+    "delta_S_r": lambda b: delta_S_r(RHO_HALF, H2, RHO_MOSTLY_GROUND, H2, b),
+    "heat": lambda b: heat(RHO_HALF, H2, RHO_MOSTLY_GROUND, H2, b),
+    "adiabatic_work_gibbs": lambda b: adiabatic_work_gibbs(H2, 2 * H2, b),
+    "first_law_ledger": lambda b: first_law_ledger(RHO_HALF, H2, RHO_MOSTLY_GROUND, H2, b),
+    "GibbsSpec": lambda b: GibbsSpec(hamiltonian=HermitianOperator(H2), beta=b, Z=2.0,
+                                     log_Z=math.log(2.0), state=DensityMatrix(RHO_HALF)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BETA_CALLS))
+def test_beta_must_be_a_positive_finite_real(name):
+    for bad in BAD_BETAS:
+        with pytest.raises(ValidationError, match=f"^{name}: beta must be"):
+            BETA_CALLS[name](bad)
+
+
+@pytest.mark.parametrize("beta", [np.float32(0.5), np.int64(2)], ids=["float32", "int64"])
+def test_numpy_scalar_beta_accepted(beta):
+    g = gibbs_state(H2, beta)
+    assert type(g.beta) is float
+    assert np.array_equal(g.state.matrix, gibbs_state(H2, float(beta)).state.matrix)
+    led = first_law_ledger(RHO_HALF, H2, RHO_MOSTLY_GROUND, 2 * H2, beta)
+    assert led == first_law_ledger(RHO_HALF, H2, RHO_MOSTLY_GROUND, 2 * H2, float(beta))
+    assert type(free_energy(RHO_HALF, H2, beta)) is float
