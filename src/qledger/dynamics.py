@@ -50,6 +50,7 @@ from .qcore import (
     NumericError,
     PureState,
     ValidationError,
+    _as_beta,
     _as_square,
     _jacobi,
     _min_eigvals,
@@ -230,6 +231,7 @@ def lindblad_evolve(spec: LindbladSpec, rho0, grid: GridSpec, beta: float,
     -1e-7; each means dt is too coarse for this generator and the caller
     should increase ``steps``.
     """
+    beta = _as_beta(beta, "lindblad_evolve")
     state = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
     if state.dim != spec.dim:
         raise ValidationError(f"lindblad_evolve: state dim {state.dim} does not match spec dim {spec.dim}")
@@ -290,6 +292,7 @@ def schrodinger_evolve(hamiltonian, psi0, grid: GridSpec, beta: float) -> Trajec
     The propagator is exact: psi(t_k) = V exp(-i w t_k) V^dag psi(0) from
     one eigendecomposition, so norm and <H> are conserved to rounding.
     """
+    beta = _as_beta(beta, "schrodinger_evolve")
     h = hamiltonian if isinstance(hamiltonian, HermitianOperator) else HermitianOperator(hamiltonian)
     psi = psi0 if isinstance(psi0, PureState) else PureState(psi0)
     if psi.dim != h.dim:

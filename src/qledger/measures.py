@@ -36,6 +36,7 @@ import numpy as np
 from .qcore import (
     HERMITICITY_TOL,
     MAX_DIM,
+    STACK_BLOCK,
     TRACE_TOL,
     DensityMatrix,
     HermitianOperator,
@@ -43,6 +44,7 @@ from .qcore import (
     _as_beta,
     _as_operands,
     _jacobi,
+    _jacobi_stack,
 )
 from .thermo import _entropy_from_probs, _gibbs_probs
 
@@ -294,36 +296,34 @@ def read_csv(source) -> MeasureSeries:
 # ---------------------------------------------------------------------------
 # per-step tables and the series operations
 
+def _entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy of each row of clipped probabilities; 0 ln 0 = 0."""
+    q = np.clip(p, 0.0, None)
+    return -(q * np.log(np.where(q > 0.0, q, 1.0))).sum(axis=-1)
+
+
 def _tables(tr: Trajectory):
     """Energy, entropy, dephased entropy and ln Z columns of a trajectory."""
-    s = tr.states
-    T = s.shape[0]
-    beta = tr.beta
-
-    s_rho = np.empty(T)
-    for k in range(T):
-        w = _jacobi(s[k], want_vectors=False)[0]
-        s_rho[k] = _entropy_from_probs(np.clip(w, 0.0, None))
+    s, h, beta = tr.states, tr.hamiltonians, tr.beta
+    s_rho = _entropy_rows(_jacobi_stack(s, want_vectors=False)[0])
 
     if tr.constant_hamiltonian:
-        h = tr.hamiltonians
         w, v = _jacobi(h)
         _, log_z0 = _gibbs_probs(w, beta)
-        log_z = np.full(T, log_z0)
+        log_z = np.full(s.shape[0], log_z0)
         energy = np.einsum("tij,ji->t", s, h).real
         diag = np.einsum("an,tab,bn->tn", v.conj(), s, v).real
     else:
-        energy = np.einsum("tij,tji->t", s, tr.hamiltonians).real
-        log_z = np.empty(T)
-        diag = np.empty((T, tr.dim))
-        for k in range(T):
-            w, v = _jacobi(tr.hamiltonians[k])
-            log_z[k] = _gibbs_probs(w, beta)[1]
-            diag[k] = np.einsum("an,ab,bn->n", v.conj(), s[k], v).real
+        energy = np.einsum("tij,tji->t", s, h).real
+        w, v = _jacobi_stack(h, want_vectors=True)
+        # ln Z per row, shifted by the ground energy as in ``_gibbs_probs``
+        log_z = np.log(np.exp(-beta * (w - w[:, :1])).sum(axis=1)) - beta * w[:, 0]
+        diag = np.empty(w.shape)
+        for i in range(0, s.shape[0], STACK_BLOCK):
+            blk = slice(i, i + STACK_BLOCK)
+            diag[blk] = np.einsum("tan,tab,tbn->tn", v[blk].conj(), s[blk], v[blk]).real
 
-    q = np.clip(diag, 0.0, None)
-    s_deph = -(q * np.log(np.where(q > 0.0, q, 1.0))).sum(axis=1)
-    return energy, s_rho, s_deph, log_z
+    return energy, s_rho, _entropy_rows(diag), log_z
 
 
 def _ddt(y: np.ndarray, dt: float) -> np.ndarray:

@@ -1,10 +1,16 @@
 """Dense complex linear algebra and quantum state primitives.
 
-Every reported spectral quantity in this package goes through
-``hermitian_eig``, a cyclic Jacobi eigensolver with complex rotations.
-Target matrices are tiny (dimension 2 to 16 in practice, 64 as a hard cap),
-a regime where Jacobi is simple, accurate to machine precision and has no
-external dependencies beyond numpy arrays.  The one exception is a monitor:
+Every reported spectral quantity in this package comes from a cyclic
+Jacobi eigensolver with complex rotations, on one of two paths chosen by
+shape alone.  ``_jacobi`` takes one matrix: up to ``SCALAR_MAX_DIM`` it
+runs scalar rotations on Python complex numbers, the fastest choice for the
+many tiny solves of the fuzz suites; larger matrices go through
+``_jacobi_stack``.  ``_jacobi_stack`` takes a (B, n, n) stack, such as the
+states of a trajectory, and rotates n/2 disjoint pairs of every matrix per
+numpy call (parallel-ordering Jacobi).  Matrices are small (64 is a hard
+cap), a regime where Jacobi is simple and accurate to machine precision.
+Both paths use elementwise arithmetic only, never BLAS, so a spectrum has
+the same bits on every numpy build.  The one exception is a monitor:
 ``_min_eigvals`` takes LAPACK eigenvalues of a stack for the integrator's
 positivity check against its floor, and they never reach a reported number.
 
@@ -28,6 +34,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
@@ -43,6 +50,12 @@ KRAUS_TOL = 1e-10
 
 JACOBI_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 100
+# single matrices above this dimension go through the stack solver, which
+# is faster from d = 17 on (measured at d = 16, 17, 20 and 24)
+SCALAR_MAX_DIM = 16
+# the stack solver works this many matrices at a time, so its temporaries
+# stay small however long the stack
+STACK_BLOCK = 1024
 
 LOG_FLOOR = 1e-300
 
@@ -91,9 +104,22 @@ def _as_operands(name: str, **ops) -> tuple[np.ndarray, ...]:
 
 def _as_beta(beta, name: str) -> float:
     """An inverse temperature: a real number, not a bool, positive and finite."""
-    if isinstance(beta, bool) or not isinstance(beta, numbers.Real) or not 0 < float(beta) < math.inf:
-        raise ValidationError(f"{name}: beta must be a positive finite real number, got {beta!r}")
-    return float(beta)
+    if isinstance(beta, numbers.Real) and not isinstance(beta, bool):
+        try:
+            b = float(beta)
+        except OverflowError:  # an int beyond the float range
+            b = math.inf
+        if 0 < b < math.inf:
+            return b
+    raise ValidationError(f"{name}: beta must be a positive finite real number, got {beta!r}")
+
+
+def _frozen(a: np.ndarray, source) -> np.ndarray:
+    """``a`` made read-only, copied first if it is the caller's writable array."""
+    if a.flags.writeable and isinstance(source, np.ndarray) and np.may_share_memory(a, source):
+        a = a.copy()
+    a.setflags(write=False)
+    return a
 
 
 class HermitianOperator:
@@ -103,8 +129,7 @@ class HermitianOperator:
 
     def __init__(self, matrix) -> None:
         a = _as_hermitian(matrix, "HermitianOperator")
-        a.setflags(write=False)
-        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "matrix", _frozen(a, getattr(matrix, "matrix", matrix)))
 
     def __setattr__(self, *_):
         raise AttributeError("HermitianOperator is immutable")
@@ -139,8 +164,7 @@ class DensityMatrix:
                 raise ValidationError(
                     f"DensityMatrix: smallest eigenvalue {wmin:.3e} below -{PSD_TOL:.0e}"
                 )
-        a.setflags(write=False)
-        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "matrix", _frozen(a, getattr(matrix, "matrix", matrix)))
 
     def __setattr__(self, *_):
         raise AttributeError("DensityMatrix is immutable")
@@ -164,7 +188,8 @@ class PureState:
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes) -> None:
-        v = np.asarray(getattr(amplitudes, "amplitudes", amplitudes), dtype=np.complex128)
+        source = getattr(amplitudes, "amplitudes", amplitudes)
+        v = np.asarray(source, dtype=np.complex128)
         if v.ndim != 1 or not (1 <= v.size <= MAX_DIM):
             raise ValidationError(f"PureState: expected a vector of length 1..{MAX_DIM}")
         if not np.all(np.isfinite(v)):
@@ -172,8 +197,7 @@ class PureState:
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValidationError(f"PureState: norm {nrm} deviates from 1 beyond {NORM_TOL:.0e}")
-        v.setflags(write=False)
-        object.__setattr__(self, "amplitudes", v)
+        object.__setattr__(self, "amplitudes", _frozen(v, source))
 
     def __setattr__(self, *_):
         raise AttributeError("PureState is immutable")
@@ -192,6 +216,7 @@ class QuantumChannel:
     __slots__ = ("kraus",)
 
     def __init__(self, kraus) -> None:
+        kraus = [getattr(k, "matrix", k) for k in kraus]
         ops = tuple(_as_square(k, "QuantumChannel kraus") for k in kraus)
         if not ops:
             raise ValidationError("QuantumChannel: at least one Kraus operator required")
@@ -206,9 +231,7 @@ class QuantumChannel:
             raise ValidationError(
                 f"QuantumChannel: completeness defect {defect:.3e} exceeds {KRAUS_TOL:.0e}"
             )
-        for k in ops:
-            k.setflags(write=False)
-        object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "kraus", tuple(map(_frozen, ops, kraus)))
 
     def __setattr__(self, *_):
         raise AttributeError("QuantumChannel is immutable")
@@ -257,33 +280,41 @@ def _jacobi2(a: np.ndarray, want_vectors: bool):
 
 
 def _jacobi(a: np.ndarray, want_vectors: bool = True):
-    """Diagonalize a Hermitian matrix by cyclic Jacobi sweeps.
+    """Diagonalize one Hermitian matrix by cyclic Jacobi sweeps.
 
     Complex plane rotations annihilate one off-diagonal pair at a time;
     sweeps repeat until the off-diagonal Frobenius norm drops below
     ``JACOBI_TOL`` times the Frobenius norm of the input.  Raises
     ``NumericError`` after ``JACOBI_MAX_SWEEPS`` sweeps without convergence.
 
-    The inner loops work on plain Python complex scalars.  At this package's
-    dimensions (2 to 16 in practice) that is several times faster than
-    slicing numpy arrays per rotation, and the fuzz suites sit inside
-    wall-clock budgets.
+    The path depends on the dimension alone.  Dimension 2 is one exact
+    rotation (``_jacobi2``).  Up to ``SCALAR_MAX_DIM`` the inner loops work on
+    plain Python complex scalars, which beats numpy calls per rotation for
+    the many tiny solves of the fuzz suites.  Larger matrices go through
+    ``_jacobi_stack`` as a stack of one.
     """
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real]), (np.eye(1, dtype=np.complex128) if want_vectors else None)
     if n == 2:
         return _jacobi2(a, want_vectors)
+    if n > SCALAR_MAX_DIM:
+        w, v = _jacobi_stack(a[None], want_vectors)
+        return w[0], (v[0] if want_vectors else None)
 
-    norm_f = float(np.linalg.norm(a))
-    if norm_f == 0.0:
+    A = [[complex(x) for x in row] for row in a.tolist()]
+    norm2 = 0.0
+    for row in A:
+        for x in row:
+            norm2 += x.real * x.real + x.imag * x.imag
+    if norm2 == 0.0:
         return np.zeros(n), (np.eye(n, dtype=np.complex128) if want_vectors else None)
+    norm_f = math.sqrt(norm2)
     stop2 = (JACOBI_TOL * norm_f) ** 2
     # rotations on pairs below this threshold cannot push the off-diagonal
     # norm above the stopping level, so they are skipped
     skip = JACOBI_TOL * norm_f / (2.0 * n)
 
-    A = [[complex(x) for x in row] for row in a.tolist()]
     V = [[1.0 + 0.0j if i == j else 0.0 + 0.0j for j in range(n)] for i in range(n)] if want_vectors else None
 
     for _ in range(JACOBI_MAX_SWEEPS):
@@ -344,6 +375,96 @@ def _jacobi(a: np.ndarray, want_vectors: bool = True):
     if V is None:
         return w, None
     return w, np.array(V, dtype=np.complex128)[:, order]
+
+
+@functools.lru_cache(maxsize=None)
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Rounds of disjoint pairs (p < q) that together visit every pair once:
+    the circle method, with a dummy index for odd n whose pairs are dropped."""
+    m = n + n % 2
+    ring = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = [sorted(pr) for pr in zip(ring[: m // 2], ring[::-1]) if max(pr) < n]
+        pq = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        pq.setflags(write=False)  # the cache hands the same arrays to every call
+        rounds.append((pq[0], pq[1]))
+        ring.insert(1, ring.pop())
+    return tuple(rounds)
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis by explicit adds in index order."""
+    acc = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        acc += x[..., j]
+    return acc
+
+
+def _jacobi_stack(a: np.ndarray, want_vectors: bool):
+    """Diagonalize a (B, n, n) Hermitian stack by parallel-ordering cyclic
+    Jacobi (Brent & Luk 1985; Golub & Van Loan, Matrix Computations, 8.5).
+
+    Each sweep runs the rounds of ``_round_robin(n)``; a round rotates its
+    disjoint pairs in every matrix at once with elementwise numpy operations.
+    Rotation, stopping rule, skip rule and sort are those of ``_jacobi``.
+    Convergence is tested per matrix at the start of each sweep and only the
+    matrices still active are rotated, so a matrix gets the same bits in any
+    stack.  The stack is worked in blocks of ``STACK_BLOCK`` matrices.
+    Returns eigenvalues (B, n) and eigenvector columns (B, n, n) or None.
+    """
+    b, n = a.shape[0], a.shape[1]
+    diag = np.arange(n)
+    w = np.empty((b, n))
+    v = np.empty((b, n, n), dtype=np.complex128) if want_vectors else None
+    for start in range(0, b, STACK_BLOCK):
+        A = np.array(a[start : start + STACK_BLOCK], dtype=np.complex128)
+        idx = np.arange(start, start + A.shape[0])
+        V = np.broadcast_to(np.eye(n, dtype=np.complex128), A.shape).copy() if want_vectors else None
+        norm_f = np.sqrt(_sum_last(_sum_last(A.real**2 + A.imag**2)))
+        stop2 = (JACOBI_TOL * norm_f) ** 2
+        skip = JACOBI_TOL * norm_f / (2.0 * n)
+        for _ in range(JACOBI_MAX_SWEEPS):
+            sq = A.real**2 + A.imag**2
+            sq[:, diag, diag] = 0.0
+            done = _sum_last(_sum_last(sq)) <= stop2
+            w[idx[done]] = A[done][:, diag, diag].real
+            if want_vectors:
+                v[idx[done]] = V[done]
+                V = V[~done]
+            idx, A, stop2, skip = idx[~done], A[~done], stop2[~done], skip[~done]
+            if not idx.size:
+                break
+            for p, q in _round_robin(n):
+                apq = A[:, p, q]
+                r = np.abs(apq)
+                rot = r > skip[:, None]
+                r = np.where(rot, r, 1.0)
+                tau = (A[:, p, p].real - A[:, q, q].real) / (2.0 * r)
+                t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+                np.divide(0.5, tau, out=t, where=np.abs(tau) > 1e12)
+                c = np.where(rot, 1.0 / np.sqrt(1.0 + t * t), 1.0)
+                sf = np.where(rot, t * c * (apq / r), 0.0)  # s e^{+i phi}; 0 where skipped
+                cc, sc, sf = c[:, None, :], sf.conj()[:, None, :], sf[:, None, :]
+                for X in (A, V) if want_vectors else (A,):
+                    xp, xq = X[:, :, p], X[:, :, q]
+                    X[:, :, p] = cc * xp + sc * xq
+                    X[:, :, q] = cc * xq - sf * xp
+                cr, sc, sf = c[:, :, None], sc.swapaxes(1, 2), sf.swapaxes(1, 2)
+                ap, aq = A[:, p, :], A[:, q, :]
+                A[:, p, :] = cr * ap + sf * aq
+                A[:, q, :] = cr * aq - sc * ap
+                A[:, p, q] = np.where(rot, 0.0, A[:, p, q])
+                A[:, q, p] = np.where(rot, 0.0, A[:, q, p])
+                A[:, p, p] = A[:, p, p].real
+                A[:, q, q] = A[:, q, q].real
+        else:
+            raise NumericError(
+                f"Jacobi eigensolver did not converge within {JACOBI_MAX_SWEEPS} sweeps (dim {n})"
+            )
+    order = np.argsort(w, axis=1, kind="stable")
+    w = np.take_along_axis(w, order, axis=1)
+    return w, (np.take_along_axis(v, order[:, None, :], axis=2) if want_vectors else None)
 
 
 def _min_eigvals(stack: np.ndarray) -> np.ndarray:

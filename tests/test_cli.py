@@ -186,6 +186,15 @@ def test_ledger_config_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ledger_beta_beyond_float_range(tmp_path, capsys):
+    """A JSON integer beta too large for a float is a validation error."""
+    rho = matrix_to_json(np.diag([0.3, 0.7]).astype(complex))
+    path = ledger_config(tmp_path, rho_tau=rho, beta=10**400)
+    assert run(["ledger", "--config", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "beta must be a positive finite real number" in err["detail"]
+
+
 # ---------------------------------------------------------------------------
 # audit subcommand
 

@@ -146,6 +146,23 @@ def test_coarse_grid_raises_numeric_error():
     assert "steps" in str(info.value)
 
 
+def test_integrators_check_beta_before_integrating(monkeypatch):
+    """An invalid beta fails at entry under the integrator's name, before
+    any propagator or eigendecomposition is built."""
+    import qledger.dynamics as dyn
+
+    def started(*_):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(dyn, "_rk4_propagator", started)
+    monkeypatch.setattr(dyn, "hermitian_eig", started)
+    spec = LindbladSpec(H2, [(SM, 0.5)])
+    with pytest.raises(ValidationError, match="^lindblad_evolve: beta"):
+        lindblad_evolve(spec, DensityMatrix(np.diag([0.5, 0.5])), GridSpec(1.0, 10), beta=math.inf)
+    with pytest.raises(ValidationError, match="^schrodinger_evolve: beta"):
+        schrodinger_evolve(H2, PureState([1.0, 0.0]), GridSpec(1.0, 10), beta=math.inf)
+
+
 def _stage_loop_rk4(spec, rho0, grid, psd_check_every):
     """Reference: the four RK4 stages per step on the matrix-form generator,
     with the same Hermitian projection and monitors as the integrator."""

@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
+from qledger import qcore
+from qledger.measures import Trajectory, _tables
 from qledger.qcore import (
+    MAX_DIM,
+    STACK_BLOCK,
     DensityMatrix,
     HermitianOperator,
+    NumericError,
     PureState,
     QuantumChannel,
     ValidationError,
+    _jacobi,
+    _jacobi_stack,
     apply_channel,
     hermitian_eig,
     hermitian_eigvals,
@@ -19,6 +26,7 @@ from qledger.qcore import (
     partial_trace_stack,
     tensor,
 )
+from qledger.thermo import _entropy_from_probs, _gibbs_probs, gibbs_state
 
 
 def random_hermitian(rng, dim):
@@ -125,6 +133,129 @@ def test_eigvals_only_rejects_nonhermitian():
 
 
 # ---------------------------------------------------------------------------
+# stack eigensolver
+
+def random_hermitian_stack(rng, b, dim):
+    g = rng.normal(size=(b, dim, dim)) + 1j * rng.normal(size=(b, dim, dim))
+    return 0.5 * (g + g.conj().transpose(0, 2, 1))
+
+
+def mixed_stack(rng, dim):
+    """Random, rescaled, diagonal, degenerate and zero matrices of one dimension."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    levels = np.repeat([1.0, 2.0, 5.0], -(-dim // 3))[:dim]
+    degenerate = (q * levels) @ q.conj().T
+    return np.stack([
+        random_hermitian(rng, dim),
+        1e-9 * random_hermitian(rng, dim),
+        1e9 * random_hermitian(rng, dim),
+        np.diag(rng.normal(size=dim)).astype(complex),
+        0.5 * (degenerate + degenerate.conj().T),
+        np.zeros((dim, dim), complex),
+        random_hermitian(rng, dim),
+    ])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 16, 32, 33, 64])
+def test_stack_matches_scalar_solver(monkeypatch, dim):
+    """Eigenvalues agree with the scalar path, and the vectors reconstruct
+    each matrix, within 1e-12 of its Frobenius norm."""
+    monkeypatch.setattr(qcore, "SCALAR_MAX_DIM", MAX_DIM)
+    rng = np.random.default_rng(910 + dim)
+    a = random_hermitian_stack(rng, 2, dim)
+    w, v = _jacobi_stack(a, want_vectors=True)
+    w_only, none = _jacobi_stack(a, want_vectors=False)
+    assert none is None and np.array_equal(w_only, w)
+    for k in range(a.shape[0]):
+        tol = 1e-12 * np.linalg.norm(a[k])
+        assert np.abs(w[k] - _jacobi(a[k], want_vectors=False)[0]).max() <= tol
+        assert np.all(np.diff(w[k]) >= 0.0)
+        assert np.linalg.norm((v[k] * w[k]) @ v[k].conj().T - a[k]) <= tol
+        assert np.linalg.norm(v[k].conj().T @ v[k] - np.eye(dim)) <= tol
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_stack_bits_do_not_depend_on_the_stack(dim):
+    """A matrix gets the same bits alone, at any position of a mixed stack,
+    and in a second run."""
+    rng = np.random.default_rng(920 + dim)
+    a = mixed_stack(rng, dim)
+    w, v = _jacobi_stack(a, want_vectors=True)
+    w2, v2 = _jacobi_stack(a, want_vectors=True)
+    assert np.array_equal(w, w2) and np.array_equal(v, v2)
+    perm = rng.permutation(a.shape[0])
+    wp, vp = _jacobi_stack(a[perm], want_vectors=True)
+    assert np.array_equal(wp, w[perm]) and np.array_equal(vp, v[perm])
+    for k in range(a.shape[0]):
+        wk, vk = _jacobi_stack(a[k : k + 1], want_vectors=True)
+        assert np.array_equal(wk[0], w[k]) and np.array_equal(vk[0], v[k])
+
+
+def test_stack_across_block_boundary():
+    rng = np.random.default_rng(930)
+    a = random_hermitian_stack(rng, STACK_BLOCK + 3, 2)
+    w, v = _jacobi_stack(a, want_vectors=True)
+    assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-12 * np.abs(a).max()
+    tail, _ = _jacobi_stack(a[STACK_BLOCK - 2 :], want_vectors=False)
+    assert np.array_equal(tail, w[STACK_BLOCK - 2 :])
+
+
+def test_stack_special_inputs():
+    rng = np.random.default_rng(931)
+    w, v = _jacobi_stack(np.zeros((3, 4, 4), complex), want_vectors=True)
+    assert np.all(w == 0.0) and np.array_equal(v, np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+    d = np.stack([np.diag([3.0, -1.0, 2.0, 0.0]), np.diag([1.0, 1.0, 0.0, 1.0])]).astype(complex)
+    w, v = _jacobi_stack(d, want_vectors=True)
+    assert np.array_equal(w, [[-1.0, 0.0, 2.0, 3.0], [0.0, 1.0, 1.0, 1.0]])
+    assert np.array_equal(np.abs(v[0]), np.eye(4)[:, [1, 3, 2, 0]])
+
+    a = mixed_stack(rng, 9)[4:5]  # levels 1, 1, 1, 2, 2, 2, 5, 5, 5
+    w, v = _jacobi_stack(a, want_vectors=True)
+    assert np.abs(w[0] - np.repeat([1.0, 2.0, 5.0], 3)).max() <= 1e-12 * np.linalg.norm(a[0])
+    assert np.abs(v[0].conj().T @ v[0] - np.eye(9)).max() <= 1e-12
+
+    one = np.array([[[2.5]], [[-1.0]]], complex)
+    w, v = _jacobi_stack(one, want_vectors=True)
+    assert np.array_equal(w, [[2.5], [-1.0]]) and np.array_equal(v, np.ones((2, 1, 1)))
+    assert _jacobi_stack(one, want_vectors=False)[1] is None
+
+
+def test_stack_nonconvergence_names_dimension(monkeypatch):
+    monkeypatch.setattr(qcore, "JACOBI_MAX_SWEEPS", 1)
+    a = random_hermitian_stack(np.random.default_rng(932), 3, 5)
+    with pytest.raises(NumericError, match=r"within 1 sweeps \(dim 5\)"):
+        _jacobi_stack(a, want_vectors=False)
+
+
+def test_large_single_matrix_goes_through_the_stack():
+    a = random_hermitian(np.random.default_rng(933), 64)
+    w, v = _jacobi(a)
+    ws, vs = _jacobi_stack(a[None], want_vectors=True)
+    assert np.array_equal(w, ws[0]) and np.array_equal(v, vs[0])
+    assert np.array_equal(_jacobi(a, want_vectors=False)[0], ws[0])
+
+
+def test_tables_with_time_dependent_hamiltonian():
+    """The stacked H branch of the measure tables against a per-point
+    reference on the scalar solver, across a block boundary."""
+    rng = np.random.default_rng(934)
+    n, dim, beta = STACK_BLOCK + 5, 3, 0.7
+    states = np.stack([random_density_matrix(rng, dim) for _ in range(n)])
+    hams = random_hermitian_stack(rng, n, dim)
+    tr = Trajectory(np.linspace(0.0, 1.0, n), states, hams, beta)
+    energy, s_rho, s_deph, log_z = _tables(tr)
+    for k in range(n):
+        w = _jacobi(states[k], want_vectors=False)[0]
+        wh, vh = _jacobi(hams[k])
+        pops = np.einsum("an,ab,bn->n", vh.conj(), states[k], vh).real
+        assert energy[k] == pytest.approx(np.trace(states[k] @ hams[k]).real, abs=1e-12)
+        assert s_rho[k] == pytest.approx(_entropy_from_probs(np.clip(w, 0.0, None)), abs=1e-12)
+        assert s_deph[k] == pytest.approx(_entropy_from_probs(np.clip(pops, 0.0, None)), abs=1e-12)
+        assert log_z[k] == pytest.approx(_gibbs_probs(wh, beta)[1], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # validated containers
 
 def test_hermitian_operator_validation():
@@ -180,6 +311,19 @@ def test_containers_are_immutable():
     ch = QuantumChannel([np.eye(2)])
     with pytest.raises(AttributeError):
         ch.kraus = ()
+
+
+def test_containers_leave_the_callers_array_writable():
+    h = np.diag([0.0, 1.0]).astype(complex)
+    gibbs_state(h, 1.0)
+    h[0, 0] = 5.0
+    rho = np.eye(2, dtype=complex) / 2
+    psi = np.array([1.0, 0.0], dtype=complex)
+    k = np.eye(2, dtype=complex)
+    held = (HermitianOperator(h), DensityMatrix(rho), PureState(psi), QuantumChannel([k]))
+    rho[0, 1] = psi[1] = k[0, 1] = 0.25
+    assert held[0].matrix[0, 0] == 5.0 and held[1].matrix[0, 1] == 0.0
+    assert held[2].amplitudes[1] == 0.0 and held[3].kraus[0][0, 1] == 0.0
 
 
 def test_constructor_accepts_wrapped_input():
