@@ -283,6 +283,8 @@ def lindblad_evolve(spec: LindbladSpec, rho0, grid: GridSpec, beta: float,
             k += c
     del powers, stacked
 
+    times.setflags(write=False)  # so the Trajectory keeps them, not copies
+    out.setflags(write=False)
     return Trajectory(times, out, spec.hamiltonian, beta)
 
 
@@ -304,4 +306,6 @@ def schrodinger_evolve(hamiltonian, psi0, grid: GridSpec, beta: float) -> Trajec
     phases = np.exp(-1j * np.outer(times, w))
     amps = (phases * a0) @ vecs.T  # amps[k] = V (e^{-i w t_k} . a0)
     states = amps[:, :, None] * amps.conj()[:, None, :]
+    times.setflags(write=False)  # so the Trajectory keeps them, not copies
+    states.setflags(write=False)
     return Trajectory(times, states, h, beta)

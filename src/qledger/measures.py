@@ -24,7 +24,9 @@ S(rho||pi) = beta E + ln Z - S(rho), which is exact because pi has full
 rank for any finite beta.  All series share the trajectory grid.
 
 ``measure_series`` is the one place these formulas are written; the five
-single-column ``*_series`` functions return its columns.
+single-column ``*_series`` functions return its columns.  Entropy, ln Z and
+energy come from the ``thermo`` kernels and populations from ``_populations``,
+so a trajectory row and a single matrix get the same bits.
 """
 
 from __future__ import annotations
@@ -34,26 +36,31 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .qcore import (
-    HERMITICITY_TOL,
-    MAX_DIM,
     STACK_BLOCK,
     TRACE_TOL,
     DensityMatrix,
     HermitianOperator,
     ValidationError,
     _as_beta,
+    _as_hermitian,
     _as_operands,
+    _frozen,
     _jacobi,
     _jacobi_stack,
 )
-from .thermo import _entropy_from_probs, _gibbs_probs
+from .thermo import _energy, _entropy, _gibbs
+
+
+def _populations(v: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """<v_n|rho|v_n> for the columns of v, over leading axes that broadcast."""
+    return np.einsum("...an,...ab,...bn->...n", v.conj(), rho, v).real
 
 
 def _energy_populations(rho, hamiltonian, name: str):
     """The validated state, H's eigenvectors and the state's populations in them."""
     a, h = _as_operands(name, rho=rho, hamiltonian=hamiltonian)
     _, v = _jacobi(h)
-    return a, v, np.einsum("an,ab,bn->n", v.conj(), a, v).real
+    return a, v, _populations(v, a)
 
 
 def dephase(rho, hamiltonian) -> DensityMatrix:
@@ -77,20 +84,17 @@ def coherence(rho, hamiltonian) -> float:
     spectrum, so it can only raise the entropy.
     """
     a, _, pops = _energy_populations(rho, hamiltonian, "coherence")
-    w = np.clip(_jacobi(a, want_vectors=False)[0], 0.0, None)
-    return _entropy_from_probs(np.clip(pops, 0.0, None)) - _entropy_from_probs(w)
-
-
-_VALIDATION_BLOCK = 4096
+    return float(_entropy(pops) - _entropy(_jacobi(a, want_vectors=False)[0]))
 
 
 class Trajectory:
     """An evolving state on a uniform time grid, with its Hamiltonian(s).
 
-    ``states`` is a read-only (T, d, d) complex stack.  Hermiticity and
-    unit trace are validated here; positivity is the producing
-    integrator's job (its monitor has already walked every step, and an
-    eigendecomposition per grid point would double the cost of a run).
+    ``states`` is a read-only (T, d, d) complex stack, a copy if the caller's
+    was writable.  Unit trace is checked here, the rest by the ``qcore`` gate;
+    positivity is the producing integrator's job (its monitor has already
+    walked every step, and an eigendecomposition per grid point would double
+    the cost of a run).
 
     ``hamiltonians`` is a single (d, d) Hermitian matrix when the drive is
     constant, or a (T, d, d) stack otherwise.
@@ -112,27 +116,13 @@ class Trajectory:
         if np.abs(steps - dt).max() > 1e-9 * max(dt, 1.0):
             raise ValidationError("Trajectory: grid must be uniform")
 
-        if isinstance(states, np.ndarray) and states.ndim == 3:
-            s = np.asarray(states, dtype=np.complex128)
-        else:
-            s = np.stack([np.asarray(getattr(x, "matrix", x), dtype=np.complex128) for x in states])
-        if s.ndim != 3 or s.shape[0] != t.size or s.shape[1] != s.shape[2]:
+        s = states
+        if not (isinstance(s, np.ndarray) and s.ndim == 3):
+            s = np.stack([np.asarray(getattr(x, "matrix", x), dtype=np.complex128) for x in s])
+        s = _as_hermitian(s, "Trajectory states", stack=True)
+        if s.ndim != 3 or s.shape[0] != t.size:
             raise ValidationError(
                 f"Trajectory: states must be one square matrix per grid point, got shape {s.shape}"
-            )
-        d = s.shape[1]
-        if not (1 <= d <= MAX_DIM):
-            raise ValidationError(f"Trajectory: dimension {d} outside [1, {MAX_DIM}]")
-        # block by block, so validation never holds a temporary of the full stack
-        herm = 0.0
-        for i in range(0, s.shape[0], _VALIDATION_BLOCK):
-            blk = s[i : i + _VALIDATION_BLOCK]
-            if not np.all(np.isfinite(blk)):
-                raise ValidationError("Trajectory: state entries must be finite")
-            herm = max(herm, np.abs(blk - blk.conj().transpose(0, 2, 1)).max())
-        if herm > HERMITICITY_TOL:
-            raise ValidationError(
-                f"Trajectory: worst state hermiticity defect {herm:.3e} exceeds {HERMITICITY_TOL:.0e}"
             )
         trdev = np.abs(np.einsum("tii->t", s) - 1.0).max()
         if trdev > TRACE_TOL:
@@ -140,35 +130,21 @@ class Trajectory:
                 f"Trajectory: worst state trace deviation {trdev:.3e} exceeds {TRACE_TOL:.0e}"
             )
 
-        if isinstance(hamiltonians, (list, tuple)):
-            h = np.stack([np.asarray(getattr(x, "matrix", x), dtype=np.complex128) for x in hamiltonians])
-        else:
-            h = np.asarray(getattr(hamiltonians, "matrix", hamiltonians), dtype=np.complex128)
+        h = hamiltonians
+        if isinstance(h, (list, tuple)):
+            h = np.stack([np.asarray(getattr(x, "matrix", x), dtype=np.complex128) for x in h])
+        h = _as_hermitian(h, "Trajectory hamiltonians", stack=True)
         if h.ndim == 3 and h.shape[0] == 1:
             h = h[0]
-        if h.ndim == 2:
-            if h.shape != (d, d):
-                raise ValidationError(f"Trajectory: Hamiltonian shape {h.shape} does not match states")
-        elif h.ndim == 3:
-            if h.shape != s.shape:
-                raise ValidationError(
-                    f"Trajectory: Hamiltonian stack shape {h.shape} does not match states {s.shape}"
-                )
-        else:
-            raise ValidationError("Trajectory: hamiltonians must be one matrix or one per grid point")
-        if not np.all(np.isfinite(h)):
-            raise ValidationError("Trajectory: Hamiltonian entries must be finite")
-        hdef = np.abs(h - h.conj().swapaxes(-1, -2)).max()
-        if hdef > HERMITICITY_TOL:
+        if h.shape not in (s.shape, s.shape[1:]):
             raise ValidationError(
-                f"Trajectory: Hamiltonian hermiticity defect {hdef:.3e} exceeds {HERMITICITY_TOL:.0e}"
+                f"Trajectory: hamiltonians must be one matrix or one per grid point, "
+                f"got shape {h.shape} for states {s.shape}"
             )
 
-        for arr in (t, s, h):
-            arr.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
-        object.__setattr__(self, "hamiltonians", h)
+        object.__setattr__(self, "times", _frozen(t, times))
+        object.__setattr__(self, "states", _frozen(s, states))
+        object.__setattr__(self, "hamiltonians", _frozen(h, hamiltonians))
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "dt", dt)
 
@@ -238,6 +214,7 @@ class MeasureSeries:
 CSV_HEADER = "t,E,S,C_r,S_ir,I,P,P_c,P_i,W_f"
 
 _CSV_FIELDS = tuple(f.name for f in fields(MeasureSeries))
+_CSV_ROW = ",".join(["%.12g"] * len(_CSV_FIELDS))
 
 
 def format_csv(series: MeasureSeries, comments=()) -> str:
@@ -249,10 +226,9 @@ def format_csv(series: MeasureSeries, comments=()) -> str:
     """
     lines = [f"# {c}" for c in comments]
     lines.append(CSV_HEADER)
-    cols = [getattr(series, f) for f in _CSV_FIELDS]
-    for row in zip(*cols):
-        # x + 0.0 folds negative zero into plain 0
-        lines.append(",".join(format(x + 0.0, ".12g") for x in row))
+    # x + 0.0 folds negative zero into plain 0
+    cols = [(getattr(series, f) + 0.0).tolist() for f in _CSV_FIELDS]
+    lines.extend(_CSV_ROW % row for row in zip(*cols))
     lines.append("")
     return "\n".join(lines)
 
@@ -296,34 +272,21 @@ def read_csv(source) -> MeasureSeries:
 # ---------------------------------------------------------------------------
 # per-step tables and the series operations
 
-def _entropy_rows(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each row of clipped probabilities; 0 ln 0 = 0."""
-    q = np.clip(p, 0.0, None)
-    return -(q * np.log(np.where(q > 0.0, q, 1.0))).sum(axis=-1)
-
-
 def _tables(tr: Trajectory):
-    """Energy, entropy, dephased entropy and ln Z columns of a trajectory."""
-    s, h, beta = tr.states, tr.hamiltonians, tr.beta
-    s_rho = _entropy_rows(_jacobi_stack(s, want_vectors=False)[0])
-
+    """Energy, entropy, dephased entropy and ln Z columns of a trajectory;
+    ln Z is a scalar when the Hamiltonian is constant."""
+    s, h = tr.states, tr.hamiltonians
     if tr.constant_hamiltonian:
         w, v = _jacobi(h)
-        _, log_z0 = _gibbs_probs(w, beta)
-        log_z = np.full(s.shape[0], log_z0)
-        energy = np.einsum("tij,ji->t", s, h).real
-        diag = np.einsum("an,tab,bn->tn", v.conj(), s, v).real
+        diag = _populations(v, s)
     else:
-        energy = np.einsum("tij,tji->t", s, h).real
         w, v = _jacobi_stack(h, want_vectors=True)
-        # ln Z per row, shifted by the ground energy as in ``_gibbs_probs``
-        log_z = np.log(np.exp(-beta * (w - w[:, :1])).sum(axis=1)) - beta * w[:, 0]
         diag = np.empty(w.shape)
-        for i in range(0, s.shape[0], STACK_BLOCK):
+        for i in range(0, len(tr), STACK_BLOCK):
             blk = slice(i, i + STACK_BLOCK)
-            diag[blk] = np.einsum("tan,tab,tbn->tn", v[blk].conj(), s[blk], v[blk]).real
-
-    return energy, s_rho, _entropy_rows(diag), log_z
+            diag[blk] = _populations(v[blk], s[blk])
+    s_rho = _entropy(_jacobi_stack(s, want_vectors=False)[0])
+    return _energy(s, h), s_rho, _entropy(diag), _gibbs(w, tr.beta)[2]
 
 
 def _ddt(y: np.ndarray, dt: float) -> np.ndarray:

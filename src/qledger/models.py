@@ -147,6 +147,8 @@ def run_example1(p: Example1Params) -> tuple[Trajectory, MeasureSeries]:
     states = np.zeros((times.size, 2, 2), dtype=np.complex128)
     states[:, 0, 0] = 1.0 - pop
     states[:, 1, 1] = pop
+    times.setflags(write=False)  # so the Trajectory keeps them, not copies
+    states.setflags(write=False)
     h = np.diag([0.0, p.omega0]).astype(np.complex128)
     tr = Trajectory(times, states, h, p.beta)
     return tr, measure_series(tr)
@@ -213,8 +215,9 @@ def example1_pseudomode_oracle(p: Example1Params, grid: GridSpec | None = None,
         psd_check_every,
     )
     battery = partial_trace_stack(full.states, [2, 2, 2], [0])
+    battery.setflags(write=False)  # so the Trajectory keeps it, not a copy
     h_b = np.diag([0.0, p.omega0]).astype(np.complex128)
-    return Trajectory(times, battery, h_b, p.beta)
+    return Trajectory(full.times, battery, h_b, p.beta)
 
 
 @dataclass(frozen=True)
@@ -310,6 +313,7 @@ def run_example2(p: Example2Params, initial=None,
         h8, psi0 = example2_build(p, initial)
         full = schrodinger_evolve(h8, psi0, grid, p.beta)
         battery = partial_trace_stack(full.states, [2, 2, 2], [0, 1])
+        battery.setflags(write=False)  # so the Trajectory keeps it, not a copy
         tr = Trajectory(full.times, battery, h_free, p.beta)
     else:
         spec, rho0 = example2_build(p, initial)

@@ -15,8 +15,9 @@ the same bits on every numpy build.  The one exception is a monitor:
 positivity check against its floor, and they never reach a reported number.
 
 Each input check lives in one place: ``_as_square`` coerces and bounds a
-matrix, ``_as_hermitian`` adds the hermiticity check on top and is the one
-gate in front of the operator and state containers and both eigensolver
+matrix, or a (..., d, d) stack in blocks of ``STACK_BLOCK``, and
+``_as_hermitian`` adds the hermiticity check on top.  It is the one gate in
+front of the containers, the ``Trajectory`` stacks and both eigensolver
 entry points.  ``_as_operands`` runs it on each operand of a thermo or
 measures function under "<function> <argument>" and requires one shared
 dimension; ``_as_beta`` is the one inverse-temperature check.
@@ -53,8 +54,8 @@ JACOBI_MAX_SWEEPS = 100
 # single matrices above this dimension go through the stack solver, which
 # is faster from d = 17 on (measured at d = 16, 17, 20 and 24)
 SCALAR_MAX_DIM = 16
-# the stack solver works this many matrices at a time, so its temporaries
-# stay small however long the stack
+# the input gate and the stack solver work this many matrices at a time,
+# so their temporaries stay small however long the stack
 STACK_BLOCK = 1024
 
 LOG_FLOOR = 1e-300
@@ -72,25 +73,38 @@ class PropertyViolation(RuntimeError):
     """Raised when a physical property check fails during an audit."""
 
 
-def _as_square(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite square complex128 array, dim in [1, MAX_DIM]."""
+def _as_square(m, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
+    """Coerce to a finite square complex128 array, dim in [1, MAX_DIM];
+    with ``stack``, a (..., d, d) stack of them."""
     a = np.asarray(getattr(m, "matrix", m), dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"{name}: expected a square matrix, got shape {a.shape}")
-    if not (1 <= a.shape[0] <= MAX_DIM):
-        raise ValidationError(f"{name}: dimension {a.shape[0]} outside [1, {MAX_DIM}]")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError(f"{name}: entries must be finite")
+    if not (1 <= a.shape[-1] <= MAX_DIM):
+        raise ValidationError(f"{name}: dimension {a.shape[-1]} outside [1, {MAX_DIM}]")
+    for b in _blocks(a):
+        if not np.isfinite(b).all():
+            raise ValidationError(f"{name}: entries must be finite")
     return a
 
 
-def _as_hermitian(m, name: str) -> np.ndarray:
+def _as_hermitian(m, name: str, *, stack: bool = False) -> np.ndarray:
     """``_as_square`` plus the hermiticity check against ``HERMITICITY_TOL``."""
-    a = _as_square(m, name)
-    defect = float(np.abs(a - a.conj().T).max())
+    a = _as_square(m, name, stack=stack)
+    defect = 0.0
+    for b in _blocks(a):
+        defect = max(defect, float(np.abs(b - b.conj().swapaxes(-1, -2)).max()))
     if defect > HERMITICITY_TOL:
         raise ValidationError(f"{name}: hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}")
     return a
+
+
+def _blocks(a: np.ndarray):
+    """A (..., d, d) array as views of at most ``STACK_BLOCK`` matrices, so a
+    check never holds a temporary of a whole stack; one matrix is one block."""
+    if a.ndim == 2:
+        return (a,)
+    flat = a.reshape(-1, a.shape[-2], a.shape[-1])
+    return [flat[i : i + STACK_BLOCK] for i in range(0, flat.shape[0], STACK_BLOCK)]
 
 
 def _as_operands(name: str, **ops) -> tuple[np.ndarray, ...]:

@@ -15,6 +15,10 @@ construction.  Entropies are in nats; hbar = k_B = 1 throughout.
 The log of a Gibbs state is always evaluated in closed form,
 ln(gibbs) = -beta H - ln(Z) I, never through a numerical matrix log.
 
+``_entropy``, ``_gibbs`` and ``_energy`` are the one definition of each
+spectral quantity, over the last axis, for one process here and for a
+whole trajectory in ``measures``.
+
 Each public function checks its operands (``_as_operands``) and beta
 (``_as_beta``) at entry, so errors name the function and the argument.
 """
@@ -87,19 +91,33 @@ class ThermoLedger:
         return json.dumps(self.as_dict(), indent=indent)
 
 
-def _energy(rho: np.ndarray, h: np.ndarray) -> float:
-    return float(np.einsum("ij,ji->", rho, h).real)
+def _energy(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Tr[rho H] over the leading axes, which broadcast."""
+    return np.einsum("...ij,...ji->...", rho, h).real
 
 
-def _entropy_from_probs(p: np.ndarray) -> float:
-    p = p[p > 0.0]
-    return float(-(p * np.log(p)).sum())
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy over the last axis of clipped probabilities; 0 ln 0 = 0."""
+    q = np.maximum(p, 0.0)  # the bits of np.clip(p, 0.0, None), at less call overhead
+    return -(q * np.log(np.where(q > 0.0, q, 1.0))).sum(axis=-1)
+
+
+def _gibbs(w: np.ndarray, beta: float):
+    """Populations, ln p and ln Z of exp(-beta w)/Z over the last axis, for
+    ascending w; shifted by the ground energy, so no large terms cancel and
+    ln p stays finite where a population underflows to 0."""
+    w0 = w[..., :1]
+    x = -beta * (w - w0)
+    shifted = np.exp(x)
+    zs = shifted.sum(axis=-1, keepdims=True)
+    log_zs = np.log(zs)
+    return shifted / zs, x - log_zs, (log_zs - beta * w0)[..., 0]
 
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr[rho ln rho] in nats; 0 ln 0 contributes nothing."""
     (a,) = _as_operands("von_neumann_entropy", rho=rho)
-    return _entropy_from_probs(_jacobi(a, want_vectors=False)[0])
+    return float(_entropy(_jacobi(a, want_vectors=False)[0]))
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -119,21 +137,7 @@ def relative_entropy(rho, sigma) -> float:
     if np.any(weights[unsupported] > RHO_WEIGHT_TOL):
         return math.inf
     tr_rho_log_sigma = float(weights[~unsupported] @ np.log(ws[~unsupported]))
-    return -_entropy_from_probs(wr) - tr_rho_log_sigma
-
-
-def _gibbs_probs(hvals: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """Populations (in eigenvalue order) and log Z, shift-stabilized."""
-    shifted = np.exp(-beta * (hvals - hvals[0]))
-    zs = float(shifted.sum())
-    return shifted / zs, math.log(zs) - beta * float(hvals[0])
-
-
-def _gibbs_log_probs(hvals: np.ndarray, beta: float) -> np.ndarray:
-    """ln p = -beta w - ln Z in closed form, shifted like ``_gibbs_probs`` so
-    no large terms cancel; finite where a population underflows to 0."""
-    x = -beta * (hvals - hvals[0])
-    return x - math.log(float(np.exp(x).sum()))
+    return -float(_entropy(wr)) - tr_rho_log_sigma
 
 
 def gibbs_state(hamiltonian, beta: float) -> GibbsSpec:
@@ -141,7 +145,7 @@ def gibbs_state(hamiltonian, beta: float) -> GibbsSpec:
     beta = _as_beta(beta, "gibbs_state")
     (h,) = _as_operands("gibbs_state", hamiltonian=hamiltonian)
     w, v = _jacobi(h)
-    p, log_z = _gibbs_probs(w, beta)
+    p, _, log_z = _gibbs(w, beta)
     m = (v * p) @ v.conj().T
     z = math.exp(log_z)
     # with the ground energy at exactly 0 the bare sum already is Z, so the
@@ -150,7 +154,7 @@ def gibbs_state(hamiltonian, beta: float) -> GibbsSpec:
         raise NumericError(f"gibbs_state: Z = {z} < 1 with ground energy 0")
     op = hamiltonian if isinstance(hamiltonian, HermitianOperator) else HermitianOperator(h)
     state = DensityMatrix(0.5 * (m + m.conj().T), check_psd=False)
-    return GibbsSpec(hamiltonian=op, beta=beta, Z=z, log_Z=log_z, state=state)
+    return GibbsSpec(hamiltonian=op, beta=beta, Z=z, log_Z=float(log_z), state=state)
 
 
 def passive_state(rho, hamiltonian) -> DensityMatrix:
@@ -170,14 +174,14 @@ def ergotropy(rho, hamiltonian) -> float:
     """Unitarily extractable work Tr[rho H] - Tr[passive(rho) H]."""
     a, h = _as_operands("ergotropy", rho=rho, hamiltonian=hamiltonian)
     r = np.sort(_jacobi(a, want_vectors=False)[0])[::-1]
-    return _energy(a, h) - float(r @ _jacobi(h, want_vectors=False)[0])
+    return float(_energy(a, h)) - float(r @ _jacobi(h, want_vectors=False)[0])
 
 
 def free_energy(rho, hamiltonian, beta: float) -> float:
     """F(rho) = Tr[H rho] - S(rho)/beta."""
     beta = _as_beta(beta, "free_energy")
     a, h = _as_operands("free_energy", rho=rho, hamiltonian=hamiltonian)
-    return _energy(a, h) - _entropy_from_probs(_jacobi(a, want_vectors=False)[0]) / beta
+    return float(_energy(a, h) - _entropy(_jacobi(a, want_vectors=False)[0]) / beta)
 
 
 def extractable_work(rho, hamiltonian, beta: float) -> float:
@@ -189,8 +193,8 @@ def extractable_work(rho, hamiltonian, beta: float) -> float:
     beta = _as_beta(beta, "extractable_work")
     a, h = _as_operands("extractable_work", rho=rho, hamiltonian=hamiltonian)
     w = _jacobi(h, want_vectors=False)[0]
-    p, _ = _gibbs_probs(w, beta)
-    f_gibbs = float(p @ w) - _entropy_from_probs(p) / beta
+    p = _gibbs(w, beta)[0]
+    f_gibbs = float(p @ w - _entropy(p) / beta)
     return free_energy(a, h, beta) - f_gibbs
 
 
@@ -223,15 +227,14 @@ def delta_S_r(rho0, h0, rho_tau, h_tau, beta: float) -> float:
     """
     beta = _as_beta(beta, "delta_S_r")
     a0, m0, at, mt = _as_operands("delta_S_r", rho0=rho0, h0=h0, rho_tau=rho_tau, h_tau=h_tau)
-    dev0 = _energy(a0, m0) - _gibbs_energy(m0, beta)
-    devt = _energy(at, mt) - _gibbs_energy(mt, beta)
+    dev0 = float(_energy(a0, m0)) - _gibbs_energy(m0, beta)
+    devt = float(_energy(at, mt)) - _gibbs_energy(mt, beta)
     return -beta * (devt - dev0)
 
 
 def _gibbs_energy(h: np.ndarray, beta: float) -> float:
     w = _jacobi(h, want_vectors=False)[0]
-    p, _ = _gibbs_probs(w, beta)
-    return float(p @ w)
+    return float(_gibbs(w, beta)[0] @ w)
 
 
 def heat(rho0, h0, rho_tau, h_tau, beta: float) -> float:
@@ -285,16 +288,16 @@ def first_law_ledger(rho0, h0, rho_tau, h_tau, beta: float) -> ThermoLedger:
     wh0, vh0 = _jacobi(m0)
     wht, vht = _jacobi(mt)
 
-    e0 = _energy(a0, m0)
-    et = _energy(at, mt)
+    e0 = float(_energy(a0, m0))
+    et = float(_energy(at, mt))
     delta_e = et - e0
 
-    p0, log_z0 = _gibbs_probs(wh0, beta)
-    pt, log_zt = _gibbs_probs(wht, beta)
-    s_rho0 = _entropy_from_probs(np.clip(wr0, 0.0, None))
-    s_rhot = _entropy_from_probs(np.clip(wrt, 0.0, None))
-    s_g0 = _entropy_from_probs(p0)
-    s_gt = _entropy_from_probs(pt)
+    p0, log_p0, _ = _gibbs(wh0, beta)
+    pt, log_pt, _ = _gibbs(wht, beta)
+    s_rho0 = float(_entropy(wr0))
+    s_rhot = float(_entropy(wrt))
+    s_g0 = float(_entropy(p0))
+    s_gt = float(_entropy(pt))
 
     # ergotropy split, passive pricing of the spectra
     r0_desc = np.sort(wr0)[::-1]
@@ -316,8 +319,8 @@ def first_law_ledger(rho0, h0, rho_tau, h_tau, beta: float) -> ThermoLedger:
 
     # relative entropies through eigenbasis overlaps, against the Gibbs log
     # in closed form, which stays finite where a population underflows
-    rel0 = _relent_from_spectra(wr0, vr0, _gibbs_log_probs(wh0, beta), vh0)
-    relt = _relent_from_spectra(wrt, vrt, _gibbs_log_probs(wht, beta), vht)
+    rel0 = _relent_from_spectra(wr0, vr0, log_p0, vh0)
+    relt = _relent_from_spectra(wrt, vrt, log_pt, vht)
     ds_ir = rel0 - relt
 
     residual_eq2 = delta_e - (delta_we + w_ad_passive + q_op)
@@ -343,4 +346,4 @@ def _relent_from_spectra(wr, vr, log_psigma, vsigma) -> float:
     overlap = np.abs(vr.conj().T @ vsigma) ** 2
     wr = np.clip(wr, 0.0, None)
     weights = wr @ overlap
-    return -_entropy_from_probs(wr) - float(weights @ log_psigma)
+    return -float(_entropy(wr)) - float(weights @ log_psigma)

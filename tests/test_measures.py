@@ -148,6 +148,67 @@ def test_trajectory_validation():
         assert Trajectory(times, states, H2, beta).beta == float(beta)
 
 
+def test_trajectory_errors_name_the_stack():
+    times = GridSpec(1.0, 2).times()
+    states = np.stack([np.eye(2, dtype=np.complex128) / 2] * 3)
+    skew = states.copy()
+    skew[1, 0, 1] = 0.2
+    with pytest.raises(ValidationError, match="^Trajectory states: hermiticity defect 2.000e-01"):
+        Trajectory(times, skew, H2, 1.0)
+    nan_state = states.copy()
+    nan_state[2, 1, 1] = math.nan
+    with pytest.raises(ValidationError, match="^Trajectory states: entries must be finite"):
+        Trajectory(times, nan_state, H2, 1.0)
+    with pytest.raises(ValidationError, match="^Trajectory hamiltonians: hermiticity defect"):
+        Trajectory(times, states, [[0.0, 1.0], [0.0, 1.0]], 1.0)
+    hs = np.stack([H2, H2, H2]).astype(np.complex128)
+    hs[1, 0, 0] = math.inf
+    with pytest.raises(ValidationError, match="^Trajectory hamiltonians: entries must be finite"):
+        Trajectory(times, states, hs, 1.0)
+
+
+def test_single_matrix_functions_reject_a_stack():
+    stack = np.stack([np.eye(2) / 2] * 3)
+    with pytest.raises(ValidationError, match="^von_neumann_entropy rho: expected a square matrix"):
+        von_neumann_entropy(stack)
+    with pytest.raises(ValidationError, match="^coherence rho: expected a square matrix"):
+        coherence(stack, H2)
+
+
+def test_trajectory_leaves_the_callers_arrays_writable():
+    times = GridSpec(1.0, 2).times()
+    states = np.stack([np.eye(2, dtype=np.complex128) / 2] * 3)
+    h = H2.astype(np.complex128)
+    tr = Trajectory(times, states, h, 1.0)
+    times[0] = -1.0
+    states[0, 0, 1] = 0.25
+    h[1, 1] = 5.0
+    assert tr.times[0] == 0.0 and tr.states[0, 0, 1] == 0.0 and tr.hamiltonians[1, 1] == 1.0
+    with pytest.raises(ValueError):
+        tr.times[0] = 1.0
+
+
+def test_trajectory_keeps_read_only_arrays_without_a_copy():
+    tr = thermal_qubit_trajectory(steps=20)
+    again = Trajectory(tr.times, tr.states, tr.hamiltonians, tr.beta)
+    assert again.states is tr.states and again.times is tr.times
+
+
+@pytest.mark.parametrize("dim", [8, 16])
+def test_entropy_of_a_rank_deficient_state_matches_its_series_row(dim):
+    """A single state and a trajectory row share one entropy, to the bit."""
+    rng = np.random.default_rng(dim)
+    pops = rng.random((40, dim))
+    for row in pops:
+        row[rng.permutation(dim)[: rng.integers(1, dim - 1)]] = 0.0
+    pops /= pops.sum(axis=1, keepdims=True)
+    states = np.stack([np.diag(p) for p in pops]).astype(np.complex128)
+    tr = Trajectory(np.arange(40.0), states, np.diag(np.arange(dim, dtype=float)), 1.0)
+    entropy = measure_series(tr).entropy
+    for k in range(40):
+        assert von_neumann_entropy(states[k]) == entropy[k]
+
+
 def test_coherence_error_names_the_caller():
     skew = np.array([[0.5, 0.4], [0.0, 0.5]])
     with pytest.raises(ValidationError, match="^coherence rho: hermiticity defect"):
