@@ -232,6 +232,11 @@ def lindblad_evolve(spec: LindbladSpec, rho0, grid: GridSpec, beta: float,
     should increase ``steps``.
     """
     beta = _as_beta(beta, "lindblad_evolve")
+    return Trajectory(*_lindblad_steps(spec, rho0, grid, psd_check_every), spec.hamiltonian, beta)
+
+
+def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: int):
+    """Read-only times and states of ``lindblad_evolve``, checked by its monitor only."""
     state = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
     if state.dim != spec.dim:
         raise ValidationError(f"lindblad_evolve: state dim {state.dim} does not match spec dim {spec.dim}")
@@ -283,9 +288,9 @@ def lindblad_evolve(spec: LindbladSpec, rho0, grid: GridSpec, beta: float,
             k += c
     del powers, stacked
 
-    times.setflags(write=False)  # so the Trajectory keeps them, not copies
+    times.setflags(write=False)  # so a Trajectory keeps them, not copies
     out.setflags(write=False)
-    return Trajectory(times, out, spec.hamiltonian, beta)
+    return times, out
 
 
 def schrodinger_evolve(hamiltonian, psi0, grid: GridSpec, beta: float) -> Trajectory:

@@ -47,6 +47,9 @@ from .qcore import (
     _frozen,
     _jacobi,
     _jacobi_stack,
+    _matrix,
+    _seed,
+    _spectrum,
 )
 from .thermo import _energy, _entropy, _gibbs
 
@@ -59,8 +62,8 @@ def _populations(v: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def _energy_populations(rho, hamiltonian, name: str):
     """The validated state, H's eigenvectors and the state's populations in them."""
     a, h = _as_operands(name, rho=rho, hamiltonian=hamiltonian)
-    _, v = _jacobi(h)
-    return a, v, _populations(v, a)
+    v = _spectrum(h)[1]
+    return a, v, _populations(v, _matrix(a))
 
 
 def dephase(rho, hamiltonian) -> DensityMatrix:
@@ -70,11 +73,12 @@ def dephase(rho, hamiltonian) -> DensityMatrix:
     Inside a degenerate level the basis is whatever the eigensolver
     returns; for a diagonal H that is the computational basis, which is
     the convention the case studies rely on.  Idempotent, since the solver
-    is deterministic.
+    is deterministic.  The output keeps its spectrum: the populations, sorted.
     """
     _, v, pops = _energy_populations(rho, hamiltonian, "dephase")
     m = (v * pops) @ v.conj().T
-    return DensityMatrix(0.5 * (m + m.conj().T), check_psd=False)
+    order = np.argsort(pops, kind="stable")
+    return _seed(DensityMatrix(0.5 * (m + m.conj().T), check_psd=False), pops[order], v[:, order])
 
 
 def coherence(rho, hamiltonian) -> float:
@@ -84,7 +88,7 @@ def coherence(rho, hamiltonian) -> float:
     spectrum, so it can only raise the entropy.
     """
     a, _, pops = _energy_populations(rho, hamiltonian, "coherence")
-    return float(_entropy(pops) - _entropy(_jacobi(a, want_vectors=False)[0]))
+    return float(_entropy(pops) - _entropy(_spectrum(a, want_vectors=False)[0]))
 
 
 class Trajectory:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GridSpec, LindbladSpec, lindblad_evolve, schrodinger_evolve
+from .dynamics import GridSpec, LindbladSpec, _lindblad_steps, lindblad_evolve, schrodinger_evolve
 from .measures import MeasureSeries, Trajectory, measure_series
 from .qcore import (
     DensityMatrix,
@@ -173,7 +173,6 @@ def example1_pseudomode_oracle(p: Example1Params, grid: GridSpec | None = None,
     """
     if grid is None:
         grid = _oracle_grid(p)
-    times = grid.times()
     rabi = p.rabi
 
     # --- single-qubit calibration gate
@@ -183,14 +182,11 @@ def example1_pseudomode_oracle(p: Example1Params, grid: GridSpec | None = None,
     jump_cal = (tensor(_I2, _SM), 2.0 * p.lam)
     psi_cal = np.zeros(4, dtype=np.complex128)
     psi_cal[2] = 1.0  # |1>_qubit |0>_mode
-    cal = lindblad_evolve(
-        LindbladSpec(h_cal, [jump_cal]),
-        DensityMatrix.from_pure(psi_cal),
-        grid,
-        p.beta,
-        psd_check_every,
+    # raw integrator output, checked by its monitor; only the battery is reported
+    times, cal = _lindblad_steps(
+        LindbladSpec(h_cal, [jump_cal]), DensityMatrix.from_pure(psi_cal), grid, psd_check_every
     )
-    pop_cal = cal.states[:, 2, 2].real + cal.states[:, 3, 3].real
+    pop_cal = cal[:, 2, 2].real + cal[:, 3, 3].real
     ref = _envelope(times, p.lam, rabi) ** 2
     defect = float(np.abs(pop_cal - ref).max())
     if defect > CALIBRATION_TOL:
@@ -207,17 +203,11 @@ def example1_pseudomode_oracle(p: Example1Params, grid: GridSpec | None = None,
     psi0 = np.zeros(8, dtype=np.complex128)
     psi0[4] = complex(p.c01)  # |1 0 0>
     psi0[2] = complex(p.c02)  # |0 1 0>
-    full = lindblad_evolve(
-        LindbladSpec(h8, [jump]),
-        DensityMatrix.from_pure(psi0),
-        grid,
-        p.beta,
-        psd_check_every,
-    )
-    battery = partial_trace_stack(full.states, [2, 2, 2], [0])
+    _, full = _lindblad_steps(LindbladSpec(h8, [jump]), DensityMatrix.from_pure(psi0), grid, psd_check_every)
+    battery = partial_trace_stack(full, [2, 2, 2], [0])
     battery.setflags(write=False)  # so the Trajectory keeps it, not a copy
     h_b = np.diag([0.0, p.omega0]).astype(np.complex128)
-    return Trajectory(full.times, battery, h_b, p.beta)
+    return Trajectory(times, battery, h_b, p.beta)
 
 
 @dataclass(frozen=True)

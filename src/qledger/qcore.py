@@ -20,9 +20,13 @@ matrix, or a (..., d, d) stack in blocks of ``STACK_BLOCK``, and
 front of the containers, the ``Trajectory`` stacks and both eigensolver
 entry points.  ``_as_operands`` runs it on each operand of a thermo or
 measures function under "<function> <argument>" and requires one shared
-dimension; ``_as_beta`` is the one inverse-temperature check.
+dimension; a container, checked at construction and read-only, passes
+through.  ``_as_beta`` is the one inverse-temperature check.
 ``partial_trace`` is the single-state case of ``partial_trace_stack``,
-which validates ``dims`` and ``keep``.
+which validates ``dims`` and ``keep``.  One spectrum per operand:
+``HermitianOperator`` and ``DensityMatrix`` keep their (w, V) in a slot,
+filled on first use (``_spectrum``) or by the positivity check, whose
+decomposition is kept, not paid twice; a bare array is solved every call.
 
 Conventions:
   * matrices are dense ``numpy`` arrays of complex128, row-major,
@@ -107,13 +111,13 @@ def _blocks(a: np.ndarray):
     return [flat[i : i + STACK_BLOCK] for i in range(0, flat.shape[0], STACK_BLOCK)]
 
 
-def _as_operands(name: str, **ops) -> tuple[np.ndarray, ...]:
-    """``_as_hermitian`` on each operand as ``"<name> <key>"``; all share one dimension."""
-    arrs = tuple(_as_hermitian(m, f"{name} {key}") for key, m in ops.items())
-    if len({a.shape[0] for a in arrs}) > 1:
-        dims = ", ".join(f"{key} {a.shape[0]}" for key, a in zip(ops, arrs))
+def _as_operands(name: str, **ops) -> tuple:
+    """Each operand gated (``_gated``) as ``"<name> <key>"``; all share one dimension."""
+    xs = tuple(_gated(m, f"{name} {key}") for key, m in ops.items())
+    if len({_matrix(x).shape[0] for x in xs}) > 1:
+        dims = ", ".join(f"{key} {_matrix(x).shape[0]}" for key, x in zip(ops, xs))
         raise ValidationError(f"{name}: operands must share one dimension, got {dims}")
-    return arrs
+    return xs
 
 
 def _as_beta(beta, name: str) -> float:
@@ -139,11 +143,12 @@ def _frozen(a: np.ndarray, source) -> np.ndarray:
 class HermitianOperator:
     """A validated Hermitian matrix (observable or Hamiltonian)."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_eig")
 
     def __init__(self, matrix) -> None:
         a = _as_hermitian(matrix, "HermitianOperator")
         object.__setattr__(self, "matrix", _frozen(a, getattr(matrix, "matrix", matrix)))
+        object.__setattr__(self, "_eig", getattr(matrix, "_eig", None))
 
     def __setattr__(self, *_):
         raise AttributeError("HermitianOperator is immutable")
@@ -159,26 +164,27 @@ class HermitianOperator:
 class DensityMatrix:
     """A validated quantum state: Hermitian, unit trace, positive.
 
-    The positivity check costs an eigendecomposition, so callers that
+    The positivity check's eigendecomposition is kept as the state's spectrum
+    (a container's carried spectrum is checked without one).  Callers that
     already guarantee positivity (integrators with their own monitoring,
-    algebraic constructions from a known spectrum) may pass
-    ``check_psd=False``.
+    algebraic constructions from a known spectrum) may pass ``check_psd=False``.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_eig")
 
     def __init__(self, matrix, *, check_psd: bool = True) -> None:
         a = _as_hermitian(matrix, "DensityMatrix")
         tr = a.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"DensityMatrix: trace {tr} deviates from 1 beyond {TRACE_TOL:.0e}")
+        object.__setattr__(self, "matrix", _frozen(a, getattr(matrix, "matrix", matrix)))
+        object.__setattr__(self, "_eig", getattr(matrix, "_eig", None))
         if check_psd:
-            wmin = float(_jacobi(a, want_vectors=False)[0][0])
+            wmin = float(_spectrum(self)[0][0])
             if wmin < -PSD_TOL:
                 raise ValidationError(
                     f"DensityMatrix: smallest eigenvalue {wmin:.3e} below -{PSD_TOL:.0e}"
                 )
-        object.__setattr__(self, "matrix", _frozen(a, getattr(matrix, "matrix", matrix)))
 
     def __setattr__(self, *_):
         raise AttributeError("DensityMatrix is immutable")
@@ -194,6 +200,38 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
+
+
+_CONTAINERS = (HermitianOperator, DensityMatrix)
+
+
+def _gated(m, name: str):
+    """A container as it is, anything else through ``_as_hermitian``."""
+    return m if isinstance(m, _CONTAINERS) else _as_hermitian(m, name)
+
+
+def _matrix(x) -> np.ndarray:
+    """The matrix of a gated operand."""
+    return x.matrix if isinstance(x, _CONTAINERS) else x
+
+
+def _spectrum(x, want_vectors: bool = True):
+    """Ascending eigenvalues and eigenvector columns of a gated operand: a
+    container's read-only pair, solved once; a bare array's, solved now
+    (eigenvalues only unless ``want_vectors``)."""
+    if not isinstance(x, _CONTAINERS):
+        return _jacobi(x, want_vectors)
+    if x._eig is None:
+        _seed(x, *_jacobi(x.matrix))
+    return x._eig
+
+
+def _seed(x, w: np.ndarray, v: np.ndarray):
+    """Store a known spectrum (w ascending, V its columns) in a fresh container."""
+    for a in (w, v):
+        a.setflags(write=False)
+    object.__setattr__(x, "_eig", (w, v))
+    return x
 
 
 class PureState:
@@ -496,12 +534,12 @@ def hermitian_eig(operator) -> tuple[np.ndarray, np.ndarray]:
 
     Accepts a ``HermitianOperator``, ``DensityMatrix`` or bare array.
     """
-    return _jacobi(_as_hermitian(operator, "hermitian_eig"))
+    return tuple(a.copy() for a in _spectrum(_gated(operator, "hermitian_eig")))
 
 
 def hermitian_eigvals(operator) -> np.ndarray:
-    """Eigenvalues only; skips eigenvector accumulation."""
-    return _jacobi(_as_hermitian(operator, "hermitian_eigvals"), want_vectors=False)[0]
+    """Eigenvalues only; a bare array skips eigenvector accumulation."""
+    return _spectrum(_gated(operator, "hermitian_eigvals"), want_vectors=False)[0].copy()
 
 
 # ---------------------------------------------------------------------------

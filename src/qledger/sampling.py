@@ -15,7 +15,7 @@ from .qcore import (
     PureState,
     QuantumChannel,
     ValidationError,
-    hermitian_eig,
+    _spectrum,
 )
 from .thermo import gibbs_state
 
@@ -80,7 +80,7 @@ def gibbs_preserving_channel(rng: np.random.Generator, hamiltonian, beta: float)
     so does the mixture.
     """
     spec = gibbs_state(hamiltonian, beta)
-    w, v = hermitian_eig(spec.hamiltonian)
+    w, v = _spectrum(spec.hamiltonian)
     d = w.size
 
     weights = rng.dirichlet(np.ones(3))

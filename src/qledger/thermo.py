@@ -21,6 +21,8 @@ whole trajectory in ``measures``.
 
 Each public function checks its operands (``_as_operands``) and beta
 (``_as_beta``) at entry, so errors name the function and the argument.
+Spectra come from ``qcore._spectrum``, so a container is solved once for
+every function it is passed to; a Gibbs state holds its known (p, V_H).
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from .qcore import (
     NumericError,
     _as_beta,
     _as_operands,
-    _jacobi,
+    _matrix,
+    _seed,
+    _spectrum,
 )
 
 # support cutoffs for relative entropy: sigma eigenvalues below
@@ -117,7 +121,7 @@ def _gibbs(w: np.ndarray, beta: float):
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr[rho ln rho] in nats; 0 ln 0 contributes nothing."""
     (a,) = _as_operands("von_neumann_entropy", rho=rho)
-    return float(_entropy(_jacobi(a, want_vectors=False)[0]))
+    return float(_entropy(_spectrum(a, want_vectors=False)[0]))
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -126,10 +130,17 @@ def relative_entropy(rho, sigma) -> float:
     Divergence is declared when sigma has an eigenvalue below
     ``SIGMA_SUPPORT_TOL`` carrying rho-weight above ``RHO_WEIGHT_TOL``; the
     weight is never silently floored.
+
+    A ``GibbsSpec`` sigma uses the eigenvectors of H and ln p in closed form, so
+    it stays finite where a population underflows; its ``state`` gives inf there.
     """
+    if isinstance(sigma, GibbsSpec):
+        a, h = _as_operands("relative_entropy", rho=rho, sigma=sigma.hamiltonian)
+        wh, vh = _spectrum(h)
+        return _relent_from_spectra(*_spectrum(a), _gibbs(wh, sigma.beta)[1], vh)
     a, b = _as_operands("relative_entropy", rho=rho, sigma=sigma)
-    wr, vr = _jacobi(a)
-    ws, vs = _jacobi(b)
+    wr, vr = _spectrum(a)
+    ws, vs = _spectrum(b)
     overlap = np.abs(vr.conj().T @ vs) ** 2  # overlap[i, j] = |<r_i|s_j>|^2
     wr = np.clip(wr, 0.0, None)
     weights = wr @ overlap  # rho weight on each sigma eigenvector
@@ -144,7 +155,8 @@ def gibbs_state(hamiltonian, beta: float) -> GibbsSpec:
     """Thermal state of a Hamiltonian at inverse temperature beta > 0."""
     beta = _as_beta(beta, "gibbs_state")
     (h,) = _as_operands("gibbs_state", hamiltonian=hamiltonian)
-    w, v = _jacobi(h)
+    op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
+    w, v = _spectrum(op)
     p, _, log_z = _gibbs(w, beta)
     m = (v * p) @ v.conj().T
     z = math.exp(log_z)
@@ -152,8 +164,8 @@ def gibbs_state(hamiltonian, beta: float) -> GibbsSpec:
     # shift convention requires Z >= 1
     if w[0] == 0.0 and z < 1.0 - 1e-12:
         raise NumericError(f"gibbs_state: Z = {z} < 1 with ground energy 0")
-    op = hamiltonian if isinstance(hamiltonian, HermitianOperator) else HermitianOperator(h)
-    state = DensityMatrix(0.5 * (m + m.conj().T), check_psd=False)
+    # p falls as w rises, so the reversed pair is the ascending spectrum
+    state = _seed(DensityMatrix(0.5 * (m + m.conj().T), check_psd=False), p[::-1], v[:, ::-1])
     return GibbsSpec(hamiltonian=op, beta=beta, Z=z, log_Z=float(log_z), state=state)
 
 
@@ -164,8 +176,8 @@ def passive_state(rho, hamiltonian) -> DensityMatrix:
     increasing order, which minimizes the energy over unitary orbits.
     """
     a, h = _as_operands("passive_state", rho=rho, hamiltonian=hamiltonian)
-    r = np.sort(_jacobi(a, want_vectors=False)[0])[::-1]
-    w, v = _jacobi(h)
+    r = np.sort(_spectrum(a, want_vectors=False)[0])[::-1]
+    w, v = _spectrum(h)
     m = (v * r) @ v.conj().T
     return DensityMatrix(0.5 * (m + m.conj().T), check_psd=False)
 
@@ -173,15 +185,15 @@ def passive_state(rho, hamiltonian) -> DensityMatrix:
 def ergotropy(rho, hamiltonian) -> float:
     """Unitarily extractable work Tr[rho H] - Tr[passive(rho) H]."""
     a, h = _as_operands("ergotropy", rho=rho, hamiltonian=hamiltonian)
-    r = np.sort(_jacobi(a, want_vectors=False)[0])[::-1]
-    return float(_energy(a, h)) - float(r @ _jacobi(h, want_vectors=False)[0])
+    r = np.sort(_spectrum(a, want_vectors=False)[0])[::-1]
+    return float(_energy(_matrix(a), _matrix(h))) - float(r @ _spectrum(h, want_vectors=False)[0])
 
 
 def free_energy(rho, hamiltonian, beta: float) -> float:
     """F(rho) = Tr[H rho] - S(rho)/beta."""
     beta = _as_beta(beta, "free_energy")
     a, h = _as_operands("free_energy", rho=rho, hamiltonian=hamiltonian)
-    return float(_energy(a, h) - _entropy(_jacobi(a, want_vectors=False)[0]) / beta)
+    return float(_energy(_matrix(a), _matrix(h)) - _entropy(_spectrum(a, want_vectors=False)[0]) / beta)
 
 
 def extractable_work(rho, hamiltonian, beta: float) -> float:
@@ -192,7 +204,7 @@ def extractable_work(rho, hamiltonian, beta: float) -> float:
     """
     beta = _as_beta(beta, "extractable_work")
     a, h = _as_operands("extractable_work", rho=rho, hamiltonian=hamiltonian)
-    w = _jacobi(h, want_vectors=False)[0]
+    w = _spectrum(h, want_vectors=False)[0]
     p = _gibbs(w, beta)[0]
     f_gibbs = float(p @ w - _entropy(p) / beta)
     return free_energy(a, h, beta) - f_gibbs
@@ -211,7 +223,7 @@ def delta_S_ir(rho0, h0, rho_tau, h_tau, beta: float) -> float:
     gt = gibbs_state(mt, beta).state
     ds_ir = relative_entropy(a0, g0) - relative_entropy(at, gt)
     if not math.isfinite(ds_ir):
-        span = max(float(np.ptp(_jacobi(m, want_vectors=False)[0])) for m in (m0, mt))
+        span = max(float(np.ptp(_spectrum(m, want_vectors=False)[0])) for m in (m0, mt))
         raise NumericError(
             f"delta_S_ir: a Gibbs population underflows to 0 at beta = {beta:g} over the spectral "
             f"span {span:.6g}; lower beta, or use first_law_ledger, which takes the Gibbs log in closed form"
@@ -227,13 +239,13 @@ def delta_S_r(rho0, h0, rho_tau, h_tau, beta: float) -> float:
     """
     beta = _as_beta(beta, "delta_S_r")
     a0, m0, at, mt = _as_operands("delta_S_r", rho0=rho0, h0=h0, rho_tau=rho_tau, h_tau=h_tau)
-    dev0 = float(_energy(a0, m0)) - _gibbs_energy(m0, beta)
-    devt = float(_energy(at, mt)) - _gibbs_energy(mt, beta)
+    dev0 = float(_energy(_matrix(a0), _matrix(m0))) - _gibbs_energy(m0, beta)
+    devt = float(_energy(_matrix(at), _matrix(mt))) - _gibbs_energy(mt, beta)
     return -beta * (devt - dev0)
 
 
-def _gibbs_energy(h: np.ndarray, beta: float) -> float:
-    w = _jacobi(h, want_vectors=False)[0]
+def _gibbs_energy(h, beta: float) -> float:
+    w = _spectrum(h, want_vectors=False)[0]
     return float(_gibbs(w, beta)[0] @ w)
 
 
@@ -258,16 +270,16 @@ def adiabatic_work_passive(rho_tau, h0, h_tau) -> float:
     H_0; the difference is the work of the drive stripped of ergotropy flow.
     """
     at, m0, mt = _as_operands("adiabatic_work_passive", rho_tau=rho_tau, h0=h0, h_tau=h_tau)
-    r = np.sort(_jacobi(at, want_vectors=False)[0])[::-1]
-    return float(r @ _jacobi(mt, want_vectors=False)[0]) - float(r @ _jacobi(m0, want_vectors=False)[0])
+    r = np.sort(_spectrum(at, want_vectors=False)[0])[::-1]
+    return float(r @ _spectrum(mt, want_vectors=False)[0]) - float(r @ _spectrum(m0, want_vectors=False)[0])
 
 
 def operational_heat(rho0, rho_tau, h0) -> float:
     """Energy of the final spectrum minus the initial one, both passive on H_0."""
     a0, at, m0 = _as_operands("operational_heat", rho0=rho0, rho_tau=rho_tau, h0=h0)
-    r0 = np.sort(_jacobi(a0, want_vectors=False)[0])[::-1]
-    rt = np.sort(_jacobi(at, want_vectors=False)[0])[::-1]
-    w0 = _jacobi(m0, want_vectors=False)[0]
+    r0 = np.sort(_spectrum(a0, want_vectors=False)[0])[::-1]
+    rt = np.sort(_spectrum(at, want_vectors=False)[0])[::-1]
+    w0 = _spectrum(m0, want_vectors=False)[0]
     return float(rt @ w0) - float(r0 @ w0)
 
 
@@ -283,13 +295,13 @@ def first_law_ledger(rho0, h0, rho_tau, h_tau, beta: float) -> ThermoLedger:
     beta = _as_beta(beta, "first_law_ledger")
     a0, m0, at, mt = _as_operands("first_law_ledger", rho0=rho0, h0=h0, rho_tau=rho_tau, h_tau=h_tau)
 
-    wr0, vr0 = _jacobi(a0)
-    wrt, vrt = _jacobi(at)
-    wh0, vh0 = _jacobi(m0)
-    wht, vht = _jacobi(mt)
+    wr0, vr0 = _spectrum(a0)
+    wrt, vrt = _spectrum(at)
+    wh0, vh0 = _spectrum(m0)
+    wht, vht = _spectrum(mt)
 
-    e0 = float(_energy(a0, m0))
-    et = float(_energy(at, mt))
+    e0 = float(_energy(_matrix(a0), _matrix(m0)))
+    et = float(_energy(_matrix(at), _matrix(mt)))
     delta_e = et - e0
 
     p0, log_p0, _ = _gibbs(wh0, beta)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qledger import qcore
-from qledger.measures import Trajectory, _tables
+from qledger.measures import Trajectory, _tables, dephase
 from qledger.qcore import (
     MAX_DIM,
     STACK_BLOCK,
@@ -28,7 +28,7 @@ from qledger.qcore import (
     partial_trace_stack,
     tensor,
 )
-from qledger.thermo import gibbs_state
+from qledger.thermo import first_law_ledger, gibbs_state
 
 
 def random_hermitian(rng, dim):
@@ -319,6 +319,11 @@ def test_containers_are_immutable():
     ch = QuantumChannel([np.eye(2)])
     with pytest.raises(AttributeError):
         ch.kraus = ()
+    hermitian_eig(h)  # the kept spectrum is no more writable than the rest
+    for x in (h, rho, PureState([1.0, 0.0]), ch):
+        for attr in ("matrix", "_eig", "amplitudes", "kraus", "dim", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, attr, None)
 
 
 def test_containers_leave_the_callers_array_writable():
@@ -338,6 +343,90 @@ def test_constructor_accepts_wrapped_input():
     h = HermitianOperator(np.diag([1.0, 2.0]))
     again = HermitianOperator(h)
     assert np.array_equal(again.matrix, h.matrix)
+
+
+# ---------------------------------------------------------------------------
+# the spectrum each container keeps
+
+def test_psd_check_keeps_its_spectrum(solves):
+    rng = np.random.default_rng(920)
+    rho = DensityMatrix(random_density_matrix(rng, 4))
+    w, v = hermitian_eig(rho)
+    assert solves == [4]
+    assert np.abs((v * w) @ v.conj().T - rho.matrix).max() <= 1e-12
+    # returned as copies: the caller may write, the kept pair stays read-only
+    w[0] = 7.0
+    assert hermitian_eigvals(rho)[0] != 7.0
+    assert not any(a.flags.writeable for a in qcore._spectrum(rho))
+
+
+def test_a_container_built_from_a_container_takes_its_spectrum(solves):
+    rng = np.random.default_rng(921)
+    h = HermitianOperator(random_hermitian(rng, 3))
+    hermitian_eig(h)
+    rho = DensityMatrix(random_density_matrix(rng, 3))  # the positivity check solves
+    solves.clear()
+    for copy, source in ((HermitianOperator(h), h), (DensityMatrix(rho), rho),
+                         (HermitianOperator(rho), rho)):
+        assert qcore._spectrum(copy) is qcore._spectrum(source)
+    assert solves == []
+
+
+def test_cold_slot_solves_once(solves):
+    rng = np.random.default_rng(922)
+    h = HermitianOperator(random_hermitian(rng, 5))
+    bare = np.array(h.matrix)
+    for _ in range(3):
+        hermitian_eig(h)
+        hermitian_eigvals(bare)
+    # the container once, the bare array on every call
+    assert solves == [5] * 4
+
+
+def test_kept_spectrum_cannot_go_stale():
+    rng = np.random.default_rng(923)
+    for dim in (1, 2, 3, 8, 17):
+        h = random_hermitian(rng, dim)
+        r = random_density_matrix(rng, dim)
+        held = (HermitianOperator(h), DensityMatrix(r), DensityMatrix(r, check_psd=False))
+        hermitian_eig(held[0])
+        h += np.eye(dim)
+        r[0, 0] += 0.5
+        hermitian_eig(held[2])
+        for x in held:
+            ref = np.linalg.eigvalsh(x.matrix)
+            assert np.abs(qcore._spectrum(x)[0] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_known_spectra_are_kept():
+    """Gibbs and dephased states hold the spectrum they were built from:
+    ascending, and an eigendecomposition of their own matrix."""
+    rng = np.random.default_rng(924)
+    for dim in (1, 2, 3, 4, 8, 17):
+        h = HermitianOperator(random_hermitian(rng, dim))
+        rho = DensityMatrix(random_density_matrix(rng, dim))
+        for out in (gibbs_state(h, 0.7).state, dephase(rho, h)):
+            w, v = qcore._spectrum(out)
+            assert np.all(np.diff(w) >= 0.0)
+            assert np.abs(w - np.linalg.eigvalsh(out.matrix)).max() <= 1e-14
+            assert np.abs((v * w) @ v.conj().T - out.matrix).max() <= 1e-14
+        # the Gibbs state's eigenvectors are the Hamiltonian's, reversed
+        assert np.array_equal(qcore._spectrum(gibbs_state(h, 0.7).state)[1], hermitian_eig(h)[1][:, ::-1])
+
+
+def test_operands_in_containers_pass_the_gate(monkeypatch):
+    rng = np.random.default_rng(925)
+    h0, h1 = (HermitianOperator(random_hermitian(rng, 3)) for _ in range(2))
+    r0, r1 = (DensityMatrix(random_density_matrix(rng, 3)) for _ in range(2))
+    gated = []
+    gate = qcore._as_hermitian
+    monkeypatch.setattr(qcore, "_as_hermitian", lambda m, name, **k: gated.append(name) or gate(m, name, **k))
+    first_law_ledger(r0, h0, r1, h1, 0.5)
+    assert gated == []
+    first_law_ledger(r0.matrix, h0, r1, h1, 0.5)
+    assert gated == ["first_law_ledger rho0"]
+    with pytest.raises(ValidationError, match="^first_law_ledger: operands must share one dimension"):
+        first_law_ledger(r0, h0, r1, HermitianOperator(np.eye(2)), 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from qledger.qcore import DensityMatrix, HermitianOperator, NumericError, ValidationError
+from qledger import cli
+from qledger.measures import coherence, dephase
+from qledger.qcore import (
+    DensityMatrix,
+    HermitianOperator,
+    NumericError,
+    ValidationError,
+    hermitian_eig,
+    hermitian_eigvals,
+)
 from qledger.sampling import random_density, random_hermitian, spectral_span_bound
 from qledger.thermo import (
     GibbsSpec,
@@ -312,6 +321,122 @@ def test_ledger_identity_survives_gibbs_underflow():
 def test_delta_S_ir_names_gibbs_underflow():
     with pytest.raises(NumericError, match=r"beta = 1 over the spectral span 1000"):
         delta_S_ir(RHO_HALF, H_WIDE, RHO_MOSTLY_GROUND, H_WIDE, 1.0)
+
+
+def test_relative_entropy_to_a_gibbs_spec_survives_underflow():
+    spec = gibbs_state(H_WIDE, 1.0)
+    # S(rho||pi) = -S(rho) + 1000 p_1 + ln Z = 500 - ln 2, the dual path of W_f
+    assert abs(relative_entropy(RHO_HALF, spec) - extractable_work(RHO_HALF, H_WIDE, 1.0)) <= 1e-12
+    assert relative_entropy(RHO_HALF, spec) == pytest.approx(500.0 - math.log(2.0), rel=1e-15)
+    # the state matrix holds the underflowed population as an exact 0
+    assert relative_entropy(RHO_HALF, spec.state) == math.inf
+
+
+def test_relative_entropy_to_a_gibbs_spec_matches_its_state():
+    rng = np.random.default_rng(318)
+    for _ in range(100):
+        dim = int(rng.integers(1, 6))
+        h = random_hermitian(rng, dim)
+        rho = random_density(rng, dim, rank=int(rng.integers(1, dim + 1)))
+        beta = min(float(10.0 ** rng.uniform(-1.0, 1.0)), 10.0 / max(spectral_span_bound(h), 1e-9))
+        spec = gibbs_state(h, beta)
+        assert abs(relative_entropy(rho, spec) - relative_entropy(rho, spec.state)) <= 1e-12
+        assert abs(relative_entropy(rho, spec) / beta - extractable_work(rho, h, beta)) <= 1e-10
+    with pytest.raises(ValidationError, match="^relative_entropy: operands must share one dimension"):
+        relative_entropy(RHO3, gibbs_state(H2, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# one spectrum per operand: a container's spectrum is solved once and shared,
+# and sharing it changes no bits
+
+def _value(out):
+    """A result as plain comparable data: floats, and matrices as bytes."""
+    if isinstance(out, GibbsSpec):
+        return (out.Z, out.log_Z, _value(out.state), _value(out.hamiltonian))
+    if isinstance(out, (DensityMatrix, HermitianOperator)):
+        return _value((out.matrix,) + hermitian_eig(out))
+    if isinstance(out, ThermoLedger):
+        return tuple(out.as_dict().values())
+    if isinstance(out, tuple):
+        return tuple(_value(x) for x in out)
+    if isinstance(out, np.ndarray):
+        return out.tobytes()
+    assert type(out) is float
+    return out
+
+
+FUNCTIONS = {
+    "von_neumann_entropy": lambda r0, h0, r1, h1, b: von_neumann_entropy(r0),
+    "relative_entropy": lambda r0, h0, r1, h1, b: relative_entropy(r0, r1),
+    "gibbs_state": lambda r0, h0, r1, h1, b: gibbs_state(h0, b),
+    "passive_state": lambda r0, h0, r1, h1, b: passive_state(r0, h0),
+    "ergotropy": lambda r0, h0, r1, h1, b: ergotropy(r0, h0),
+    "free_energy": lambda r0, h0, r1, h1, b: free_energy(r0, h0, b),
+    "extractable_work": lambda r0, h0, r1, h1, b: extractable_work(r0, h0, b),
+    "delta_S_ir": lambda r0, h0, r1, h1, b: delta_S_ir(r0, h0, r1, h1, b),
+    "delta_S_r": lambda r0, h0, r1, h1, b: delta_S_r(r0, h0, r1, h1, b),
+    "heat": lambda r0, h0, r1, h1, b: heat(r0, h0, r1, h1, b),
+    "adiabatic_work_gibbs": lambda r0, h0, r1, h1, b: adiabatic_work_gibbs(h0, h1, b),
+    "adiabatic_work_passive": lambda r0, h0, r1, h1, b: adiabatic_work_passive(r1, h0, h1),
+    "operational_heat": lambda r0, h0, r1, h1, b: operational_heat(r0, r1, h0),
+    "first_law_ledger": lambda r0, h0, r1, h1, b: first_law_ledger(r0, h0, r1, h1, b),
+    "dephase": lambda r0, h0, r1, h1, b: dephase(r0, h0),
+    "coherence": lambda r0, h0, r1, h1, b: coherence(r1, h1),
+    "hermitian_eig": lambda r0, h0, r1, h1, b: hermitian_eig(r0),
+    "hermitian_eigvals": lambda r0, h0, r1, h1, b: hermitian_eigvals(h1),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 17])
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_cold_warm_and_bare_operands_give_the_same_bits(name, dim):
+    rng = np.random.default_rng([931, dim])
+    h0, h1 = random_hermitian(rng, dim).matrix, random_hermitian(rng, dim).matrix
+    r0, r1 = random_density(rng, dim).matrix, random_density(rng, dim).matrix
+    beta = min(0.8, 10.0 / max(spectral_span_bound(h0), spectral_span_bound(h1), 1e-9))
+
+    def cold():
+        return (DensityMatrix(r0, check_psd=False), HermitianOperator(h0),
+                DensityMatrix(r1, check_psd=False), HermitianOperator(h1))
+
+    warm = cold()
+    for x in warm:
+        hermitian_eig(x)
+    fn = FUNCTIONS[name]
+    bare = _value(fn(r0, h0, r1, h1, beta))
+    assert _value(fn(*cold(), beta)) == bare
+    assert _value(fn(*warm, beta)) == bare
+
+
+def _criterion_1_draws(count: int):
+    rng = np.random.default_rng(20260823)
+    for _ in range(count):
+        dim = int(rng.integers(2, 5))
+        beta = float(10.0 ** rng.uniform(-1.0, 1.0))
+        h0, h1 = random_hermitian(rng, dim), random_hermitian(rng, dim)
+        r0, r1 = random_density(rng, dim), random_density(rng, dim)
+        span = max(spectral_span_bound(h0), spectral_span_bound(h1))
+        yield min(beta, 10.0 / span), h0, h1, r0, r1
+
+
+def test_criterion_1_draw_body_solves_four_matrices(solves):
+    draws = list(_criterion_1_draws(20))
+    solves.clear()
+    for draw, (beta, h0, h1, r0, r1) in enumerate(draws, start=1):
+        # the body of the acceptance suite's criterion 1, operand for operand
+        first_law_ledger(r0, h0, r1, h1, beta)
+        gibbs_state(h0, beta), gibbs_state(h1, beta)
+        coherence(r1, h1) - coherence(r0, h0)
+        von_neumann_entropy(dephase(r1, h1)) - von_neumann_entropy(dephase(r0, h0))
+        adiabatic_work_gibbs(h0, h1, beta)
+        assert len(solves) <= 4 * draw
+
+
+def test_audit_case_solves_three_matrices(solves, capsys):
+    assert cli.main(["audit", "--count", "25", "--seed", "7"]) == 0
+    assert "PASS (25 cases, 0 violations)" in capsys.readouterr().out
+    assert 0 < len(solves) <= 3 * 25
 
 
 # ---------------------------------------------------------------------------
