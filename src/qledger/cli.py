@@ -24,7 +24,7 @@ from .qcore import (
     PropertyViolation,
     QuantumChannel,
     ValidationError,
-    _as_hermitian,
+    _gated,
     _kraus_sum,
     _spectra,
     apply_channel,
@@ -167,7 +167,7 @@ def _cmd_ledger(args) -> int:
             raise ValidationError(f"ledger config needs key {key!r}")
 
     def operator(key):
-        return HermitianOperator(_as_hermitian(matrix_from_json(data[key]), f"ledger config {key}"))
+        return _gated(matrix_from_json(data[key]), f"ledger config {key}")
 
     rho0 = operator("rho0")
     h0 = operator("h0")

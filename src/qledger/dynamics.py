@@ -140,7 +140,7 @@ class LindbladSpec:
             gamma[i, j] = g
             gamma[j, i] = g.conjugate()
         if m:
-            wmin = float(_jacobi(gamma, want_vectors=False)[0][0])
+            wmin = float(_jacobi(gamma)[0][0])
             if wmin < -1e-10 * max(1.0, float(np.abs(gamma).max())):
                 raise ValidationError(
                     f"LindbladSpec: rate matrix has eigenvalue {wmin:.3e}; must be positive semidefinite"

@@ -47,7 +47,6 @@ from .qcore import (
     _frozen,
     _jacobi,
     _jacobi_stack,
-    _matrix,
     _seed,
     _spectrum,
 )
@@ -63,7 +62,7 @@ def _energy_populations(rho, hamiltonian, name: str):
     """The validated state, H's eigenvectors and the state's populations in them."""
     a, h = _as_operands(name, rho=rho, hamiltonian=hamiltonian)
     v = _spectrum(h)[1]
-    return a, v, _populations(v, _matrix(a))
+    return a, v, _populations(v, a.matrix)
 
 
 def dephase(rho, hamiltonian) -> DensityMatrix:
@@ -88,7 +87,7 @@ def coherence(rho, hamiltonian) -> float:
     spectrum, so it can only raise the entropy.
     """
     a, _, pops = _energy_populations(rho, hamiltonian, "coherence")
-    return float(_entropy(pops) - _entropy(_spectrum(a, want_vectors=False)[0]))
+    return float(_entropy(pops) - _entropy(_spectrum(a)[0]))
 
 
 class Trajectory:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GridSpec, LindbladSpec, _lindblad_steps, lindblad_evolve, schrodinger_evolve
+from .dynamics import GridSpec, LindbladSpec, _lindblad_steps, schrodinger_evolve
 from .measures import MeasureSeries, Trajectory, measure_series
 from .qcore import (
     DensityMatrix,
@@ -307,6 +307,6 @@ def run_example2(p: Example2Params, initial=None,
         tr = Trajectory(full.times, battery, h_free, p.beta)
     else:
         spec, rho0 = example2_build(p, initial)
-        raw = lindblad_evolve(spec, rho0, grid, p.beta, psd_check_every)
-        tr = Trajectory(raw.times, raw.states, h_free, p.beta)
+        # the integrator's raw states, validated once as the battery trajectory
+        tr = Trajectory(*_lindblad_steps(spec, rho0, grid, psd_check_every), h_free, p.beta)
     return tr, measure_series(tr)

@@ -18,20 +18,21 @@ Each input check lives in one place: ``_as_square`` coerces and bounds a
 matrix, or a (..., d, d) stack in blocks of ``STACK_BLOCK``, and
 ``_as_hermitian`` adds the hermiticity check on top.  It is the one gate in
 front of the containers, the ``Trajectory`` stacks and both eigensolver
-entry points.  ``_as_operands`` runs it on each operand of a thermo or
-measures function under "<function> <argument>" and requires one shared
-dimension; a container, checked at construction and read-only, passes
-through.  ``_as_beta`` is the one inverse-temperature check.
-``partial_trace`` is the single-state case of ``partial_trace_stack``,
-which validates ``dims`` and ``keep``.  One spectrum per operand:
-``HermitianOperator`` and ``DensityMatrix`` keep their (w, V) in a slot,
-filled on first use (``_spectrum``) or by the positivity check, whose
-decomposition is kept, not paid twice; a bare array is solved every call.
+entry points.  ``_gated`` is the one place where a bare array becomes an
+operand: a container passes as it is, anything else is gated once and held
+in a ``HermitianOperator`` for the call.  ``_as_operands`` gates each
+distinct operand of a thermo or measures function under "<function>
+<argument>" and requires one shared dimension.  ``_as_beta`` is the one
+inverse-temperature check.  ``partial_trace`` is the single-state case of
+``partial_trace_stack``, which validates ``dims`` and ``keep``.  One
+spectrum per operand: ``HermitianOperator`` and ``DensityMatrix`` keep
+their (w, V) in a slot, filled on first use (``_spectrum``) or by the
+positivity check, whose decomposition is kept, not paid twice.
 ``_spectra`` serves a function that needs several spectra at once, such as
-the first-law ledger: each distinct operand is solved once, and the cold
-operands of one dimension above ``SCALAR_MAX_DIM`` in one stack call, whose
-per-matrix convergence test leaves every spectrum with the bits of a solve
-alone.  The path still depends on the dimension alone.
+the first-law ledger: the cold operands of one dimension above
+``SCALAR_MAX_DIM`` share one stack call, whose per-matrix convergence test
+leaves every spectrum with the bits of a solve alone.  The path still
+depends on the dimension alone.
 
 Conventions:
   * matrices are dense ``numpy`` arrays of complex128, row-major,
@@ -117,10 +118,15 @@ def _blocks(a: np.ndarray):
 
 
 def _as_operands(name: str, **ops) -> tuple:
-    """Each operand gated (``_gated``) as ``"<name> <key>"``; all share one dimension."""
-    xs = tuple(_gated(m, f"{name} {key}") for key, m in ops.items())
-    if len({_matrix(x).shape[0] for x in xs}) > 1:
-        dims = ", ".join(f"{key} {_matrix(x).shape[0]}" for key, x in zip(ops, xs))
+    """Each distinct operand (by identity) gated once (``_gated``) as
+    ``"<name> <key>"``; all share one dimension."""
+    held = {}
+    for key, m in ops.items():
+        if id(m) not in held:
+            held[id(m)] = _gated(m, f"{name} {key}")
+    xs = tuple(held[id(m)] for m in ops.values())
+    if len({x.dim for x in xs}) > 1:
+        dims = ", ".join(f"{key} {x.dim}" for key, x in zip(ops, xs))
         raise ValidationError(f"{name}: operands must share one dimension, got {dims}")
     return xs
 
@@ -145,15 +151,24 @@ def _frozen(a: np.ndarray, source) -> np.ndarray:
     return a
 
 
+def _hold(x, m, name: str) -> None:
+    """Set the matrix and spectrum slot of the new container ``x`` from ``m``:
+    a container's as they are, anything else gated and frozen, slot empty."""
+    if isinstance(m, _CONTAINERS):
+        a, eig = m.matrix, m._eig
+    else:
+        a, eig = _frozen(_as_hermitian(m, name), getattr(m, "matrix", m)), None
+    object.__setattr__(x, "matrix", a)
+    object.__setattr__(x, "_eig", eig)
+
+
 class HermitianOperator:
     """A validated Hermitian matrix (observable or Hamiltonian)."""
 
     __slots__ = ("matrix", "_eig")
 
     def __init__(self, matrix) -> None:
-        a = _as_hermitian(matrix, "HermitianOperator")
-        object.__setattr__(self, "matrix", _frozen(a, getattr(matrix, "matrix", matrix)))
-        object.__setattr__(self, "_eig", getattr(matrix, "_eig", None))
+        _hold(self, matrix, "HermitianOperator")
 
     def __setattr__(self, *_):
         raise AttributeError("HermitianOperator is immutable")
@@ -178,12 +193,10 @@ class DensityMatrix:
     __slots__ = ("matrix", "_eig")
 
     def __init__(self, matrix, *, check_psd: bool = True) -> None:
-        a = _as_hermitian(matrix, "DensityMatrix")
-        tr = a.trace()
+        _hold(self, matrix, "DensityMatrix")
+        tr = self.matrix.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"DensityMatrix: trace {tr} deviates from 1 beyond {TRACE_TOL:.0e}")
-        object.__setattr__(self, "matrix", _frozen(a, getattr(matrix, "matrix", matrix)))
-        object.__setattr__(self, "_eig", getattr(matrix, "_eig", None))
         if check_psd:
             wmin = float(_spectrum(self)[0][0])
             if wmin < -PSD_TOL:
@@ -211,50 +224,40 @@ _CONTAINERS = (HermitianOperator, DensityMatrix)
 
 
 def _gated(m, name: str):
-    """A container as it is, anything else through ``_as_hermitian``."""
-    return m if isinstance(m, _CONTAINERS) else _as_hermitian(m, name)
+    """A container as it is; anything else through ``_as_hermitian`` once and
+    held in a ``HermitianOperator`` with an empty spectrum slot."""
+    if isinstance(m, _CONTAINERS):
+        return m
+    x = object.__new__(HermitianOperator)
+    _hold(x, m, name)
+    return x
 
 
-def _matrix(x) -> np.ndarray:
-    """The matrix of a gated operand."""
-    return x.matrix if isinstance(x, _CONTAINERS) else x
-
-
-def _spectrum(x, want_vectors: bool = True):
-    """Ascending eigenvalues and eigenvector columns of a gated operand: a
-    container's read-only pair, solved once; a bare array's, solved now
-    (eigenvalues only unless ``want_vectors``)."""
-    if not isinstance(x, _CONTAINERS):
-        return _jacobi(x, want_vectors)
+def _spectrum(x):
+    """Ascending eigenvalues and eigenvector columns of a container: its
+    read-only pair, solved once."""
     if x._eig is None:
         _seed(x, *_jacobi(x.matrix))
     return x._eig
 
 
 def _spectra(*xs) -> tuple:
-    """``_spectrum`` of each gated operand, with vectors.  An operand repeated
-    by identity is solved once; the cold ones of one dimension above
-    ``SCALAR_MAX_DIM`` share one ``_jacobi_stack`` call, which gives each the
-    bits of a solve alone, and seed their containers."""
-    unique = {id(x): x for x in xs}
+    """``_spectrum`` of each container; the cold ones of one dimension above
+    ``SCALAR_MAX_DIM`` are first seeded from one ``_jacobi_stack`` call, which
+    gives each the bits of a solve alone.  A repeated container is solved once."""
     stacks = {}
-    for x in unique.values():
-        n = _matrix(x).shape[0]
-        if n > SCALAR_MAX_DIM and getattr(x, "_eig", None) is None:
-            stacks.setdefault(n, []).append(x)
-    got = {}
+    for x in xs:
+        if x._eig is None and x.dim > SCALAR_MAX_DIM:
+            stacks.setdefault(x.dim, {})[id(x)] = x
     for group in stacks.values():
-        w, v = _jacobi_stack(np.stack([_matrix(x) for x in group]), want_vectors=True)
-        for x, wk, vk in zip(group, w, v):
-            got[id(x)] = _seed(x, wk, vk)._eig if isinstance(x, _CONTAINERS) else (wk, vk)
-    for key, x in unique.items():
-        if key not in got:
-            got[key] = _spectrum(x)
-    return tuple(got[id(x)] for x in xs)
+        w, v = _jacobi_stack(np.stack([x.matrix for x in group.values()]), want_vectors=True)
+        for x, wk, vk in zip(group.values(), w, v):
+            _seed(x, wk, vk)
+    return tuple(map(_spectrum, xs))
 
 
 def _seed(x, w: np.ndarray, v: np.ndarray):
-    """Store a known spectrum (w ascending, V its columns) in a fresh container."""
+    """Store a known spectrum (w ascending, V its columns) in an empty slot."""
     for a in (w, v):
         a.setflags(write=False)
     object.__setattr__(x, "_eig", (w, v))
@@ -333,7 +336,7 @@ def _rotation(tau: float):
     return t, c, t * c
 
 
-def _jacobi2(a: np.ndarray, want_vectors: bool):
+def _jacobi2(a: np.ndarray):
     """Exact single-rotation diagonalization of a 2x2 Hermitian matrix."""
     d0 = a[0, 0].real
     d1 = a[1, 1].real
@@ -341,15 +344,12 @@ def _jacobi2(a: np.ndarray, want_vectors: bool):
     r = abs(b)
     if r == 0.0:
         if d0 <= d1:
-            return np.array([d0, d1]), (np.eye(2, dtype=np.complex128) if want_vectors else None)
-        v = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128) if want_vectors else None
-        return np.array([d1, d0]), v
+            return np.array([d0, d1]), np.eye(2, dtype=np.complex128)
+        return np.array([d1, d0]), np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
     phase = b / r
     t, c, s = _rotation((d0 - d1) / (2.0 * r))
     w0 = d0 + t * r
     w1 = d1 - t * r
-    if not want_vectors:
-        return np.array([w0, w1] if w0 <= w1 else [w1, w0]), None
     col0 = (c, s * phase.conjugate())
     col1 = (-s * phase, c)
     if w0 > w1:
@@ -358,7 +358,7 @@ def _jacobi2(a: np.ndarray, want_vectors: bool):
     return np.array([w0, w1]), np.array([[col0[0], col1[0]], [col0[1], col1[1]]], dtype=np.complex128)
 
 
-def _jacobi(a: np.ndarray, want_vectors: bool = True):
+def _jacobi(a: np.ndarray):
     """Diagonalize one Hermitian matrix by cyclic Jacobi sweeps.
 
     Complex plane rotations annihilate one off-diagonal pair at a time;
@@ -374,12 +374,12 @@ def _jacobi(a: np.ndarray, want_vectors: bool = True):
     """
     n = a.shape[0]
     if n == 1:
-        return np.array([a[0, 0].real]), (np.eye(1, dtype=np.complex128) if want_vectors else None)
+        return np.array([a[0, 0].real]), np.eye(1, dtype=np.complex128)
     if n == 2:
-        return _jacobi2(a, want_vectors)
+        return _jacobi2(a)
     if n > SCALAR_MAX_DIM:
-        w, v = _jacobi_stack(a[None], want_vectors)
-        return w[0], (v[0] if want_vectors else None)
+        w, v = _jacobi_stack(a[None], want_vectors=True)
+        return w[0], v[0]
 
     A = [[complex(x) for x in row] for row in a.tolist()]
     norm2 = 0.0
@@ -387,14 +387,14 @@ def _jacobi(a: np.ndarray, want_vectors: bool = True):
         for x in row:
             norm2 += x.real * x.real + x.imag * x.imag
     if norm2 == 0.0:
-        return np.zeros(n), (np.eye(n, dtype=np.complex128) if want_vectors else None)
+        return np.zeros(n), np.eye(n, dtype=np.complex128)
     norm_f = math.sqrt(norm2)
     stop2 = (JACOBI_TOL * norm_f) ** 2
     # rotations on pairs below this threshold cannot push the off-diagonal
     # norm above the stopping level, so they are skipped
     skip = JACOBI_TOL * norm_f / (2.0 * n)
 
-    V = [[1.0 + 0.0j if i == j else 0.0 + 0.0j for j in range(n)] for i in range(n)] if want_vectors else None
+    V = [[1.0 + 0.0j if i == j else 0.0 + 0.0j for j in range(n)] for i in range(n)]
 
     for _ in range(JACOBI_MAX_SWEEPS):
         # summed directly over off-diagonal entries; subtracting the diagonal
@@ -436,13 +436,11 @@ def _jacobi(a: np.ndarray, want_vectors: bool = True):
                 rq[p] = 0.0
                 rp[p] = rp[p].real
                 rq[q] = rq[q].real
-                if V is not None:
-                    for i in range(n):
-                        row = V[i]
-                        vip = row[p]
-                        viq = row[q]
-                        row[p] = c * vip + sc * viq
-                        row[q] = c * viq - sf * vip
+                for row in V:
+                    vip = row[p]
+                    viq = row[q]
+                    row[p] = c * vip + sc * viq
+                    row[q] = c * viq - sf * vip
     else:
         raise NumericError(
             f"Jacobi eigensolver did not converge within {JACOBI_MAX_SWEEPS} sweeps (dim {n})"
@@ -450,10 +448,7 @@ def _jacobi(a: np.ndarray, want_vectors: bool = True):
 
     w = np.array([A[i][i].real for i in range(n)])
     order = np.argsort(w, kind="stable")
-    w = w[order]
-    if V is None:
-        return w, None
-    return w, np.array(V, dtype=np.complex128)[:, order]
+    return w[order], np.array(V, dtype=np.complex128)[:, order]
 
 
 @functools.lru_cache(maxsize=None)
@@ -565,8 +560,9 @@ def hermitian_eig(operator) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hermitian_eigvals(operator) -> np.ndarray:
-    """Eigenvalues only; a bare array skips eigenvector accumulation."""
-    return _spectrum(_gated(operator, "hermitian_eigvals"), want_vectors=False)[0].copy()
+    """Eigenvalues (ascending) of a Hermitian matrix; a container keeps its
+    spectrum, a bare array is held in one for this call."""
+    return _spectrum(_gated(operator, "hermitian_eigvals"))[0].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from .qcore import (
     PureState,
     QuantumChannel,
     ValidationError,
+    _as_operands,
     _spectrum,
 )
 from .thermo import gibbs_state
@@ -35,7 +36,7 @@ def spectral_span_bound(op) -> float:
     Cheap and never an underestimate, so capping beta * span_bound keeps
     every thermal population above float support in randomized sweeps.
     """
-    m = np.asarray(op.matrix if isinstance(op, HermitianOperator) else op)
+    m = _as_operands("spectral_span_bound", op=op)[0].matrix
     radii = np.abs(m).sum(axis=1) - np.abs(np.diag(m))
     d = np.diag(m).real
     return float((d + radii).max() - (d - radii).min())

@@ -21,10 +21,13 @@ whole trajectory in ``measures``.
 
 Each public function checks its operands (``_as_operands``) and beta
 (``_as_beta``) at entry, so errors name the function and the argument.
-Spectra come from ``qcore._spectrum``, so a container is solved once for
-every function it is passed to; a Gibbs state holds its known (p, V_H).
-The ledger and ``relative_entropy`` take theirs from one ``qcore._spectra``
-call, which solves their large cold operands as one stack.
+After that every operand is a container: a bare array is gated once and
+held in one for the call, and a public function called from another gets
+the containers, not the arrays.  Spectra come from ``qcore._spectrum``, so
+a container is solved once for every function it is passed to; a Gibbs
+state holds its known (p, V_H).  The ledger and ``relative_entropy`` take
+theirs from one ``qcore._spectra`` call, which solves their large cold
+operands as one stack.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .qcore import (
     NumericError,
     _as_beta,
     _as_operands,
-    _matrix,
     _seed,
     _spectra,
     _spectrum,
@@ -124,7 +126,7 @@ def _gibbs(w: np.ndarray, beta: float):
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr[rho ln rho] in nats; 0 ln 0 contributes nothing."""
     (a,) = _as_operands("von_neumann_entropy", rho=rho)
-    return float(_entropy(_spectrum(a, want_vectors=False)[0]))
+    return float(_entropy(_spectrum(a)[0]))
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -178,7 +180,7 @@ def passive_state(rho, hamiltonian) -> DensityMatrix:
     increasing order, which minimizes the energy over unitary orbits.
     """
     a, h = _as_operands("passive_state", rho=rho, hamiltonian=hamiltonian)
-    r = np.sort(_spectrum(a, want_vectors=False)[0])[::-1]
+    r = np.sort(_spectrum(a)[0])[::-1]
     w, v = _spectrum(h)
     m = (v * r) @ v.conj().T
     return DensityMatrix(0.5 * (m + m.conj().T), check_psd=False)
@@ -187,15 +189,15 @@ def passive_state(rho, hamiltonian) -> DensityMatrix:
 def ergotropy(rho, hamiltonian) -> float:
     """Unitarily extractable work Tr[rho H] - Tr[passive(rho) H]."""
     a, h = _as_operands("ergotropy", rho=rho, hamiltonian=hamiltonian)
-    r = np.sort(_spectrum(a, want_vectors=False)[0])[::-1]
-    return float(_energy(_matrix(a), _matrix(h))) - float(r @ _spectrum(h, want_vectors=False)[0])
+    r = np.sort(_spectrum(a)[0])[::-1]
+    return float(_energy(a.matrix, h.matrix)) - float(r @ _spectrum(h)[0])
 
 
 def free_energy(rho, hamiltonian, beta: float) -> float:
     """F(rho) = Tr[H rho] - S(rho)/beta."""
     beta = _as_beta(beta, "free_energy")
     a, h = _as_operands("free_energy", rho=rho, hamiltonian=hamiltonian)
-    return float(_energy(_matrix(a), _matrix(h)) - _entropy(_spectrum(a, want_vectors=False)[0]) / beta)
+    return float(_energy(a.matrix, h.matrix) - _entropy(_spectrum(a)[0]) / beta)
 
 
 def extractable_work(rho, hamiltonian, beta: float) -> float:
@@ -206,7 +208,7 @@ def extractable_work(rho, hamiltonian, beta: float) -> float:
     """
     beta = _as_beta(beta, "extractable_work")
     a, h = _as_operands("extractable_work", rho=rho, hamiltonian=hamiltonian)
-    w = _spectrum(h, want_vectors=False)[0]
+    w = _spectrum(h)[0]
     p = _gibbs(w, beta)[0]
     f_gibbs = float(p @ w - _entropy(p) / beta)
     return free_energy(a, h, beta) - f_gibbs
@@ -225,7 +227,7 @@ def delta_S_ir(rho0, h0, rho_tau, h_tau, beta: float) -> float:
     gt = gibbs_state(mt, beta).state
     ds_ir = relative_entropy(a0, g0) - relative_entropy(at, gt)
     if not math.isfinite(ds_ir):
-        span = max(float(np.ptp(_spectrum(m, want_vectors=False)[0])) for m in (m0, mt))
+        span = max(float(np.ptp(_spectrum(m)[0])) for m in (m0, mt))
         raise NumericError(
             f"delta_S_ir: a Gibbs population underflows to 0 at beta = {beta:g} over the spectral "
             f"span {span:.6g}; lower beta, or use first_law_ledger, which takes the Gibbs log in closed form"
@@ -241,13 +243,13 @@ def delta_S_r(rho0, h0, rho_tau, h_tau, beta: float) -> float:
     """
     beta = _as_beta(beta, "delta_S_r")
     a0, m0, at, mt = _as_operands("delta_S_r", rho0=rho0, h0=h0, rho_tau=rho_tau, h_tau=h_tau)
-    dev0 = float(_energy(_matrix(a0), _matrix(m0))) - _gibbs_energy(m0, beta)
-    devt = float(_energy(_matrix(at), _matrix(mt))) - _gibbs_energy(mt, beta)
+    dev0 = float(_energy(a0.matrix, m0.matrix)) - _gibbs_energy(m0, beta)
+    devt = float(_energy(at.matrix, mt.matrix)) - _gibbs_energy(mt, beta)
     return -beta * (devt - dev0)
 
 
 def _gibbs_energy(h, beta: float) -> float:
-    w = _spectrum(h, want_vectors=False)[0]
+    w = _spectrum(h)[0]
     return float(_gibbs(w, beta)[0] @ w)
 
 
@@ -272,16 +274,16 @@ def adiabatic_work_passive(rho_tau, h0, h_tau) -> float:
     H_0; the difference is the work of the drive stripped of ergotropy flow.
     """
     at, m0, mt = _as_operands("adiabatic_work_passive", rho_tau=rho_tau, h0=h0, h_tau=h_tau)
-    r = np.sort(_spectrum(at, want_vectors=False)[0])[::-1]
-    return float(r @ _spectrum(mt, want_vectors=False)[0]) - float(r @ _spectrum(m0, want_vectors=False)[0])
+    r = np.sort(_spectrum(at)[0])[::-1]
+    return float(r @ _spectrum(mt)[0]) - float(r @ _spectrum(m0)[0])
 
 
 def operational_heat(rho0, rho_tau, h0) -> float:
     """Energy of the final spectrum minus the initial one, both passive on H_0."""
     a0, at, m0 = _as_operands("operational_heat", rho0=rho0, rho_tau=rho_tau, h0=h0)
-    r0 = np.sort(_spectrum(a0, want_vectors=False)[0])[::-1]
-    rt = np.sort(_spectrum(at, want_vectors=False)[0])[::-1]
-    w0 = _spectrum(m0, want_vectors=False)[0]
+    r0 = np.sort(_spectrum(a0)[0])[::-1]
+    rt = np.sort(_spectrum(at)[0])[::-1]
+    w0 = _spectrum(m0)[0]
     return float(rt @ w0) - float(r0 @ w0)
 
 
@@ -300,8 +302,8 @@ def first_law_ledger(rho0, h0, rho_tau, h_tau, beta: float) -> ThermoLedger:
 
     (wr0, vr0), (wrt, vrt), (wh0, vh0), (wht, vht) = _spectra(a0, at, m0, mt)
 
-    e0 = float(_energy(_matrix(a0), _matrix(m0)))
-    et = float(_energy(_matrix(at), _matrix(mt)))
+    e0 = float(_energy(a0.matrix, m0.matrix))
+    et = float(_energy(at.matrix, mt.matrix))
     delta_e = et - e0
 
     p0, log_p0, _ = _gibbs(wh0, beta)

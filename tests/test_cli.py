@@ -206,6 +206,23 @@ def test_ledger_state_errors_keep_their_wording(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["detail"].startswith(detail)
 
 
+def test_ledger_gates_each_config_matrix_once(tmp_path, capsys, gates):
+    rng = np.random.default_rng(241)
+    h0, h1 = (random_hermitian(rng, 3).matrix for _ in range(2))
+    r0, r1 = (random_density(rng, 3).matrix for _ in range(2))
+    gates.clear()
+    path = ledger_config(tmp_path, rho0=matrix_to_json(r0), h0=matrix_to_json(h0),
+                         h_tau=matrix_to_json(h1), rho_tau=matrix_to_json(r1))
+    assert run(["ledger", "--config", str(path)]) == 0
+    assert gates == [f"ledger config {key}" for key in ("rho0", "h0", "h_tau", "rho_tau")]
+    # through a channel, its output is one more operator
+    gates.clear()
+    path = ledger_config(tmp_path, channel=[matrix_to_json(np.eye(2, dtype=complex))])
+    assert run(["ledger", "--config", str(path)]) == 0
+    assert gates == ["ledger config rho0", "ledger config h0", "HermitianOperator"]
+    capsys.readouterr()
+
+
 def test_ledger_solves_a_wide_process_in_one_stack(tmp_path, capsys, solves, stack_solves):
     """At d = 32, rho0, h0, h_tau and rho_tau make one stack of four and no
     single solve, and the output is the ledger of the same arrays; through a

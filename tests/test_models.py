@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qledger.dynamics import GridSpec
+from qledger.dynamics import GridSpec, lindblad_evolve
 from qledger.measures import coherence, measure_series
 from qledger.models import (
     Example1Params,
@@ -177,6 +177,16 @@ def test_case2_thermo_reference_is_free_ladder():
     tr, _ = run_example2(Example2Params(case=2, t_max=2.0, steps=800))
     assert tr.constant_hamiltonian
     assert np.abs(tr.hamiltonian(0).matrix - np.diag([0.0, 1.0, 1.0, 2.0])).max() <= 1e-12
+
+
+def test_case2_checks_its_states_once(gates):
+    """The battery trajectory is built from the integrator's raw states, which
+    are the states lindblad_evolve would return."""
+    p = Example2Params(case=2, t_max=2.0, steps=800)
+    tr, _ = run_example2(p)
+    assert gates.count("Trajectory states") == 1
+    spec, rho0 = example2_build(p)
+    assert np.array_equal(tr.states, lindblad_evolve(spec, rho0, GridSpec(p.t_max, p.steps), p.beta).states)
 
 
 def test_case2_coherent_power_integrates_coherence():

@@ -227,7 +227,7 @@ def test_identity_process_all_zero():
         assert abs(getattr(led, field)) <= 1e-10, field
 
 
-def test_ledger_fuzz_closures():
+def _closure_draws():
     rng = np.random.default_rng(309)
     for _ in range(300):
         dim = int(rng.integers(2, 5))
@@ -236,6 +236,23 @@ def test_ledger_fuzz_closures():
         h1 = random_hermitian(rng, dim)
         r0 = random_density(rng, dim)
         r1 = random_density(rng, dim)
+        yield r0, h0, r1, h1, beta
+
+
+def _uncapped_closure_draws():
+    """beta times the wider spectral span in [10, 1000] at d = 2 to 5: past
+    the cap of the audit and criterion 1, where Gibbs populations underflow."""
+    rng = np.random.default_rng(314)
+    for _ in range(300):
+        dim = int(rng.integers(2, 6))
+        h0, h1 = random_hermitian(rng, dim), random_hermitian(rng, dim)
+        r0, r1 = random_density(rng, dim), random_density(rng, dim)
+        span = max(np.ptp(np.linalg.eigvalsh(h.matrix)) for h in (h0, h1))
+        yield r0, h0, r1, h1, float(10.0 ** rng.uniform(1.0, 3.0)) / span
+
+
+def test_ledger_fuzz_closures():
+    for r0, h0, r1, h1, beta in itertools.chain(_closure_draws(), _uncapped_closure_draws()):
         led = first_law_ledger(r0, h0, r1, h1, beta)
         assert abs(led.residual_eq2) <= 1e-9
         assert abs(led.residual_eq7) <= 1e-9
@@ -289,6 +306,54 @@ def test_operational_heat_vanishes_for_unitary_processes():
     rotated = DensityMatrix(0.5 * (rotated + rotated.conj().T), check_psd=False)
     h = random_hermitian(rng, 4)
     assert abs(operational_heat(rho, rotated, h)) <= 1e-10
+
+
+PROCESS_KEYS = ("rho0", "h0", "rho_tau", "h_tau")
+GATE_ONCE = [
+    (delta_S_ir, PROCESS_KEYS),
+    (heat, PROCESS_KEYS),
+    (extractable_work, ("rho", "hamiltonian")),
+    (ergotropy, ("rho", "hamiltonian")),
+]
+
+
+@pytest.mark.parametrize("fn, keys", GATE_ONCE, ids=[fn.__name__ for fn, _ in GATE_ONCE])
+def test_each_bare_operand_is_gated_once(gates, fn, keys):
+    """Nested public calls get the containers, not the arrays again; the
+    Gibbs states that delta_S_ir builds are new containers."""
+    rng = np.random.default_rng(315)
+    r0, r1 = (np.array(random_density(rng, 3).matrix) for _ in range(2))
+    h0, h1 = (np.array(random_hermitian(rng, 3).matrix) for _ in range(2))
+    ops = {"rho0": r0, "h0": h0, "rho_tau": r1, "h_tau": h1, "rho": r0, "hamiltonian": h0}
+    gates.clear()
+    fn(*(ops[k] for k in keys), *(() if fn is ergotropy else (0.7,)))
+    assert [g for g in gates if g != "DensityMatrix"] == [f"{fn.__name__} {k}" for k in keys]
+    assert gates.count("DensityMatrix") == (2 if fn is delta_S_ir else 0)
+
+
+def test_a_repeated_bare_operand_is_one_operand(gates, solves):
+    rng = np.random.default_rng(316)
+    r0, r1 = (np.array(random_density(rng, 3).matrix) for _ in range(2))
+    h = np.array(random_hermitian(rng, 3).matrix)
+    gates.clear()
+    ds_ir = delta_S_ir(r0, h, r1, h, 0.7)
+    assert [g for g in gates if g != "DensityMatrix"] == ["delta_S_ir rho0", "delta_S_ir h0", "delta_S_ir rho_tau"]
+    assert solves == [3] * 3
+    assert ds_ir == delta_S_ir(r0, h, r1, np.array(h), 0.7)
+
+
+def test_spectral_span_bound_takes_a_state():
+    rho = random_density(np.random.default_rng(317), 3)
+    assert spectral_span_bound(rho) == spectral_span_bound(np.array(rho.matrix))
+
+
+@pytest.mark.parametrize("op, detail", [
+    ([[0.0, 1.0], [5.0, 0.0]], "hermiticity defect"),
+    (np.ones((2, 3)), "expected a square matrix"),
+], ids=["non-hermitian", "non-square"])
+def test_spectral_span_bound_rejects_what_the_gate_rejects(op, detail):
+    with pytest.raises(ValidationError, match=f"^spectral_span_bound op: {detail}"):
+        spectral_span_bound(op)
 
 
 def test_validation_errors():
