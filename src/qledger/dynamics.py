@@ -19,25 +19,31 @@ generator L one RK4 step is exactly v <- P4(dt L) v, with P4 the degree-4
 Taylor polynomial, so the step is built once as a dense (d^2, d^2)
 propagator M from the superoperator L, by Horner's rule in three dense
 products.  The powers M, M^2, ..., M^B sit in one stacked array of at most
-``PROPAGATOR_POWERS_BYTES`` (B = 64 up to d = 8, 4 at d = 16, 1 from
-d = 32), and a single matrix-vector product advances B steps at a time;
-each state is projected back onto the Hermitian matrices, and the next
-chunk starts from the last projected state.  The build is paid once per
-run, so at large d a run of few steps costs more than the four stage
-products per step it replaces.
+``PROPAGATOR_POWERS_BYTES``, sized to stay in a core's L2 cache:
+
+    d    1-5   6   7   8   9  10  11  12  13  14-64
+    B     64  50  27  16   9   6   4   3   2      1
+
+and a single matrix-vector product advances B steps at a time; each state
+is projected back onto the Hermitian matrices, and the next chunk starts
+from the last projected state.  The build is paid once per run, so at
+large d a run of few steps costs more than the four stage products per
+step it replaces.
 
 Trace and finiteness are watched every step, positivity every
-``psd_check_every`` steps; both monitors run vectorized over a chunk and
-report the earliest failing step, trace before positivity at the same
-step.  The positivity monitor compares LAPACK eigenvalues
-(``qcore._min_eigvals``) against its floor; they never reach a reported
-number.  A breach raises ``NumericError`` asking for a finer grid;
-nothing is ever renormalized silently.
+``psd_check_every`` steps; the monitors run over a block of
+``STACK_BLOCK`` states (the chunks that first reach it) and report the
+earliest failing step, trace before positivity at the same step.  The
+positivity monitor compares LAPACK eigenvalues (``qcore._min_eigvals``)
+against its floor; they never reach a reported number.  A breach raises
+``NumericError`` asking for a finer grid; nothing is ever renormalized
+silently.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +51,7 @@ import numpy as np
 from .measures import Trajectory
 from .qcore import (
     MAX_DIM,
+    STACK_BLOCK,
     DensityMatrix,
     HermitianOperator,
     NumericError,
@@ -54,15 +61,24 @@ from .qcore import (
     _as_square,
     _jacobi,
     _min_eigvals,
+    _real,
     hermitian_eig,
 )
 
 TRACE_DRIFT_TOL = 1e-8
 POSITIVITY_FLOOR = -1e-7
 
-# the stacked propagator powers [M, ..., M^B] fit in this many bytes, B <= MAX_CHUNK
-PROPAGATOR_POWERS_BYTES = 4 * 2**20
+# the stacked propagator powers [M, ..., M^B] fit in this many bytes, B <= MAX_CHUNK;
+# chosen by timing 256 KiB to 4 MiB at d = 4, 8 and 16 on a host with 2 MiB of L2
+# per core: at d = 8 a larger stack is streamed from L3 on every chunk, a smaller
+# one pays more products.  It stays >= 256 KiB, so B = 64 up to d = 4.
+PROPAGATOR_POWERS_BYTES = 2**20
 MAX_CHUNK = 64
+
+
+def _integral(x) -> bool:
+    """An integer (numpy integers too) that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -73,18 +89,22 @@ class GridSpec:
     steps: int
 
     def __post_init__(self):
-        if not (isinstance(self.t_max, (int, float)) and self.t_max > 0 and math.isfinite(self.t_max)):
+        t_max = _real(self.t_max)
+        if not (t_max is not None and 0 < t_max < math.inf):
             raise ValidationError(f"GridSpec: t_max must be positive and finite, got {self.t_max!r}")
-        if not (isinstance(self.steps, int) and self.steps >= 2):
+        if not (_integral(self.steps) and self.steps >= 2):
             # two steps minimum: the measures need three grid points
             raise ValidationError(f"GridSpec: steps must be an integer >= 2, got {self.steps!r}")
+        # held as a float and an int, whatever number types were passed
+        object.__setattr__(self, "t_max", t_max)
+        object.__setattr__(self, "steps", int(self.steps))
 
     @property
     def dt(self) -> float:
         return self.t_max / self.steps
 
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, float(self.t_max), self.steps + 1)
+        return np.linspace(0.0, self.t_max, self.steps + 1)
 
 
 class LindbladSpec:
@@ -200,7 +220,12 @@ def _rk4_propagator(spec: LindbladSpec, dt: float) -> np.ndarray:
 def _monitor(seg: np.ndarray, k: int, psd_due: np.ndarray, times: np.ndarray, dt: float) -> None:
     """Check the states ``seg`` produced by steps k, k+1, ... as a step-by-step
     loop would, and raise the error it would raise first: the earliest failing
-    step, and at one step finiteness and trace before positivity."""
+    step, and at one step finiteness and trace before positivity.
+
+    The stepper calls it once per block of at least ``STACK_BLOCK`` new states
+    and once at the end; every earlier block passed, so the first failure in
+    ``seg`` is the first of the run.  ``psd_due[i]`` marks the states whose
+    positivity is checked, all in one ``_min_eigvals`` call."""
     remedy = f"increase steps (dt={dt:.3e} too coarse)"
     tr = np.einsum("tii->t", seg).real
     finite = np.isfinite(seg).all(axis=(1, 2))
@@ -240,7 +265,7 @@ def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: i
     state = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
     if state.dim != spec.dim:
         raise ValidationError(f"lindblad_evolve: state dim {state.dim} does not match spec dim {spec.dim}")
-    if not (isinstance(psd_check_every, int) and psd_check_every >= 1):
+    if not (_integral(psd_check_every) and psd_check_every >= 1):
         raise ValidationError(
             f"lindblad_evolve: psd_check_every must be an integer >= 1, got {psd_check_every!r}"
         )
@@ -274,7 +299,7 @@ def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: i
             b = max(1, int(finite.argmin()))
         stacked = powers.reshape(-1, n2)
 
-        k = 0
+        k = checked = 0
         while k < n:
             c = min(b, n - k)
             raw = (stacked[: c * n2] @ out[k].ravel()).reshape(c, d, d)
@@ -284,8 +309,10 @@ def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: i
             np.conjugate(raw.transpose(0, 2, 1), out=seg)
             seg += raw
             seg *= 0.5
-            _monitor(seg, k, psd_due[k : k + c], times, dt)
             k += c
+            if k - checked >= STACK_BLOCK or k == n:
+                _monitor(out[checked + 1 : k + 1], checked, psd_due[checked:k], times, dt)
+                checked = k
     del powers, stacked
 
     times.setflags(write=False)  # so a Trajectory keeps them, not copies

@@ -64,8 +64,9 @@ JACOBI_MAX_SWEEPS = 100
 # single matrices above this dimension go through the stack solver, which
 # is faster from d = 17 on (measured at d = 16, 17, 20 and 24)
 SCALAR_MAX_DIM = 16
-# the input gate and the stack solver work this many matrices at a time,
-# so their temporaries stay small however long the stack
+# the input gate, the stack solver and the integrator's monitors work this
+# many matrices at a time, so their temporaries stay small however long the
+# stack, and the monitors' numpy calls are paid per block, not per state
 STACK_BLOCK = 1024
 
 LOG_FLOOR = 1e-300
@@ -131,15 +132,22 @@ def _as_operands(name: str, **ops) -> tuple:
     return xs
 
 
+def _real(x) -> float | None:
+    """A real number that is not a bool (numpy scalars too) as a float, an
+    int beyond the float range as inf; None for anything else."""
+    if not (isinstance(x, numbers.Real) and not isinstance(x, bool)):
+        return None
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def _as_beta(beta, name: str) -> float:
     """An inverse temperature: a real number, not a bool, positive and finite."""
-    if isinstance(beta, numbers.Real) and not isinstance(beta, bool):
-        try:
-            b = float(beta)
-        except OverflowError:  # an int beyond the float range
-            b = math.inf
-        if 0 < b < math.inf:
-            return b
+    b = _real(beta)
+    if b is not None and 0 < b < math.inf:
+        return b
     raise ValidationError(f"{name}: beta must be a positive finite real number, got {beta!r}")
 
 
@@ -293,34 +301,41 @@ class PureState:
 
 
 class QuantumChannel:
-    """A CPTP map given by Kraus operators with sum_k K_k^dag K_k = I."""
+    """A CPTP map given by Kraus operators with sum_k K_k^dag K_k = I.
 
-    __slots__ = ("kraus",)
+    The operators are held as one read-only (K, d, d) stack, copied from the
+    caller's and gated once; ``kraus`` is the tuple of its rows.
+    """
+
+    __slots__ = ("kraus", "_stack")
 
     def __init__(self, kraus) -> None:
         kraus = [getattr(k, "matrix", k) for k in kraus]
-        ops = tuple(_as_square(k, "QuantumChannel kraus") for k in kraus)
-        if not ops:
+        if not kraus:
             raise ValidationError("QuantumChannel: at least one Kraus operator required")
-        d = ops[0].shape[0]
-        if any(k.shape[0] != d for k in ops):
+        shapes = {np.shape(k) for k in kraus}
+        if len(shapes) > 1:
             raise ValidationError("QuantumChannel: Kraus operators must share one dimension")
-        acc = np.zeros((d, d), np.complex128)
-        for k in ops:
-            acc += k.conj().T @ k
-        defect = float(np.abs(acc - np.eye(d)).max())
+        (shape,) = shapes
+        if len(shape) != 2 or shape[0] != shape[1]:  # named per operator, not as a stack
+            raise ValidationError(f"QuantumChannel kraus: expected a square matrix, got shape {shape}")
+        ops = _as_square(kraus, "QuantumChannel kraus", stack=True)
+        d = ops.shape[-1]
+        defect = float(np.abs(np.einsum("kji,kjl->il", ops.conj(), ops) - np.eye(d)).max())
         if defect > KRAUS_TOL:
             raise ValidationError(
                 f"QuantumChannel: completeness defect {defect:.3e} exceeds {KRAUS_TOL:.0e}"
             )
-        object.__setattr__(self, "kraus", tuple(map(_frozen, ops, kraus)))
+        ops.setflags(write=False)  # a list always stacks into a new array
+        object.__setattr__(self, "_stack", ops)
+        object.__setattr__(self, "kraus", tuple(ops))
 
     def __setattr__(self, *_):
         raise AttributeError("QuantumChannel is immutable")
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self._stack.shape[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +636,8 @@ def _kraus_sum(channel: QuantumChannel, rho) -> np.ndarray:
         raise ValidationError(
             f"apply_channel: state dim {a.shape[0]} does not match channel dim {channel.dim}"
         )
-    out = np.zeros_like(a)
-    for k in channel.kraus:
-        out += k @ a @ k.conj().T
+    k = channel._stack
+    out = (k @ a @ k.conj().swapaxes(1, 2)).sum(axis=0)
     return 0.5 * (out + out.conj().T)
 
 

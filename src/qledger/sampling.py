@@ -69,7 +69,7 @@ def random_channel(rng: np.random.Generator, dim: int, n_kraus: int = 3) -> Quan
         raise ValidationError(f"random_channel: n_kraus must be >= 1, got {n_kraus}")
     g = _ginibre(rng, n_kraus * dim, dim)
     w, _ = np.linalg.qr(g)
-    return QuantumChannel([w[k * dim:(k + 1) * dim] for k in range(n_kraus)])
+    return QuantumChannel(w.reshape(n_kraus, dim, dim))
 
 
 def gibbs_preserving_channel(rng: np.random.Generator, hamiltonian, beta: float) -> QuantumChannel:
@@ -85,25 +85,22 @@ def gibbs_preserving_channel(rng: np.random.Generator, hamiltonian, beta: float)
     d = w.size
 
     weights = rng.dirichlet(np.ones(3))
-    kraus = []
+    vt = v.T  # vt[k] is the k-th energy eigenvector
 
     # random phases per energy level: commutes with H
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=d))
-    kraus.append(np.sqrt(weights[0]) * ((v * phases) @ v.conj().T))
+    unitary = np.sqrt(weights[0]) * ((v * phases) @ v.conj().T)
 
     # full replacement: K_kj = sqrt(p_k) |e_k><e_j|, maps anything to Gibbs
     pops = np.maximum(np.diag(v.conj().T @ spec.state.matrix @ v).real, 0.0)
-    for k in range(d):
-        for j in range(d):
-            kraus.append(
-                np.sqrt(weights[1] * pops[k]) * np.outer(v[:, k], v[:, j].conj())
-            )
+    replace = np.sqrt(weights[1] * pops)[:, None, None, None] * (
+        vt[:, None, :, None] * vt.conj()[None, :, None, :]
+    )
 
     # dephasing onto the energy eigenprojectors
-    for k in range(d):
-        kraus.append(np.sqrt(weights[2]) * np.outer(v[:, k], v[:, k].conj()))
+    dephase = np.sqrt(weights[2]) * (vt[:, :, None] * vt.conj()[:, None, :])
 
-    return QuantumChannel(kraus)
+    return QuantumChannel(np.concatenate([unitary[None], replace.reshape(d * d, d, d), dephase]))
 
 
 def ground_damping_channel(dim: int, strength: float) -> QuantumChannel:
@@ -114,12 +111,9 @@ def ground_damping_channel(dim: int, strength: float) -> QuantumChannel:
     """
     if not 0.0 < strength <= 1.0:
         raise ValidationError(f"ground_damping_channel: strength {strength} outside (0, 1]")
-    keep = np.eye(dim, dtype=np.complex128)
-    for k in range(1, dim):
-        keep[k, k] = np.sqrt(1.0 - strength)
-    kraus = [keep]
-    for k in range(1, dim):
-        drop = np.zeros((dim, dim), dtype=np.complex128)
-        drop[0, k] = np.sqrt(strength)
-        kraus.append(drop)
+    levels = np.arange(1, dim)
+    kraus = np.zeros((dim, dim, dim), dtype=np.complex128)
+    kraus[0, 0, 0] = 1.0
+    kraus[0, levels, levels] = np.sqrt(1.0 - strength)  # keep
+    kraus[levels, 0, levels] = np.sqrt(strength)  # drop level k to |0>
     return QuantumChannel(kraus)

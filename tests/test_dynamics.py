@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import qledger.dynamics as dyn
+import qledger.models as models
 from qledger.dynamics import GridSpec, LindbladSpec, lindblad_evolve, schrodinger_evolve
-from qledger.models import Example1Params, example1_pseudomode_oracle
-from qledger.qcore import DensityMatrix, NumericError, PureState, ValidationError, tensor
+from qledger.models import Example1Params, Example2Params, example1_pseudomode_oracle, run_example2
+from qledger.qcore import STACK_BLOCK, DensityMatrix, NumericError, PureState, ValidationError, tensor
 
 SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
 SP = SM.conj().T
@@ -29,6 +31,28 @@ def test_grid_spec():
         GridSpec(1.0, 1)
     with pytest.raises(ValidationError):
         GridSpec(math.inf, 10)
+
+
+@pytest.mark.parametrize(
+    "t_max, steps, dt",
+    [(np.int64(20), 100, 0.2), (20.0, np.int64(100), 0.2), (np.float32(2.0), 10, 0.2)],
+    ids=["int64-t_max", "int64-steps", "float32-t_max"],
+)
+def test_grid_spec_takes_numpy_numbers(t_max, steps, dt):
+    g = GridSpec(t_max, steps)
+    assert type(g.t_max) is float and type(g.steps) is int
+    assert g.dt == dt and len(g.times()) == g.steps + 1
+
+
+@pytest.mark.parametrize(
+    "t_max, steps, message",
+    [(True, 10, "t_max must be positive and finite, got True"),
+     (1.0, True, "steps must be an integer >= 2, got True")],
+    ids=["bool-t_max", "bool-steps"],
+)
+def test_grid_spec_rejects_bools(t_max, steps, message):
+    with pytest.raises(ValidationError, match=f"^GridSpec: {message}$"):
+        GridSpec(t_max, steps)
 
 
 def test_lindblad_spec_validation():
@@ -211,6 +235,109 @@ def test_chunked_propagator_matches_stage_loop():
     assert np.abs(tr.states - ref).max() <= 1e-12
 
 
+def _qubit_chain(n):
+    """An exchange-coupled chain of n qubits, every entry of its state moving:
+    both end qubits decay with a correlated cross term, the first dephases."""
+    def at(op, i):
+        return tensor(*[op if j == i else I2 for j in range(n)])
+
+    h = sum((1.0 + 0.3 * i) * at(NUM, i) for i in range(n))
+    h = h + sum(0.6 * (at(SP, i) @ at(SM, i + 1) + at(SM, i) @ at(SP, i + 1)) for i in range(n - 1))
+    spec = LindbladSpec(h, [(at(SM, 0), 0.5), (at(SM, n - 1), 0.3), (at(NUM, 0), 0.2)],
+                        cross_terms=[(0, 1, 0.2 + 0.1j)])
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return spec, DensityMatrix.from_pure(psi / np.linalg.norm(psi))
+
+
+@pytest.mark.parametrize("n, chunk, steps", [(3, 16, 2501), (4, 1, 2100)], ids=["d8", "d16"])
+def test_block_monitored_chunks_match_stage_loop(n, chunk, steps):
+    """At d = 8 and 16 the chunks are shorter than at d = 4, and the grid ends
+    inside a third monitor block that no chunk length divides."""
+    spec, rho0 = _qubit_chain(n)
+    m_bytes = 16 * spec.dim**4
+    assert min(dyn.MAX_CHUNK, dyn.PROPAGATOR_POWERS_BYTES // m_bytes) == chunk
+    grid = GridSpec(3.0, steps)
+    tr = lindblad_evolve(spec, rho0, grid, beta=1.0, psd_check_every=7)
+    ref = _stage_loop_rk4(spec, rho0, grid, psd_check_every=7)
+    assert np.abs(tr.states - ref).max() <= 1e-12
+
+
+def test_monitor_runs_once_per_block(monkeypatch):
+    """The default oracle run checks positivity in blocks of STACK_BLOCK
+    states: one _min_eigvals call per block, not one per chunk."""
+    checks = []
+    min_eigvals = dyn._min_eigvals
+    monkeypatch.setattr(dyn, "_min_eigvals", lambda a: checks.append(len(a)) or min_eigvals(a))
+    per_run = []
+    steps = models._lindblad_steps
+
+    def counted(spec, rho0, grid, every):
+        before = len(checks)
+        out = steps(spec, rho0, grid, every)
+        per_run.append((grid.steps, len(checks) - before))
+        return out
+
+    monkeypatch.setattr(models, "_lindblad_steps", counted)
+    example1_pseudomode_oracle(Example1Params(R=12.5))
+    assert len(per_run) == 2  # the d = 4 calibration and the d = 8 run
+    for n, calls in per_run:
+        assert 1 <= calls <= -(-n // STACK_BLOCK) + 1
+    assert sum(checks) == sum(-(-n // 10) for n, _ in per_run)  # every 10th state and the last
+
+
+def _step_by_step_failure(spec, rho0, grid, psd_check_every):
+    """The first monitor message of a loop that applies the RK4 step once per
+    step and checks every state right after it is made."""
+    m = dyn._rk4_propagator(spec, grid.dt)
+    rho = rho0.matrix
+    times = grid.times()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(grid.steps):
+            raw = (m @ rho.ravel()).reshape(rho.shape)
+            rho = 0.5 * (raw + raw.conj().T)
+            t = times[k + 1]
+            if not np.isfinite(rho).all():
+                return k + 1, f"state became non-finite at t={t:.6g};"
+            if abs(rho.trace().real - 1.0) > dyn.TRACE_DRIFT_TOL:
+                return k + 1, f"trace drifted to {float(rho.trace().real)} at t={t:.6g};"
+            if (k % psd_check_every == psd_check_every - 1 or k == grid.steps - 1):
+                w = float(np.linalg.eigvalsh(rho)[0])
+                if w < dyn.POSITIVITY_FLOOR:
+                    return k + 1, f"eigenvalue {w:.3e} below {dyn.POSITIVITY_FLOOR:.0e} at t={t:.6g};"
+    return None
+
+
+@pytest.mark.parametrize(
+    "rate, rho0, psd_check_every",
+    [(6.4, DensityMatrix.from_pure(np.array([1.0, 1.0]) / math.sqrt(2.0)), 10**6),
+     (5.5712, DensityMatrix(np.array([[0.5, 0.3], [0.3, 0.5]])), 7)],
+    ids=["overflow", "positivity"],
+)
+def test_failure_past_the_first_block_matches_step_by_step_loop(rate, rho0, psd_check_every):
+    """Dephasing just beyond RK4's stability limit grows the coherence slowly,
+    so the state breaks after the first monitor block, inside a chunk."""
+    spec = LindbladSpec(np.zeros((2, 2)), [(NUM, rate)])
+    grid = GridSpec(1500.0, 1500)
+    step, message = _step_by_step_failure(spec, rho0, grid, psd_check_every)
+    assert step > STACK_BLOCK and step % dyn.MAX_CHUNK not in (0, 1)
+    with pytest.raises(NumericError) as info:
+        lindblad_evolve(spec, rho0, grid, beta=1.0, psd_check_every=psd_check_every)
+    assert str(info.value).startswith(f"lindblad_evolve: {message} increase steps")
+
+
+def test_powers_budget_keeps_the_bits_at_d4(monkeypatch):
+    """Up to d = 4 the chunks are as long under the old 4 MiB budget, so the
+    example2 case-2 states keep every bit."""
+    p = Example2Params(case=2)
+    tr, series = run_example2(p)
+    monkeypatch.setattr(dyn, "PROPAGATOR_POWERS_BYTES", 4 * 2**20)
+    old, old_series = run_example2(p)
+    assert tr.states.shape[1] == 4
+    assert tr.states.tobytes() == old.states.tobytes()
+    assert series.power.tobytes() == old_series.power.tobytes()
+
+
 @pytest.mark.parametrize(
     "run, expected",
     [
@@ -264,6 +391,21 @@ def test_psd_check_every_names_rejected_value():
     for bad in (0, 2.5):
         with pytest.raises(ValidationError, match=f"got {bad!r}"):
             lindblad_evolve(spec, rho0, GridSpec(1.0, 7), beta=1.0, psd_check_every=bad)
+
+
+def test_psd_check_every_rejects_a_bool():
+    spec = LindbladSpec(H2, [(SM, 0.5)])
+    with pytest.raises(ValidationError, match="psd_check_every must be an integer >= 1, got True"):
+        lindblad_evolve(spec, DensityMatrix(np.diag([0.5, 0.5])), GridSpec(1.0, 7), beta=1.0,
+                        psd_check_every=True)
+
+
+def test_psd_check_every_takes_a_numpy_integer():
+    spec = LindbladSpec(H2, [(SM, 0.5)])
+    rho0 = DensityMatrix(np.diag([0.5, 0.5]))
+    ref = lindblad_evolve(spec, rho0, GridSpec(1.0, 70), beta=1.0, psd_check_every=10)
+    tr = lindblad_evolve(spec, rho0, GridSpec(1.0, 70), beta=1.0, psd_check_every=np.int64(10))
+    assert np.array_equal(tr.states, ref.states)
 
 
 def test_final_step_is_checked():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qledger import qcore
+from qledger import qcore, sampling
 from qledger.measures import Trajectory, _tables, dephase
 from qledger.qcore import (
     MAX_DIM,
@@ -609,6 +609,69 @@ def test_apply_channel_unitary_conjugation():
     rho = random_density_matrix(rng, 3)
     out = apply_channel(ch, DensityMatrix(rho))
     assert np.abs(out.matrix - u @ rho @ u.conj().T).max() <= 1e-12
+
+
+def _isometry_channel(rng, d, n_kraus):
+    g = rng.normal(size=(n_kraus * d, d)) + 1j * rng.normal(size=(n_kraus * d, d))
+    w, _ = np.linalg.qr(g)
+    return [w[k * d : (k + 1) * d] for k in range(n_kraus)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 16, 17, 32, 64])
+def test_kraus_sum_equals_the_loop_bitwise(d):
+    """The stacked sum_k K rho K^dag has the bits of one product per operator."""
+    rng = np.random.default_rng(d)
+    kraus = _isometry_channel(rng, d, 3)
+    rho = random_density_matrix(rng, d)
+    out = sum(k @ rho @ k.conj().T for k in kraus)
+    ref = 0.5 * (out + out.conj().T)
+    assert qcore._kraus_sum(QuantumChannel(kraus), rho).tobytes() == ref.tobytes()
+
+
+def test_gibbs_preserving_kraus_stack_equals_outer_products_bitwise():
+    """The broadcast stack has the bits of one np.outer per Kraus operator."""
+    rng = np.random.default_rng(77)
+    for _ in range(200):
+        d = int(rng.integers(2, 6))
+        h, beta = random_hermitian(rng, d), float(rng.uniform(0.1, 5.0))
+        seed = int(rng.integers(2**31))
+        got = np.stack(sampling.gibbs_preserving_channel(np.random.default_rng(seed), h, beta).kraus)
+        draw = np.random.default_rng(seed)
+        spec = gibbs_state(h, beta)
+        w, v = hermitian_eig(spec.hamiltonian)
+        weights = draw.dirichlet(np.ones(3))
+        phases = np.exp(1j * draw.uniform(0.0, 2.0 * np.pi, size=d))
+        ref = [np.sqrt(weights[0]) * ((v * phases) @ v.conj().T)]
+        pops = np.maximum(np.diag(v.conj().T @ spec.state.matrix @ v).real, 0.0)
+        ref += [np.sqrt(weights[1] * pops[k]) * np.outer(v[:, k], v[:, j].conj())
+                for k in range(d) for j in range(d)]
+        ref += [np.sqrt(weights[2]) * np.outer(v[:, k], v[:, k].conj()) for k in range(d)]
+        assert got.tobytes() == np.stack(ref).tobytes()
+
+
+def test_channel_kraus_is_a_tuple_of_read_only_operators():
+    kraus = _isometry_channel(np.random.default_rng(3), 3, 4)
+    ch = QuantumChannel(kraus)
+    assert type(ch.kraus) is tuple and len(ch.kraus) == 4 and ch.dim == 3
+    for k, given in zip(ch.kraus, kraus):
+        assert k.shape == (3, 3) and not k.flags.writeable
+        assert np.array_equal(k, given) and not np.shares_memory(k, given)
+        with pytest.raises(ValueError):
+            k[0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "kraus, message",
+    [([], "QuantumChannel: at least one Kraus operator required"),
+     ([np.eye(2), np.eye(3)], "QuantumChannel: Kraus operators must share one dimension"),
+     ([np.ones((2, 3))], "QuantumChannel kraus: expected a square matrix, got shape (2, 3)"),
+     ([np.eye(2) * 0.5], "QuantumChannel: completeness defect 7.500e-01 exceeds 1e-10")],
+    ids=["empty", "mixed", "non-square", "incomplete"],
+)
+def test_channel_errors_keep_their_messages(kraus, message):
+    with pytest.raises(ValidationError) as info:
+        QuantumChannel(kraus)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
