@@ -43,7 +43,6 @@ silently.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +58,12 @@ from .qcore import (
     ValidationError,
     _as_beta,
     _as_square,
+    _complex,
+    _integral,
     _jacobi,
     _min_eigvals,
     _real,
+    _reject,
     hermitian_eig,
 )
 
@@ -76,9 +78,16 @@ PROPAGATOR_POWERS_BYTES = 2**20
 MAX_CHUNK = 64
 
 
-def _integral(x) -> bool:
-    """An integer (numpy integers too) that is not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+def _as_grid(t_max, steps, name: str) -> tuple[float, int]:
+    """A grid's t_max (positive and finite) and steps (an integer >= 2) as a
+    float and an int, whatever number types were passed."""
+    t = _real(t_max)
+    if not (t is not None and 0 < t < math.inf):
+        raise _reject(f"{name}: t_max", t_max, "positive and finite")
+    if not (_integral(steps) and steps >= 2):
+        # two steps minimum: the measures need three grid points
+        raise _reject(f"{name}: steps", steps, "an integer >= 2")
+    return t, int(steps)
 
 
 @dataclass(frozen=True)
@@ -89,15 +98,9 @@ class GridSpec:
     steps: int
 
     def __post_init__(self):
-        t_max = _real(self.t_max)
-        if not (t_max is not None and 0 < t_max < math.inf):
-            raise ValidationError(f"GridSpec: t_max must be positive and finite, got {self.t_max!r}")
-        if not (_integral(self.steps) and self.steps >= 2):
-            # two steps minimum: the measures need three grid points
-            raise ValidationError(f"GridSpec: steps must be an integer >= 2, got {self.steps!r}")
-        # held as a float and an int, whatever number types were passed
+        t_max, steps = _as_grid(self.t_max, self.steps, "GridSpec")
         object.__setattr__(self, "t_max", t_max)
-        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "steps", steps)
 
     @property
     def dt(self) -> float:
@@ -134,13 +137,13 @@ class LindbladSpec:
                 raise ValidationError(
                     f"LindbladSpec: jump dim {a.shape[0]} does not match Hamiltonian dim {d}"
                 )
-            rate = float(rate)
-            if not (rate >= 0.0 and math.isfinite(rate)):
-                raise ValidationError(f"LindbladSpec: jump rate must be >= 0 and finite, got {rate}")
+            r = _real(rate)
+            if not (r is not None and 0 <= r < math.inf):
+                raise _reject("LindbladSpec: jump rate", rate, "a finite real number >= 0")
             a = a.copy()
             a.setflags(write=False)
             ops.append(a)
-            rates.append(rate)
+            rates.append(r)
 
         m = len(ops)
         gamma = np.zeros((m, m), dtype=np.complex128)
@@ -151,14 +154,14 @@ class LindbladSpec:
                 i, j, g = entry
             except (TypeError, ValueError):
                 raise ValidationError("LindbladSpec: cross_terms must be (i, j, rate) triples") from None
-            i, j = int(i), int(j)
-            if not (0 <= i < m and 0 <= j < m) or i == j:
-                raise ValidationError(f"LindbladSpec: cross term indices ({i}, {j}) invalid for {m} jumps")
-            g = complex(g)
-            if not (math.isfinite(g.real) and math.isfinite(g.imag)):
-                raise ValidationError("LindbladSpec: cross term rate must be finite")
-            gamma[i, j] = g
-            gamma[j, i] = g.conjugate()
+            if not (_integral(i) and _integral(j) and 0 <= i < m and 0 <= j < m and i != j):
+                want = f"two distinct integers in 0..{m - 1}"
+                raise _reject("LindbladSpec: cross term indices", (i, j), want)
+            z = _complex(g)
+            if z is None:
+                raise _reject("LindbladSpec: cross term rate", g, "a finite complex number")
+            gamma[i, j] = z
+            gamma[j, i] = z.conjugate()
         if m:
             wmin = float(_jacobi(gamma)[0][0])
             if wmin < -1e-10 * max(1.0, float(np.abs(gamma).max())):
@@ -266,9 +269,7 @@ def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: i
     if state.dim != spec.dim:
         raise ValidationError(f"lindblad_evolve: state dim {state.dim} does not match spec dim {spec.dim}")
     if not (_integral(psd_check_every) and psd_check_every >= 1):
-        raise ValidationError(
-            f"lindblad_evolve: psd_check_every must be an integer >= 1, got {psd_check_every!r}"
-        )
+        raise _reject("lindblad_evolve: psd_check_every", psd_check_every, "an integer >= 1")
 
     d = spec.dim
     n2 = d * d

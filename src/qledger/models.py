@@ -26,12 +26,13 @@ omega0 = 1 unless set otherwise.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GridSpec, LindbladSpec, _lindblad_steps, schrodinger_evolve
+from .dynamics import GridSpec, LindbladSpec, _as_grid, _lindblad_steps, schrodinger_evolve
 from .measures import MeasureSeries, Trajectory, measure_series
 from .qcore import (
     DensityMatrix,
@@ -40,6 +41,10 @@ from .qcore import (
     PureState,
     ValidationError,
     _as_beta,
+    _complex,
+    _integral,
+    _real,
+    _reject,
     partial_trace_stack,
     tensor,
 )
@@ -52,12 +57,22 @@ _NUM = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
 _I2 = np.eye(2, dtype=np.complex128)
 
 
-def _check_positive(name: str, value, allow_zero: bool = False) -> float:
-    v = float(value)
-    if not math.isfinite(v) or (v < 0.0 if allow_zero else v <= 0.0):
-        bound = ">= 0" if allow_zero else "> 0"
-        raise ValidationError(f"{name} must be {bound} and finite, got {value!r}")
-    return v
+# the kinds of number field of the example dataclasses: what one must be, the
+# qcore predicate that reads it (None when it is no such number), the range test
+_POSITIVE = ("a positive finite real number", _real, lambda v: 0.0 < v < math.inf)
+_NONNEGATIVE = ("a finite real number >= 0", _real, lambda v: 0.0 <= v < math.inf)
+_FINITE = ("a finite real number", _real, math.isfinite)
+_COMPLEX = ("a finite complex number", _complex, cmath.isfinite)
+
+
+def _check_fields(p, kind, *fields: str) -> None:
+    """Each named field of the dataclass ``p`` a number of the given kind."""
+    want, read, ok = kind
+    for field in fields:
+        x = getattr(p, field)
+        v = read(x)
+        if v is None or not ok(v):
+            raise _reject(f"{type(p).__name__}: {field}", x, want)
 
 
 @dataclass(frozen=True)
@@ -81,15 +96,14 @@ class Example1Params:
     steps: int = 20000
 
     def __post_init__(self):
-        _check_positive("Example1Params: omega0", self.omega0)
-        _check_positive("Example1Params: lam", self.lam)
-        _check_positive("Example1Params: R", self.R, allow_zero=True)
+        _check_fields(self, _POSITIVE, "omega0", "lam")
+        _check_fields(self, _NONNEGATIVE, "R")
         _as_beta(self.beta, "Example1Params")
-        _check_positive("Example1Params: t_max", self.t_max)
-        if not (isinstance(self.steps, int) and self.steps >= 2):
-            raise ValidationError(f"Example1Params: steps must be an integer >= 2, got {self.steps!r}")
+        _as_grid(self.t_max, self.steps, "Example1Params")
+        _check_fields(self, _FINITE, "alpha1", "alpha2")
         if math.hypot(self.alpha1, self.alpha2) <= 0.0:
             raise ValidationError("Example1Params: couplings alpha1, alpha2 must not both vanish")
+        _check_fields(self, _COMPLEX, "c01", "c02")
         nrm = abs(complex(self.c01)) ** 2 + abs(complex(self.c02)) ** 2
         if abs(nrm - 1.0) > 1e-12:
             raise ValidationError(
@@ -142,7 +156,7 @@ def example1_amplitude(t, p: Example1Params):
 
 def run_example1(p: Example1Params) -> tuple[Trajectory, MeasureSeries]:
     """Battery trajectory rho_1(t) = diag(1-|c1|^2, |c1|^2) and its measures."""
-    times = np.linspace(0.0, p.t_max, p.steps + 1)
+    times = GridSpec(p.t_max, p.steps).times()
     pop = np.abs(example1_amplitude(times, p)) ** 2
     states = np.zeros((times.size, 2, 2), dtype=np.complex128)
     states[:, 0, 0] = 1.0 - pop
@@ -230,17 +244,13 @@ class Example2Params:
     steps: int = 8000
 
     def __post_init__(self):
-        _check_positive("Example2Params: g", self.g)
-        _check_positive("Example2Params: omega0", self.omega0)
-        if not math.isfinite(float(self.omegap)):
-            raise ValidationError(f"Example2Params: omegap must be finite, got {self.omegap!r}")
-        _check_positive("Example2Params: gamma", self.gamma, allow_zero=True)
+        _check_fields(self, _POSITIVE, "g", "omega0")
+        _check_fields(self, _FINITE, "omegap")
+        _check_fields(self, _NONNEGATIVE, "gamma")
         _as_beta(self.beta, "Example2Params")
-        _check_positive("Example2Params: t_max", self.t_max)
-        if self.case not in (1, 2):
-            raise ValidationError(f"Example2Params: case must be 1 or 2, got {self.case!r}")
-        if not (isinstance(self.steps, int) and self.steps >= 2):
-            raise ValidationError(f"Example2Params: steps must be an integer >= 2, got {self.steps!r}")
+        _as_grid(self.t_max, self.steps, "Example2Params")
+        if not (_integral(self.case) and self.case in (1, 2)):
+            raise _reject("Example2Params: case", self.case, "1 or 2")
 
     @property
     def detuning(self) -> float:

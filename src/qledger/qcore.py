@@ -22,10 +22,13 @@ entry points.  ``_gated`` is the one place where a bare array becomes an
 operand: a container passes as it is, anything else is gated once and held
 in a ``HermitianOperator`` for the call.  ``_as_operands`` gates each
 distinct operand of a thermo or measures function under "<function>
-<argument>" and requires one shared dimension.  ``_as_beta`` is the one
-inverse-temperature check.  ``partial_trace`` is the single-state case of
-``partial_trace_stack``, which validates ``dims`` and ``keep``.  One
-spectrum per operand: ``HermitianOperator`` and ``DensityMatrix`` keep
+<argument>" and requires one shared dimension.  A scalar argument is read
+by one of three predicates, ``_real``, ``_integral`` and ``_complex``, and
+a failure is reported by ``_reject`` as "<caller>: <argument> must be ...,
+got <value>"; ``_as_beta`` is the one inverse-temperature check.
+``partial_trace`` checks a bare array as a state (``_check_state``) and is
+the single-state case of ``partial_trace_stack``, which validates ``dims``
+and ``keep``.  One spectrum per operand: ``HermitianOperator`` and ``DensityMatrix`` keep
 their (w, V) in a slot, filled on first use (``_spectrum``) or by the
 positivity check, whose decomposition is kept, not paid twice.
 ``_spectra`` serves a function that needs several spectra at once, such as
@@ -45,6 +48,7 @@ Conventions:
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import numbers
@@ -143,12 +147,35 @@ def _real(x) -> float | None:
         return math.inf
 
 
+def _integral(x) -> bool:
+    """An integer (numpy integers too) that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _complex(x) -> complex | None:
+    """A finite complex number that is not a bool (real and numpy scalars
+    too) as a complex; None for anything else."""
+    if not (isinstance(x, numbers.Complex) and not isinstance(x, bool)):
+        return None
+    try:
+        z = complex(x)
+    except OverflowError:
+        return None
+    return z if cmath.isfinite(z) else None
+
+
+def _reject(name: str, value, want: str) -> ValidationError:
+    """The error for a scalar argument: "<caller>: <argument> must be <want>,
+    got <repr>", with ``name`` the caller and the argument."""
+    return ValidationError(f"{name} must be {want}, got {value!r}")
+
+
 def _as_beta(beta, name: str) -> float:
     """An inverse temperature: a real number, not a bool, positive and finite."""
     b = _real(beta)
     if b is not None and 0 < b < math.inf:
         return b
-    raise ValidationError(f"{name}: beta must be a positive finite real number, got {beta!r}")
+    raise _reject(f"{name}: beta", beta, "a positive finite real number")
 
 
 def _frozen(a: np.ndarray, source) -> np.ndarray:
@@ -202,15 +229,7 @@ class DensityMatrix:
 
     def __init__(self, matrix, *, check_psd: bool = True) -> None:
         _hold(self, matrix, "DensityMatrix")
-        tr = self.matrix.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"DensityMatrix: trace {tr} deviates from 1 beyond {TRACE_TOL:.0e}")
-        if check_psd:
-            wmin = float(_spectrum(self)[0][0])
-            if wmin < -PSD_TOL:
-                raise ValidationError(
-                    f"DensityMatrix: smallest eigenvalue {wmin:.3e} below -{PSD_TOL:.0e}"
-                )
+        _check_state(self, "DensityMatrix", check_psd)
 
     def __setattr__(self, *_):
         raise AttributeError("DensityMatrix is immutable")
@@ -229,6 +248,19 @@ class DensityMatrix:
 
 
 _CONTAINERS = (HermitianOperator, DensityMatrix)
+
+
+def _check_state(x, name: str, check_psd: bool = True):
+    """A container's unit trace and, with ``check_psd``, positivity on its
+    spectrum (solved once, and kept), reported under ``name``."""
+    tr = x.matrix.trace()
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValidationError(f"{name}: trace {tr} deviates from 1 beyond {TRACE_TOL:.0e}")
+    if check_psd:
+        wmin = float(_spectrum(x)[0][0])
+        if wmin < -PSD_TOL:
+            raise ValidationError(f"{name}: smallest eigenvalue {wmin:.3e} below -{PSD_TOL:.0e}")
+    return x
 
 
 def _gated(m, name: str):
@@ -598,22 +630,29 @@ def tensor(*factors) -> np.ndarray:
 def partial_trace(rho, dims, keep) -> DensityMatrix:
     """Reduced state over the subsystems listed in ``keep`` (ascending indices).
 
-    ``dims`` gives the local dimension of every tensor factor of ``rho``.
+    ``dims`` gives the local dimension of every tensor factor of ``rho``.  A
+    bare array is checked as a state (hermiticity, trace and positivity); a
+    ``DensityMatrix`` already is one.  Either way the reduced state is one.
     """
-    a = _as_square(rho, "partial_trace")
-    return DensityMatrix(partial_trace_stack(a[None], dims, keep)[0], check_psd=False)
+    if not isinstance(rho, DensityMatrix):
+        rho = _check_state(_gated(rho, "partial_trace"), "partial_trace")
+    return DensityMatrix(partial_trace_stack(rho.matrix[None], dims, keep)[0], check_psd=False)
 
 
 def partial_trace_stack(states: np.ndarray, dims, keep) -> np.ndarray:
     """Vectorized partial trace over a (T, d, d) stack of states."""
     d = states.shape[-1]
+    dims, keep = list(dims), list(keep)
+    if not all(_integral(x) and x >= 1 for x in dims):
+        raise _reject("partial_trace: dims", dims, "positive integers")
     dims = [int(x) for x in dims]
     n = len(dims)
     if int(np.prod(dims)) != d:
         raise ValidationError(f"partial_trace: dims {dims} do not factor dimension {d}")
-    keep = [int(k) for k in keep]
-    if keep != sorted(set(keep)) or not keep or any(k < 0 or k >= n for k in keep):
+    ascending = keep and all(map(_integral, keep)) and keep == sorted(set(keep))
+    if not (ascending and 0 <= keep[0] and keep[-1] < n):
         raise ValidationError(f"partial_trace: keep {keep} must be distinct ascending indices in 0..{n - 1}")
+    keep = [int(k) for k in keep]
     t = states.shape[0]
     reshaped = states.reshape([t] + dims + dims)
     row = list(range(1, n + 1))
@@ -648,8 +687,11 @@ def matrix_log_hermitian(operator, floor: float = LOG_FLOOR) -> np.ndarray:
     log.  The default floor only guards against log(0); callers that need a
     support check must inspect the spectrum themselves.
     """
+    f = _real(floor)
+    if not (f is not None and 0 < f < math.inf):
+        raise _reject("matrix_log_hermitian: floor", floor, "a positive finite real number")
     w, v = hermitian_eig(operator)
-    lw = np.log(np.maximum(w, floor))
+    lw = np.log(np.maximum(w, f))
     out = (v * lw) @ v.conj().T
     return 0.5 * (out + out.conj().T)
 
@@ -675,16 +717,35 @@ def matrix_from_json(obj) -> np.ndarray:
     if extra:
         raise ValidationError(f"matrix JSON: unknown keys {sorted(extra)}")
     try:
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj["im"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+        dim, re, im = obj["dim"], obj["re"], obj["im"]
+    except KeyError as exc:
         raise ValidationError(f"matrix JSON: malformed fields ({exc})") from exc
+    if not _integral(dim):
+        raise _reject("matrix JSON: dim", dim, "an integer")
     if not (1 <= dim <= MAX_DIM):
         raise ValidationError(f"matrix JSON: dim {dim} outside [1, {MAX_DIM}]")
-    if re.shape != (dim * dim,) or im.shape != (dim * dim,):
-        raise ValidationError(
-            f"matrix JSON: re/im must each hold dim^2 = {dim * dim} entries"
-        )
-    a = (re + 1j * im).reshape(dim, dim)
+    a = (_json_reals(re, dim) + 1j * _json_reals(im, dim)).reshape(dim, dim)
     return _as_square(a, "matrix JSON")
+
+
+def _json_reals(entries, dim: int) -> np.ndarray:
+    """One entry list of the wire format as float64: dim^2 real numbers.
+    ``_real`` decides on an entry by its type alone, so it is asked once per
+    distinct type, not once per entry."""
+    try:
+        kinds = {type(x): x for x in entries}
+        ok = len(entries) == dim * dim
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValidationError(f"matrix JSON: re/im must each hold dim^2 = {dim * dim} entries")
+    for x in kinds.values():
+        if _real(x) is None:
+            raise _reject("matrix JSON: entries", x, "real numbers")
+    try:
+        x = np.array(entries, dtype=np.float64)
+        if np.isfinite(x).all():
+            return x
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValidationError("matrix JSON: entries must be finite")

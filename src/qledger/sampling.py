@@ -7,18 +7,28 @@ state.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .qcore import (
+    MAX_DIM,
     DensityMatrix,
     HermitianOperator,
     PureState,
     QuantumChannel,
-    ValidationError,
     _as_operands,
+    _integral,
+    _real,
+    _reject,
     _spectrum,
 )
 from .thermo import gibbs_state
+
+
+def _check_dim(dim, name: str) -> None:
+    if not (_integral(dim) and 1 <= dim <= MAX_DIM):
+        raise _reject(f"{name}: dim", dim, f"an integer in [1, {MAX_DIM}]")
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -26,6 +36,10 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermitianOperator:
+    _check_dim(dim, "random_hermitian")
+    s = _real(scale)
+    if not (s is not None and math.isfinite(s)):
+        raise _reject("random_hermitian: scale", scale, "a finite real number")
     g = _ginibre(rng, dim, dim)
     return HermitianOperator(0.5 * scale * (g + g.conj().T))
 
@@ -44,9 +58,11 @@ def spectral_span_bound(op) -> float:
 
 def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> DensityMatrix:
     """Normalized Gram matrix of a Gaussian block; rank defaults to full."""
-    rank = dim if rank is None else int(rank)
-    if not 1 <= rank <= dim:
-        raise ValidationError(f"random_density: rank {rank} outside [1, {dim}]")
+    _check_dim(dim, "random_density")
+    if rank is None:
+        rank = dim
+    elif not (_integral(rank) and 1 <= rank <= dim):
+        raise _reject("random_density: rank", rank, f"an integer in [1, {dim}]")
     g = _ginibre(rng, dim, rank)
     m = g @ g.conj().T
     # a Gram matrix is positive semidefinite by construction
@@ -54,6 +70,7 @@ def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) 
 
 
 def random_pure(rng: np.random.Generator, dim: int) -> PureState:
+    _check_dim(dim, "random_pure")
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return PureState(v / np.linalg.norm(v))
 
@@ -65,8 +82,9 @@ def random_channel(rng: np.random.Generator, dim: int, n_kraus: int = 3) -> Quan
     isometry W, and W's dim-sized blocks satisfy sum K^dag K = W^dag W = I
     exactly up to rounding.
     """
-    if n_kraus < 1:
-        raise ValidationError(f"random_channel: n_kraus must be >= 1, got {n_kraus}")
+    _check_dim(dim, "random_channel")
+    if not (_integral(n_kraus) and n_kraus >= 1):
+        raise _reject("random_channel: n_kraus", n_kraus, "an integer >= 1")
     g = _ginibre(rng, n_kraus * dim, dim)
     w, _ = np.linalg.qr(g)
     return QuantumChannel(w.reshape(n_kraus, dim, dim))
@@ -109,11 +127,13 @@ def ground_damping_channel(dim: int, strength: float) -> QuantumChannel:
     Not Gibbs-preserving for any finite temperature; used to exhibit
     negative irreversible-entropy differences in the audit.
     """
-    if not 0.0 < strength <= 1.0:
-        raise ValidationError(f"ground_damping_channel: strength {strength} outside (0, 1]")
+    _check_dim(dim, "ground_damping_channel")
+    s = _real(strength)
+    if not (s is not None and 0.0 < s <= 1.0):
+        raise _reject("ground_damping_channel: strength", strength, "a real number in (0, 1]")
     levels = np.arange(1, dim)
     kraus = np.zeros((dim, dim, dim), dtype=np.complex128)
     kraus[0, 0, 0] = 1.0
-    kraus[0, levels, levels] = np.sqrt(1.0 - strength)  # keep
-    kraus[levels, 0, levels] = np.sqrt(strength)  # drop level k to |0>
+    kraus[0, levels, levels] = np.sqrt(1.0 - s)  # keep
+    kraus[levels, 0, levels] = np.sqrt(s)  # drop level k to |0>
     return QuantumChannel(kraus)

@@ -22,6 +22,7 @@ from qledger.measures import (
     read_csv,
     write_csv,
 )
+from qledger.models import Example2Params, run_example2
 from qledger.qcore import DensityMatrix, ValidationError
 from qledger.sampling import random_density, random_hermitian
 from qledger.thermo import gibbs_state, von_neumann_entropy
@@ -207,6 +208,36 @@ def test_entropy_of_a_rank_deficient_state_matches_its_series_row(dim):
     entropy = measure_series(tr).entropy
     for k in range(40):
         assert von_neumann_entropy(states[k]) == entropy[k]
+
+
+def test_entropy_of_a_non_diagonal_state_matches_its_series_row_to_rounding():
+    """A d = 4 state alone takes the scalar solver, its trajectory row the
+    round-robin stack: the rotation orders differ, so the bits may too."""
+    tr, series = run_example2(Example2Params(case=1, steps=200))
+    off = tr.states - np.einsum("tii->ti", tr.states)[:, :, None] * np.eye(4)
+    assert np.abs(off).max() > 0.1
+    gap = [abs(von_neumann_entropy(tr.states[k]) - series.entropy[k]) for k in range(len(series))]
+    assert max(gap) < 1e-14
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_coherence_and_dephasing_are_unitarily_covariant(dim):
+    """C_r(U rho U^dag, U H U^dag) = C_r(rho, H) and the dephased state
+    rotates along, for random (non-degenerate) H."""
+    rng = np.random.default_rng([951, dim])
+    for _ in range(50):
+        h, rho = random_hermitian(rng, dim).matrix, random_density(rng, dim).matrix
+        u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+        def rotated(m):
+            m = u @ m @ u.conj().T
+            return 0.5 * (m + m.conj().T)
+
+        c = coherence(rho, h)
+        assert c >= -1e-12
+        assert abs(coherence(rotated(rho), rotated(h)) - c) <= 1e-10 * max(1.0, abs(c))
+        want = u @ dephase(rho, h).matrix @ u.conj().T
+        assert np.abs(dephase(rotated(rho), rotated(h)).matrix - want).max() <= 1e-10
 
 
 def test_coherence_error_names_the_caller():

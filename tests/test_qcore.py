@@ -586,6 +586,27 @@ def test_partial_trace_stack_validates_dims_and_keep():
         partial_trace_stack(stack, [2, 2], [2])
 
 
+def test_partial_trace_returns_a_state(solves):
+    """A bare array is checked as a state under partial_trace's name, so the
+    reduced matrix it returns is one; a DensityMatrix is one already."""
+    with pytest.raises(ValidationError, match="^partial_trace: smallest eigenvalue -5.000e-01"):
+        partial_trace(np.diag([1.5, 0.0, 0.0, -0.5]), [2, 2], [0])
+    skew = np.kron(np.array([[0.5, 0.4], [0.0, 0.5]]), np.eye(2) / 2)
+    with pytest.raises(ValidationError, match="^partial_trace: hermiticity defect"):
+        partial_trace(skew, [2, 2], [0])
+    with pytest.raises(ValidationError, match="^partial_trace: trace"):
+        partial_trace(np.eye(4) / 2, [2, 2], [0])
+    rho = random_density_matrix(np.random.default_rng(910), 4)
+    solves.clear()
+    assert np.array_equal(partial_trace(rho, [2, 2], [1]).matrix,
+                          partial_trace_stack(rho[None], [2, 2], [1])[0])
+    assert solves == [4]  # the input's positivity check; the output needs none
+    state = DensityMatrix(rho)
+    solves.clear()
+    partial_trace(state, [2, 2], [1])
+    assert solves == []
+
+
 def test_apply_channel_amplitude_damping():
     gamma = 0.3
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]], dtype=np.complex128)
