@@ -14,21 +14,25 @@ The unitary path never steps: with a constant H the propagator is built
 once from the eigendecomposition and applied per grid point, so case
 studies that reduce to closed evolution carry no integrator error at all.
 
-The Lindblad path is classical RK4 with fixed dt.  For a constant
-generator L one RK4 step is exactly v <- P4(dt L) v, with P4 the degree-4
-Taylor polynomial, so the step is built once as a dense (d^2, d^2)
-propagator M from the superoperator L, by Horner's rule in three dense
+The Lindblad path is classical RK4 with fixed dt.  The generator maps
+Hermitian matrices to Hermitian matrices, so it steps a state's d^2 real
+coordinates x = (Re rho_ii; Re rho_ij and Im rho_ij for i < j) with a real
+(d^2, d^2) generator L.  For a constant L one RK4 step is exactly
+x <- P4(dt L) x, with P4 the degree-4 Taylor polynomial, so the step is
+built once as a dense real propagator M, by Horner's rule in three dense
 products.  The powers M, M^2, ..., M^B sit in one stacked array of at most
 ``PROPAGATOR_POWERS_BYTES``, sized to stay in a core's L2 cache:
 
-    d    1-5   6   7   8   9  10  11  12  13  14-64
-    B     64  50  27  16   9   6   4   3   2      1
+    d    1-6   7   8   9  10  11  12  13  14  15-16  17-64
+    B     64  54  32  19  13   8   6   4   3      2      1
 
-and a single matrix-vector product advances B steps at a time; each state
-is projected back onto the Hermitian matrices, and the next chunk starts
-from the last projected state.  The build is paid once per run, so at
-large d a run of few steps costs more than the four stage products per
-step it replaces.
+and a single matrix-vector product advances B steps at a time; the next
+chunk starts from the last chunk's coordinates.  Once per block of
+``STACK_BLOCK`` states the coordinates are written into the complex states
+by an exact signed gather: each float of a state is one coordinate, its
+negative or zero, so every state is exactly Hermitian by construction.
+The build is paid once per run, so at large d a run of few steps costs
+more than the four stage products per step it replaces.
 
 Trace and finiteness are watched every step, positivity every
 ``psd_check_every`` steps; the monitors run over a block of
@@ -72,8 +76,9 @@ POSITIVITY_FLOOR = -1e-7
 
 # the stacked propagator powers [M, ..., M^B] fit in this many bytes, B <= MAX_CHUNK;
 # chosen by timing 256 KiB to 4 MiB at d = 4, 8 and 16 on a host with 2 MiB of L2
-# per core: at d = 8 a larger stack is streamed from L3 on every chunk, a smaller
-# one pays more products.  It stays >= 256 KiB, so B = 64 up to d = 4.
+# per core, and again with real powers from 256 KiB to 2 MiB: at d = 8 a larger
+# stack is streamed from L3 on every chunk, a smaller one pays more products.  It
+# stays >= 256 KiB, so B = 64 up to d = 4.
 PROPAGATOR_POWERS_BYTES = 2**20
 MAX_CHUNK = 64
 
@@ -182,32 +187,70 @@ class LindbladSpec:
         return self.hamiltonian.dim
 
 
-def _liouvillian(spec: LindbladSpec) -> np.ndarray:
-    """Dense superoperator of the generator, acting on row-major vec(rho).
+def _coordinates(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index maps between a Hermitian d x d matrix and its d^2 real coordinates
+    x = (Re rho_ii; Re rho_ij for i < j; Im rho_ij for i < j), over the
+    matrix's float view (Re and Im of each entry, row-major).
 
-    vec(A X B) = (A kron B^T) vec(X) for row-major stacking, so the
-    commutator contributes -i(H kron I - I kron H^T) and each dissipator
-    term gamma_ij (L_i kron conj(L_j) - anticommutator halves).
+    ``view[pick]`` is x; ``sign * xz[src]`` is the view again, where xz is x
+    with a zero appended: each float is one coordinate, its negative or zero,
+    so the matrix is exactly Hermitian by construction."""
+    n2 = d * d
+    iu, ju = np.triu_indices(d, 1)
+    diag = np.arange(d)
+    re, im = d + np.arange(iu.size), d + iu.size + np.arange(iu.size)
+    pick = np.concatenate([2 * (diag * (d + 1)), 2 * (iu * d + ju), 2 * (iu * d + ju) + 1])
+    src = np.full((d, d, 2), n2)  # Im rho_ii is the zero
+    sign = np.ones((d, d, 2))
+    src[diag, diag, 0] = diag
+    src[iu, ju, 0] = src[ju, iu, 0] = re
+    src[iu, ju, 1] = src[ju, iu, 1] = im
+    sign[ju, iu, 1] = -1.0
+    return pick, src.ravel(), sign.ravel()
+
+
+def _liouvillian(spec: LindbladSpec) -> np.ndarray:
+    """The generator as a real (d^2, d^2) matrix on the coordinates x of
+    ``_coordinates``.
+
+    With K = -iH - 1/2 sum_ij gamma_ij L_j^dag L_i and N_i = sum_j gamma_ij L_j^dag
+    the generator is rho -> K rho + rho K^dag + sum_i L_i rho N_i, which maps
+    Hermitian matrices to Hermitian matrices.  Only the rows of the output
+    entries (p, q) with p <= q are built, as the complex coefficients
+    t[r, a, b] of rho_ab, and the columns combine rho_ab and rho_ba into the
+    coordinates; the complex (d^2, d^2) superoperator is never formed.
     """
     h = spec.hamiltonian.matrix
     d = h.shape[0]
-    eye = np.eye(d)
-    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    gamma = spec.rate_matrix
-    for i, li in enumerate(spec.jumps):
-        for j, lj in enumerate(spec.jumps):
-            g = gamma[i, j]
-            if g == 0.0:
-                continue
-            a = lj.conj().T @ li  # L_j^dag L_i
-            sup += g * np.kron(li, lj.conj())
-            sup -= 0.5 * g * (np.kron(a, eye) + np.kron(eye, a.T))
+    ls = np.array(spec.jumps, dtype=np.complex128).reshape(-1, d, d)
+    ns = np.einsum("ij,jba->iab", spec.rate_matrix, ls.conj())
+    k = -1j * h - 0.5 * np.einsum("iab,ibc->ac", ns, ls)
+    diag = np.arange(d)
+    iu, ju = np.triu_indices(d, 1)
+    rp, rq = np.concatenate([diag, iu]), np.concatenate([diag, ju])
+    rows = rp.size  # the diagonal entries, then the upper triangle
+    t = np.einsum("ira,ibr->rab", ls[:, rp, :], ns[:, :, rq])
+    t[np.arange(rows), :, rq] += k[rp, :]
+    t[np.arange(rows), rp, :] += k.conj()[rq, :]
+
+    # x rows: Re of every row, then Im of the upper ones; columns: rho_ii,
+    # then Re rho_ab = x_re and Im rho_ab = x_im for a < b, with
+    # rho_ab = x_re + i x_im and rho_ba = x_re - i x_im
+    sup = np.empty((d * d, d * d))
+    cols = (t[:, diag, diag], t[:, iu, ju] + t[:, ju, iu], 1j * (t[:, iu, ju] - t[:, ju, iu]))
+    start = 0
+    for c in cols:
+        stop = start + c.shape[1]
+        sup[:rows, start:stop] = c.real
+        sup[rows:, start:stop] = c[d:].imag
+        start = stop
     return sup
 
 
 def _rk4_propagator(spec: LindbladSpec, dt: float) -> np.ndarray:
-    """The matrix one classical RK4 step applies for a constant generator,
-    P4(hL) = I + hL(I + hL/2(I + hL/3(I + hL/4))) with h = dt, by Horner."""
+    """The real matrix one classical RK4 step applies to the coordinates of a
+    state for a constant generator, P4(hL) = I + hL(I + hL/2(I + hL/3(I + hL/4)))
+    with h = dt, by Horner."""
     a = _liouvillian(spec)
     a *= dt
     diag = slice(None, None, a.shape[0] + 1)
@@ -220,10 +263,10 @@ def _rk4_propagator(spec: LindbladSpec, dt: float) -> np.ndarray:
     return m
 
 
-def _monitor(seg: np.ndarray, k: int, psd_due: np.ndarray, times: np.ndarray, dt: float) -> None:
+def _monitor(seg: np.ndarray, k: int, psd_due: np.ndarray, times: np.ndarray, dt: float, name: str) -> None:
     """Check the states ``seg`` produced by steps k, k+1, ... as a step-by-step
-    loop would, and raise the error it would raise first: the earliest failing
-    step, and at one step finiteness and trace before positivity.
+    loop would, and raise the error it would raise first, under ``name``: the
+    earliest failing step, and at one step finiteness and trace before positivity.
 
     The stepper calls it once per block of at least ``STACK_BLOCK`` new states
     and once at the end; every earlier block passed, so the first failure in
@@ -240,14 +283,14 @@ def _monitor(seg: np.ndarray, k: int, psd_due: np.ndarray, times: np.ndarray, dt
         low = np.flatnonzero(wmin < POSITIVITY_FLOOR)
         if low.size:
             raise NumericError(
-                f"lindblad_evolve: eigenvalue {float(wmin[low[0]]):.3e} below {POSITIVITY_FLOOR:.0e} "
+                f"{name}: eigenvalue {float(wmin[low[0]]):.3e} below {POSITIVITY_FLOOR:.0e} "
                 f"at t={times[k + 1 + due[low[0]]]:.6g}; {remedy}"
             )
     if first < len(seg):
         t = times[k + 1 + first]
         if not finite[first]:
-            raise NumericError(f"lindblad_evolve: state became non-finite at t={t:.6g}; {remedy}")
-        raise NumericError(f"lindblad_evolve: trace drifted to {float(tr[first])} at t={t:.6g}; {remedy}")
+            raise NumericError(f"{name}: state became non-finite at t={t:.6g}; {remedy}")
+        raise NumericError(f"{name}: trace drifted to {float(tr[first])} at t={t:.6g}; {remedy}")
 
 
 def lindblad_evolve(spec: LindbladSpec, rho0, grid: GridSpec, beta: float,
@@ -260,16 +303,18 @@ def lindblad_evolve(spec: LindbladSpec, rho0, grid: GridSpec, beta: float,
     should increase ``steps``.
     """
     beta = _as_beta(beta, "lindblad_evolve")
-    return Trajectory(*_lindblad_steps(spec, rho0, grid, psd_check_every), spec.hamiltonian, beta)
+    return Trajectory(*_lindblad_steps(spec, rho0, grid, psd_check_every, "lindblad_evolve"),
+                      spec.hamiltonian, beta)
 
 
-def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: int):
-    """Read-only times and states of ``lindblad_evolve``, checked by its monitor only."""
+def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: int, name: str):
+    """Read-only times and states of ``lindblad_evolve``, checked by its monitor
+    only; errors name the caller ``name``."""
     state = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
     if state.dim != spec.dim:
-        raise ValidationError(f"lindblad_evolve: state dim {state.dim} does not match spec dim {spec.dim}")
+        raise ValidationError(f"{name}: state dim {state.dim} does not match spec dim {spec.dim}")
     if not (_integral(psd_check_every) and psd_check_every >= 1):
-        raise _reject("lindblad_evolve: psd_check_every", psd_check_every, "an integer >= 1")
+        raise _reject(f"{name}: psd_check_every", psd_check_every, "an integer >= 1")
 
     d = spec.dim
     n2 = d * d
@@ -282,13 +327,20 @@ def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: i
     psd_due[psd_check_every - 1::psd_check_every] = True
     psd_due[-1] = True
     out = np.empty((n + 1, d, d), dtype=np.complex128)
-    out[0] = state.matrix
+    view = out.view(np.float64).reshape(n + 1, 2 * n2)
+    pick, src, sign = _coordinates(d)
 
     m = _rk4_propagator(spec, dt)
     b = min(MAX_CHUNK, max(1, PROPAGATOR_POWERS_BYTES // m.nbytes))
-    powers = np.empty((b, n2, n2), dtype=np.complex128)
+    powers = np.empty((b, n2, n2))
     powers[0] = m
     del m
+    # the coordinates of the last checked state (row 0) and of the states
+    # stepped since, and the zero column of ``_coordinates``
+    xs = np.zeros((STACK_BLOCK + b, n2 + 1))
+    xs[0, :n2] = np.ascontiguousarray(state.matrix).view(np.float64).reshape(-1)[pick]
+    np.multiply(xs[0, src], sign, out=view[0])
+    chunk = np.empty(b * n2)
     # overflow is caught by the monitor, as a non-finite state at its step
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, b):
@@ -303,16 +355,17 @@ def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: i
         k = checked = 0
         while k < n:
             c = min(b, n - k)
-            raw = (stacked[: c * n2] @ out[k].ravel()).reshape(c, d, d)
-            seg = out[k + 1 : k + 1 + c]
-            # project out the anti-Hermitian rounding noise; the exact flow
-            # keeps rho Hermitian, and the projection never touches the trace
-            np.conjugate(raw.transpose(0, 2, 1), out=seg)
-            seg += raw
-            seg *= 0.5
+            j = k - checked
+            np.matmul(stacked[: c * n2], xs[j, :n2], out=chunk[: c * n2])
+            xs[j + 1 : j + 1 + c, :n2] = chunk[: c * n2].reshape(c, n2)
             k += c
             if k - checked >= STACK_BLOCK or k == n:
-                _monitor(out[checked + 1 : k + 1], checked, psd_due[checked:k], times, dt)
+                seg = view[checked + 1 : k + 1]
+                # "clip" skips the bounds check; src is in range
+                np.take(xs[1 : k - checked + 1], src, axis=1, out=seg, mode="clip")
+                seg *= sign
+                _monitor(out[checked + 1 : k + 1], checked, psd_due[checked:k], times, dt, name)
+                xs[0] = xs[k - checked]
                 checked = k
     del powers, stacked
 

@@ -198,7 +198,8 @@ def example1_pseudomode_oracle(p: Example1Params, grid: GridSpec | None = None,
     psi_cal[2] = 1.0  # |1>_qubit |0>_mode
     # raw integrator output, checked by its monitor; only the battery is reported
     times, cal = _lindblad_steps(
-        LindbladSpec(h_cal, [jump_cal]), DensityMatrix.from_pure(psi_cal), grid, psd_check_every
+        LindbladSpec(h_cal, [jump_cal]), DensityMatrix.from_pure(psi_cal), grid, psd_check_every,
+        "example1_pseudomode_oracle",
     )
     pop_cal = cal[:, 2, 2].real + cal[:, 3, 3].real
     ref = _envelope(times, p.lam, rabi) ** 2
@@ -217,7 +218,8 @@ def example1_pseudomode_oracle(p: Example1Params, grid: GridSpec | None = None,
     psi0 = np.zeros(8, dtype=np.complex128)
     psi0[4] = complex(p.c01)  # |1 0 0>
     psi0[2] = complex(p.c02)  # |0 1 0>
-    _, full = _lindblad_steps(LindbladSpec(h8, [jump]), DensityMatrix.from_pure(psi0), grid, psd_check_every)
+    _, full = _lindblad_steps(LindbladSpec(h8, [jump]), DensityMatrix.from_pure(psi0), grid, psd_check_every,
+                             "example1_pseudomode_oracle")
     battery = partial_trace_stack(full, [2, 2, 2], [0])
     battery.setflags(write=False)  # so the Trajectory keeps it, not a copy
     h_b = np.diag([0.0, p.omega0]).astype(np.complex128)
@@ -318,5 +320,5 @@ def run_example2(p: Example2Params, initial=None,
     else:
         spec, rho0 = example2_build(p, initial)
         # the integrator's raw states, validated once as the battery trajectory
-        tr = Trajectory(*_lindblad_steps(spec, rho0, grid, psd_check_every), h_free, p.beta)
+        tr = Trajectory(*_lindblad_steps(spec, rho0, grid, psd_check_every, "run_example2"), h_free, p.beta)
     return tr, measure_series(tr)

@@ -17,6 +17,7 @@ from .qcore import (
     HermitianOperator,
     PureState,
     QuantumChannel,
+    _as_beta,
     _as_operands,
     _integral,
     _real,
@@ -98,7 +99,9 @@ def gibbs_preserving_channel(rng: np.random.Generator, hamiltonian, beta: float)
     and dephasing in the H eigenbasis.  Each fixes the Gibbs state, hence
     so does the mixture.
     """
-    spec = gibbs_state(hamiltonian, beta)
+    beta = _as_beta(beta, "gibbs_preserving_channel")
+    (h,) = _as_operands("gibbs_preserving_channel", hamiltonian=hamiltonian)
+    spec = gibbs_state(h, beta)
     w, v = _spectrum(spec.hamiltonian)
     d = w.size
 

@@ -78,10 +78,11 @@ def line_plot(path, x, curves, title: str = "", xlabel: str = "t", ylabel: str =
     px_w = _WIDTH - _MARGIN_L - _MARGIN_R
     px_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def sx(v: float) -> float:
+    # pixel coordinates of a float or, elementwise with the same arithmetic, an array
+    def sx(v):
         return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * px_w
 
-    def sy(v: float) -> float:
+    def sy(v):
         return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * px_h
 
     parts = [
@@ -118,9 +119,10 @@ def line_plot(path, x, curves, title: str = "", xlabel: str = "t", ylabel: str =
             f'text-anchor="end" font-family="sans-serif">{format(tick, ".6g")}</text>'
         )
 
+    x_px = sx(x).tolist()
     for idx, (label, y) in enumerate(curves):
         color = _COLORS[idx % len(_COLORS)]
-        points = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, y))
+        points = " ".join(map("%.2f,%.2f".__mod__, zip(x_px, sy(y).tolist())))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

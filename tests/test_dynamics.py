@@ -189,7 +189,7 @@ def test_integrators_check_beta_before_integrating(monkeypatch):
 
 def _stage_loop_rk4(spec, rho0, grid, psd_check_every):
     """Reference: the four RK4 stages per step on the matrix-form generator,
-    with the same Hermitian projection and monitors as the integrator."""
+    each state projected back to Hermitian, with the integrator's monitors."""
     h = spec.hamiltonian.matrix
     ops, gamma = spec.jumps, spec.rate_matrix
 
@@ -250,17 +250,74 @@ def _qubit_chain(n):
     return spec, DensityMatrix.from_pure(psi / np.linalg.norm(psi))
 
 
-@pytest.mark.parametrize("n, chunk, steps", [(3, 16, 2501), (4, 1, 2100)], ids=["d8", "d16"])
+@pytest.mark.parametrize("n, chunk, steps", [(3, 32, 2501), (4, 2, 2101)], ids=["d8", "d16"])
 def test_block_monitored_chunks_match_stage_loop(n, chunk, steps):
     """At d = 8 and 16 the chunks are shorter than at d = 4, and the grid ends
     inside a third monitor block that no chunk length divides."""
     spec, rho0 = _qubit_chain(n)
-    m_bytes = 16 * spec.dim**4
+    m_bytes = 8 * spec.dim**4  # one real (d^2, d^2) power
     assert min(dyn.MAX_CHUNK, dyn.PROPAGATOR_POWERS_BYTES // m_bytes) == chunk
     grid = GridSpec(3.0, steps)
     tr = lindblad_evolve(spec, rho0, grid, beta=1.0, psd_check_every=7)
     ref = _stage_loop_rk4(spec, rho0, grid, psd_check_every=7)
     assert np.abs(tr.states - ref).max() <= 1e-12
+
+
+def _random_spec(d, seed):
+    """A random generator with three jumps, a correlated pair among them, and
+    a random pure state: every coordinate of the state moves."""
+    rng = np.random.default_rng(seed)
+
+    def ginibre():
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    g = ginibre()
+    jumps = [(ginibre() / d, rate) for rate in (0.5, 0.3, 0.2)]
+    spec = LindbladSpec(0.5 * (g + g.conj().T), jumps, cross_terms=[(0, 1, 0.2 + 0.1j)])
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return spec, DensityMatrix.from_pure(psi / np.linalg.norm(psi))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_real_steps_give_exactly_hermitian_states(d):
+    """Each state is written from the real coordinates, so it is Hermitian to
+    the bit; odd d cover the triangle index maps.  1100 steps cross a monitor
+    block, and the states agree with the four-stage loop."""
+    spec, rho0 = _random_spec(d, seed=d)
+    grid = GridSpec(1.0, 1100)
+    tr = lindblad_evolve(spec, rho0, grid, beta=1.0, psd_check_every=7)
+    assert np.array_equal(tr.states, tr.states.conj().swapaxes(1, 2))
+    ref = _stage_loop_rk4(spec, rho0, grid, psd_check_every=7)
+    assert np.abs(tr.states - ref).max() <= 1e-12
+
+
+def test_coordinate_maps_round_trip():
+    """A Hermitian matrix goes to its d^2 coordinates and back bit for bit."""
+    rng = np.random.default_rng(10)
+    for d in (1, 2, 3, 5):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        a = g + g.conj().T  # Hermitian to the bit
+        pick, src, sign = dyn._coordinates(d)
+        x = np.append(a.view(np.float64).ravel()[pick], 0.0)
+        assert x.size == d * d + 1 and set(np.unique(sign)) <= {-1.0, 1.0}
+        assert np.array_equal((sign * x[src]).view(np.complex128).reshape(d, d), a)
+
+
+def test_propagator_build_peak_memory_at_d32():
+    """The real generator is built without the complex superoperator: the
+    build's traced peak at d = 32 stays within the complex build's 64 MiB,
+    four complex (d^2, d^2) matrices."""
+    import tracemalloc
+
+    spec, _ = _random_spec(32, seed=32)
+    tracemalloc.start()
+    try:
+        m = dyn._rk4_propagator(spec, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.dtype == np.float64 and m.shape == (1024, 1024)
+    assert peak <= 64 * 2**20
 
 
 def test_monitor_runs_once_per_block(monkeypatch):
@@ -272,9 +329,9 @@ def test_monitor_runs_once_per_block(monkeypatch):
     per_run = []
     steps = models._lindblad_steps
 
-    def counted(spec, rho0, grid, every):
+    def counted(spec, rho0, grid, every, name):
         before = len(checks)
-        out = steps(spec, rho0, grid, every)
+        out = steps(spec, rho0, grid, every, name)
         per_run.append((grid.steps, len(checks) - before))
         return out
 
@@ -287,15 +344,17 @@ def test_monitor_runs_once_per_block(monkeypatch):
 
 
 def _step_by_step_failure(spec, rho0, grid, psd_check_every):
-    """The first monitor message of a loop that applies the RK4 step once per
-    step and checks every state right after it is made."""
+    """The first monitor message of a loop that applies the real RK4 step to
+    the state's coordinates once per step and checks every state right after
+    it is made."""
     m = dyn._rk4_propagator(spec, grid.dt)
-    rho = rho0.matrix
+    pick, src, sign = dyn._coordinates(spec.dim)
+    x = np.append(np.ascontiguousarray(rho0.matrix).view(np.float64).ravel()[pick], 0.0)
     times = grid.times()
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(grid.steps):
-            raw = (m @ rho.ravel()).reshape(rho.shape)
-            rho = 0.5 * (raw + raw.conj().T)
+            x[:-1] = m @ x[:-1]
+            rho = (sign * x[src]).view(np.complex128).reshape(rho0.matrix.shape)
             t = times[k + 1]
             if not np.isfinite(rho).all():
                 return k + 1, f"state became non-finite at t={t:.6g};"
@@ -363,16 +422,32 @@ def test_first_failure_matches_step_by_step_monitors(run, expected):
     assert "increase steps" in msg
 
 
+def test_monitor_errors_name_the_caller():
+    """run_example2 steps the case-2 generator itself; on a coarse grid its
+    error is lindblad_evolve's, under its own name."""
+    p = Example2Params(case=2, steps=10)
+    spec, rho0 = models.example2_build(p)
+    with pytest.raises(NumericError) as ref:
+        lindblad_evolve(spec, rho0, GridSpec(p.t_max, p.steps), p.beta)
+    with pytest.raises(NumericError) as info:
+        run_example2(p)
+    assert str(ref.value).startswith("lindblad_evolve: eigenvalue ")
+    assert str(info.value) == str(ref.value).replace("lindblad_evolve:", "run_example2:", 1)
+    with pytest.raises(NumericError, match="^example1_pseudomode_oracle: eigenvalue "):
+        example1_pseudomode_oracle(Example1Params(R=1.0), grid=GridSpec(20.0, 120))
+
+
 def test_overflowing_state_raises_numeric_error():
     """Dephasing beyond RK4's stability limit: each step multiplies the
     coherence by P4(-8) = 110.3 while the populations, and so the trace,
-    stay exact.  The state overflows at step 151, in the middle of a chunk,
-    and that must be a NumericError at its t."""
+    stay exact.  The coherence 0.5 * 110.3^151 = 1.35e308 is still finite;
+    the state overflows at step 152, in the middle of a chunk, and that must
+    be a NumericError at its t."""
     spec = LindbladSpec(np.zeros((2, 2)), [(NUM, 16.0)])
     rho0 = DensityMatrix.from_pure(np.array([1.0, 1.0]) / math.sqrt(2.0))
     with pytest.raises(NumericError) as info:
         lindblad_evolve(spec, rho0, GridSpec(300.0, 300), beta=1.0, psd_check_every=1000)
-    assert "non-finite at t=151;" in str(info.value)
+    assert "non-finite at t=152;" in str(info.value)
 
 
 def test_unstable_mode_left_empty_stays_exact():

@@ -14,7 +14,7 @@ import pytest
 
 from qledger import sampling
 from qledger.dynamics import GridSpec, LindbladSpec, lindblad_evolve
-from qledger.models import Example1Params, Example2Params
+from qledger.models import Example1Params, Example2Params, example1_pseudomode_oracle, run_example2
 from qledger.qcore import (
     ValidationError,
     matrix_from_json,
@@ -91,6 +91,11 @@ SITES = [
     ("matrix JSON: entries", "real", 1, lambda v: _json(re=(v, 0, 0, 1))),
     ("matrix JSON: entries", "real", 0, lambda v: _json(im=(0, 0, v, 0))),
     ("matrix_log_hermitian: floor", "real", 1, lambda v: matrix_log_hermitian(H2, v)),
+    ("run_example2: psd_check_every", "integer", 10,
+     lambda v: run_example2(Example2Params(case=2, steps=100), psd_check_every=v)),
+    ("example1_pseudomode_oracle: psd_check_every", "integer", 10,
+     lambda v: example1_pseudomode_oracle(Example1Params(), grid=GridSpec(2.0, 400), psd_check_every=v)),
+    ("gibbs_preserving_channel: beta", "real", 1, lambda v: sampling.gibbs_preserving_channel(_rng(), H2, v)),
 ]
 
 
@@ -148,3 +153,9 @@ def test_partial_trace_names_every_rejected_value():
         partial_trace(RHO4, [2.9, 2.1], [0])
     with pytest.raises(ValidationError, match="^partial_trace: dims must be positive integers"):
         partial_trace_stack(RHO4[None], [-2, -2], [0])
+
+
+def test_gibbs_preserving_channel_names_its_hamiltonian():
+    message = "^gibbs_preserving_channel hamiltonian: expected a square matrix"
+    with pytest.raises(ValidationError, match=message):
+        sampling.gibbs_preserving_channel(_rng(), np.zeros((2, 3)), 1.0)
