@@ -18,7 +18,6 @@ import numpy as np
 from . import models, sampling
 from .measures import write_csv
 from .qcore import (
-    DensityMatrix,
     HermitianOperator,
     NumericError,
     PropertyViolation,
@@ -186,7 +185,8 @@ def _cmd_ledger(args) -> int:
     # the operands are solved together (one stack above SCALAR_MAX_DIM) before
     # the states are checked, so each positivity check reads a carried spectrum
     _spectra(rho0, h0, h_tau, rho_tau)
-    rho0, rho_tau = DensityMatrix(rho0), DensityMatrix(rho_tau)
+    rho0 = _gated(rho0, "ledger config rho0", state=True)
+    rho_tau = _gated(rho_tau, "ledger config rho_tau", state=True)
 
     led = first_law_ledger(rho0, h0, rho_tau, h_tau, data["beta"])
     text = led.to_json()
@@ -200,7 +200,7 @@ def _cmd_ledger(args) -> int:
 
 def _cmd_audit(args) -> int:
     if args.count < 0:
-        raise ValidationError("count must be >= 0")
+        raise ValidationError("audit: count must be >= 0")
     if args.expect_violation:
         # deliberately non-Gibbs-preserving: damp the Gibbs state toward the
         # ground level and watch the irreversible entropy go negative

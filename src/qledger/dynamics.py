@@ -55,14 +55,13 @@ from .measures import Trajectory
 from .qcore import (
     MAX_DIM,
     STACK_BLOCK,
-    DensityMatrix,
-    HermitianOperator,
     NumericError,
     PureState,
     ValidationError,
     _as_beta,
     _as_square,
     _complex,
+    _gated,
     _integral,
     _jacobi,
     _min_eigvals,
@@ -128,7 +127,7 @@ class LindbladSpec:
     __slots__ = ("hamiltonian", "jumps", "rate_matrix")
 
     def __init__(self, hamiltonian, jumps, cross_terms=None) -> None:
-        h = hamiltonian if isinstance(hamiltonian, HermitianOperator) else HermitianOperator(hamiltonian)
+        h = _gated(hamiltonian, "LindbladSpec hamiltonian")
         d = h.dim
         ops = []
         rates = []
@@ -310,7 +309,11 @@ def lindblad_evolve(spec: LindbladSpec, rho0, grid: GridSpec, beta: float,
 def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: int, name: str):
     """Read-only times and states of ``lindblad_evolve``, checked by its monitor
     only; errors name the caller ``name``."""
-    state = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
+    if not isinstance(spec, LindbladSpec):
+        raise _reject(f"{name}: spec", spec, "a LindbladSpec")
+    if not isinstance(grid, GridSpec):
+        raise _reject(f"{name}: grid", grid, "a GridSpec")
+    state = _gated(rho0, f"{name} rho0", state=True)
     if state.dim != spec.dim:
         raise ValidationError(f"{name}: state dim {state.dim} does not match spec dim {spec.dim}")
     if not (_integral(psd_check_every) and psd_check_every >= 1):
@@ -381,7 +384,9 @@ def schrodinger_evolve(hamiltonian, psi0, grid: GridSpec, beta: float) -> Trajec
     one eigendecomposition, so norm and <H> are conserved to rounding.
     """
     beta = _as_beta(beta, "schrodinger_evolve")
-    h = hamiltonian if isinstance(hamiltonian, HermitianOperator) else HermitianOperator(hamiltonian)
+    if not isinstance(grid, GridSpec):
+        raise _reject("schrodinger_evolve: grid", grid, "a GridSpec")
+    h = _gated(hamiltonian, "schrodinger_evolve hamiltonian")
     psi = psi0 if isinstance(psi0, PureState) else PureState(psi0)
     if psi.dim != h.dim:
         raise ValidationError(f"schrodinger_evolve: state dim {psi.dim} does not match H dim {h.dim}")

@@ -100,7 +100,8 @@ class Trajectory:
     the cost of a run).
 
     ``hamiltonians`` is a single (d, d) Hermitian matrix when the drive is
-    constant, or a (T, d, d) stack otherwise.
+    constant, or a (T, d, d) stack otherwise.  Either stack may be given as
+    a list or tuple of matrices or containers of one shape.
     """
 
     __slots__ = ("times", "states", "hamiltonians", "beta", "dt")
@@ -119,10 +120,7 @@ class Trajectory:
         if np.abs(steps - dt).max() > 1e-9 * max(dt, 1.0):
             raise ValidationError("Trajectory: grid must be uniform")
 
-        s = states
-        if not (isinstance(s, np.ndarray) and s.ndim == 3):
-            s = np.stack([np.asarray(getattr(x, "matrix", x), dtype=np.complex128) for x in s])
-        s = _as_hermitian(s, "Trajectory states", stack=True)
+        s = _as_hermitian(states, "Trajectory states", stack=True)
         if s.ndim != 3 or s.shape[0] != t.size:
             raise ValidationError(
                 f"Trajectory: states must be one square matrix per grid point, got shape {s.shape}"
@@ -133,10 +131,7 @@ class Trajectory:
                 f"Trajectory: worst state trace deviation {trdev:.3e} exceeds {TRACE_TOL:.0e}"
             )
 
-        h = hamiltonians
-        if isinstance(h, (list, tuple)):
-            h = np.stack([np.asarray(getattr(x, "matrix", x), dtype=np.complex128) for x in h])
-        h = _as_hermitian(h, "Trajectory hamiltonians", stack=True)
+        h = _as_hermitian(hamiltonians, "Trajectory hamiltonians", stack=True)
         if h.ndim == 3 and h.shape[0] == 1:
             h = h[0]
         if h.shape not in (s.shape, s.shape[1:]):

@@ -42,6 +42,7 @@ from .qcore import (
     ValidationError,
     _as_beta,
     _complex,
+    _gated,
     _integral,
     _real,
     _reject,
@@ -296,8 +297,8 @@ def example2_build(p: Example2Params, initial=None):
         rho0 = np.zeros((4, 4), dtype=np.complex128)
         rho0[2, 2] = 1.0  # |1 0><1 0|
         initial = DensityMatrix(rho0, check_psd=False)
-    elif not isinstance(initial, DensityMatrix):
-        initial = DensityMatrix(initial)
+    else:
+        initial = _gated(initial, "example2_build initial", state=True)
     return spec, initial
 
 

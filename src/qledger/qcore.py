@@ -15,22 +15,25 @@ the same bits on every numpy build.  The one exception is a monitor:
 positivity check against its floor, and they never reach a reported number.
 
 Each input check lives in one place: ``_as_square`` coerces and bounds a
-matrix, or a (..., d, d) stack in blocks of ``STACK_BLOCK``, and
-``_as_hermitian`` adds the hermiticity check on top.  It is the one gate in
-front of the containers, the ``Trajectory`` stacks and both eigensolver
-entry points.  ``_gated`` is the one place where a bare array becomes an
-operand: a container passes as it is, anything else is gated once and held
-in a ``HermitianOperator`` for the call.  ``_as_operands`` gates each
-distinct operand of a thermo or measures function under "<function>
-<argument>" and requires one shared dimension.  A scalar argument is read
-by one of three predicates, ``_real``, ``_integral`` and ``_complex``, and
-a failure is reported by ``_reject`` as "<caller>: <argument> must be ...,
-got <value>"; ``_as_beta`` is the one inverse-temperature check.
-``partial_trace`` checks a bare array as a state (``_check_state``) and is
-the single-state case of ``partial_trace_stack``, which validates ``dims``
-and ``keep``.  One spectrum per operand: ``HermitianOperator`` and ``DensityMatrix`` keep
-their (w, V) in a slot, filled on first use (``_spectrum``) or by the
-positivity check, whose decomposition is kept, not paid twice.
+matrix, or a (..., d, d) stack in blocks of ``STACK_BLOCK`` (a list or tuple
+of matrices of one shape is stacked), and ``_as_hermitian`` adds the
+hermiticity check on top.  It is the one gate in front of the containers,
+the ``Trajectory`` stacks and both eigensolver entry points.  ``_gated`` is
+the one place where a bare array becomes an operand: a container passes as
+it is, anything else is gated once and held in a ``HermitianOperator`` for
+the call; ``_gated(..., state=True)`` is the one state intake, a
+``DensityMatrix`` checked by ``_check_state``.  Both report under
+"<function> <argument>", as ``_as_operands`` does, which gates each distinct
+operand of a thermo or measures function and requires one shared dimension.
+A scalar argument is read by one of three predicates, ``_real``,
+``_integral`` and ``_complex``, and a failure is reported by ``_reject`` as
+"<caller>: <argument> must be ..., got <value>"; ``_as_beta`` is the one
+inverse-temperature check.  ``partial_trace`` takes its input as a state and
+is the single-state case of ``partial_trace_stack``, which checks the stack's
+shape, ``dims`` and ``keep``.  One spectrum per operand: ``HermitianOperator``
+and ``DensityMatrix`` keep their (w, V) in a slot, filled on first use
+(``_spectrum``) or by the positivity check, whose decomposition is kept, not
+paid twice.
 ``_spectra`` serves a function that needs several spectra at once, such as
 the first-law ledger: the cold operands of one dimension above
 ``SCALAR_MAX_DIM`` share one stack call, whose per-matrix convergence test
@@ -90,7 +93,14 @@ class PropertyViolation(RuntimeError):
 
 def _as_square(m, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
     """Coerce to a finite square complex128 array, dim in [1, MAX_DIM];
-    with ``stack``, a (..., d, d) stack of them."""
+    with ``stack``, a (..., d, d) stack of them, or a list or tuple of
+    matrices or containers of one shape, stacked."""
+    if stack and isinstance(m, (list, tuple)):
+        parts = [np.asarray(getattr(x, "matrix", x), dtype=np.complex128) for x in m]
+        shapes = sorted({p.shape for p in parts})
+        if len(shapes) > 1:
+            raise ValidationError(f"{name}: matrices of mixed shapes {', '.join(map(str, shapes))}")
+        m = np.stack(parts) if parts else np.empty(0)
     a = np.asarray(getattr(m, "matrix", m), dtype=np.complex128)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"{name}: expected a square matrix, got shape {a.shape}")
@@ -263,14 +273,16 @@ def _check_state(x, name: str, check_psd: bool = True):
     return x
 
 
-def _gated(m, name: str):
+def _gated(m, name: str, *, state: bool = False):
     """A container as it is; anything else through ``_as_hermitian`` once and
-    held in a ``HermitianOperator`` with an empty spectrum slot."""
-    if isinstance(m, _CONTAINERS):
+    held in a ``HermitianOperator`` with an empty spectrum slot.  With
+    ``state``, a ``DensityMatrix``: a ``HermitianOperator`` is re-held without
+    a new gate, and it or the gated array is checked by ``_check_state``."""
+    if isinstance(m, DensityMatrix) or (not state and isinstance(m, HermitianOperator)):
         return m
-    x = object.__new__(HermitianOperator)
+    x = object.__new__(DensityMatrix if state else HermitianOperator)
     _hold(x, m, name)
-    return x
+    return _check_state(x, name) if state else x
 
 
 def _spectrum(x):
@@ -634,13 +646,16 @@ def partial_trace(rho, dims, keep) -> DensityMatrix:
     bare array is checked as a state (hermiticity, trace and positivity); a
     ``DensityMatrix`` already is one.  Either way the reduced state is one.
     """
-    if not isinstance(rho, DensityMatrix):
-        rho = _check_state(_gated(rho, "partial_trace"), "partial_trace")
+    rho = _gated(rho, "partial_trace", state=True)
     return DensityMatrix(partial_trace_stack(rho.matrix[None], dims, keep)[0], check_psd=False)
 
 
 def partial_trace_stack(states: np.ndarray, dims, keep) -> np.ndarray:
-    """Vectorized partial trace over a (T, d, d) stack of states."""
+    """Vectorized partial trace over a (T, d, d) stack of states; only its
+    shape is checked, not its entries."""
+    states = np.asarray(states)
+    if states.ndim != 3 or states.shape[1] != states.shape[2]:
+        raise ValidationError(f"partial_trace: expected a (T, d, d) stack, got shape {states.shape}")
     d = states.shape[-1]
     dims, keep = list(dims), list(keep)
     if not all(_integral(x) and x >= 1 for x in dims):
@@ -664,8 +679,9 @@ def partial_trace_stack(states: np.ndarray, dims, keep) -> np.ndarray:
 
 
 def apply_channel(channel: QuantumChannel, rho) -> DensityMatrix:
-    """Apply a Kraus channel, sum_k K rho K^dag."""
-    return DensityMatrix(_kraus_sum(channel, rho))
+    """Apply a Kraus channel, sum_k K rho K^dag, to a Hermitian ``rho`` gated
+    as "apply_channel rho"; the output is checked as a state."""
+    return DensityMatrix(_kraus_sum(channel, _gated(rho, "apply_channel rho")))
 
 
 def _kraus_sum(channel: QuantumChannel, rho) -> np.ndarray:
@@ -690,7 +706,7 @@ def matrix_log_hermitian(operator, floor: float = LOG_FLOOR) -> np.ndarray:
     f = _real(floor)
     if not (f is not None and 0 < f < math.inf):
         raise _reject("matrix_log_hermitian: floor", floor, "a positive finite real number")
-    w, v = hermitian_eig(operator)
+    w, v = _spectrum(_gated(operator, "matrix_log_hermitian operator"))
     lw = np.log(np.maximum(w, f))
     out = (v * lw) @ v.conj().T
     return 0.5 * (out + out.conj().T)

@@ -199,8 +199,8 @@ def test_ledger_hermiticity_error_names_the_config_key(tmp_path, capsys, key):
 
 def test_ledger_state_errors_keep_their_wording(tmp_path, capsys):
     rho = matrix_to_json(np.diag([0.3, 0.7]).astype(complex))
-    for key, bad, detail in (("rho0", np.diag([0.6, 0.7]), "DensityMatrix: trace"),
-                             ("rho_tau", np.diag([1.2, -0.2]), "DensityMatrix: smallest eigenvalue")):
+    for key, bad, detail in (("rho0", np.diag([0.6, 0.7]), "ledger config rho0: trace"),
+                             ("rho_tau", np.diag([1.2, -0.2]), "ledger config rho_tau: smallest eigenvalue")):
         path = ledger_config(tmp_path, **{"rho_tau": rho, key: matrix_to_json(bad.astype(complex))})
         assert run(["ledger", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["detail"].startswith(detail)
@@ -282,7 +282,7 @@ def test_audit_zero_count(capsys):
 def test_audit_negative_count(capsys):
     assert run(["audit", "--count", "-1"]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "validation", "detail": "count must be >= 0"}
+    assert err == {"error": "validation", "detail": "audit: count must be >= 0"}
 
 
 def test_subcommands_reject_options_they_do_not_read(tmp_path, capsys):

@@ -187,6 +187,20 @@ def test_integrators_check_beta_before_integrating(monkeypatch):
         schrodinger_evolve(H2, PureState([1.0, 0.0]), GridSpec(1.0, 10), beta=math.inf)
 
 
+def test_integrators_check_their_spec_and_grid():
+    """A grid that is no GridSpec and a spec that is no LindbladSpec fail at
+    entry under the integrator's name."""
+    spec, rho0 = LindbladSpec(H2, [(SM, 0.5)]), np.diag([0.5, 0.5])
+    with pytest.raises(ValidationError, match=r"^lindblad_evolve: grid must be a GridSpec, got \(1.0, 10\)$"):
+        lindblad_evolve(spec, rho0, (1.0, 10), 1.0)
+    with pytest.raises(ValidationError, match="^lindblad_evolve: spec must be a LindbladSpec"):
+        lindblad_evolve(H2, rho0, GridSpec(1.0, 10), 1.0)
+    with pytest.raises(ValidationError, match="^schrodinger_evolve: grid must be a GridSpec, got 10$"):
+        schrodinger_evolve(H2, PureState([1.0, 0.0]), 10, 1.0)
+    with pytest.raises(ValidationError, match=r"^example1_pseudomode_oracle: grid must be a GridSpec, got \(1.0, 100\)$"):
+        example1_pseudomode_oracle(Example1Params(), grid=(1.0, 100))
+
+
 def _stage_loop_rk4(spec, rho0, grid, psd_check_every):
     """Reference: the four RK4 stages per step on the matrix-form generator,
     each state projected back to Hermitian, with the integrator's monitors."""

@@ -1,0 +1,121 @@
+"""Matrix operands and states: every site takes them through qcore's gate
+(``_gated``, with ``state=True`` for a state) and rejects a bad one under
+"<function> <argument>".
+
+Every operand site rejects a non-square, a non-finite and a non-Hermitian
+matrix (at the channel, the unit-trace one that a symmetrized Kraus sum
+would otherwise pass off as a state); a state site also rejects a trace of
+1.3 and an eigenvalue of -0.2.  The ledger reads its matrices through the
+JSON wire format, whose decoder rejects the first two kinds itself.
+"""
+
+import contextlib
+import io
+import json
+import re
+
+import numpy as np
+import pytest
+
+from qledger.cli import main
+from qledger.dynamics import GridSpec, LindbladSpec, lindblad_evolve, schrodinger_evolve
+from qledger.measures import Trajectory
+from qledger.models import Example2Params, example2_build, run_example2
+from qledger.qcore import (
+    PureState,
+    QuantumChannel,
+    ValidationError,
+    apply_channel,
+    matrix_log_hermitian,
+    matrix_to_json,
+    partial_trace,
+)
+
+SM = np.array([[0.0, 1.0], [0.0, 0.0]])
+H2 = np.diag([0.0, 1.0])
+GRID = GridSpec(1.0, 10)
+
+
+def _bad(kind: str, d: int) -> np.ndarray:
+    """A d x d operand (d x (d + 1) when non-square) with one defect."""
+    if kind == "non-square":
+        return np.zeros((d, d + 1))
+    m = np.eye(d) / d
+    if kind == "non-finite":
+        m[0, 0] = np.nan
+    elif kind == "non-Hermitian":
+        m[0, 1] = 0.3  # unit trace; the defect is 0.3
+    elif kind == "trace":
+        m *= 1.3
+    else:  # "eigenvalue": unit trace, one eigenvalue -0.2
+        m = np.zeros((d, d))
+        m[0, 0], m[1, 1] = 1.2, -0.2
+    return m
+
+
+def _ledger(key: str, tmp_path, m) -> None:
+    """The ledger CLI with ``m`` as its ``key``; its error detail re-raised."""
+    cfg = {"beta": 1.0, "rho0": np.eye(2) / 2, "h0": H2, "rho_tau": np.eye(2) / 2, key: m}
+    path = tmp_path / "process.json"
+    path.write_text(json.dumps({k: v if k == "beta" else matrix_to_json(v.astype(complex))
+                                for k, v in cfg.items()}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["ledger", "--config", str(path), "--out", str(tmp_path / "led.json")])
+    if code == 2:
+        raise ValidationError(json.loads(err.getvalue())["detail"])
+    assert code == 0
+
+
+def _trajectory(m, which: str):
+    """A three-point Trajectory whose last state or Hamiltonian is ``m``, as a list."""
+    good = np.eye(2) / 2 if which == "states" else H2
+    ms = [good, good, m]
+    states, hams = (ms, H2) if which == "states" else ([np.eye(2) / 2] * 3, ms)
+    return Trajectory([0.0, 0.5, 1.0], states, hams, 1.0)
+
+
+OPERAND = ("non-square", "non-finite", "non-Hermitian")
+STATE = OPERAND + ("trace", "eigenvalue")
+WIRE_STATE = ("non-Hermitian", "trace", "eigenvalue")
+
+# (the site's prefix, the defects it rejects, the operand's dimension, the
+# call with the operand in place)
+SITES = [
+    ("LindbladSpec hamiltonian", OPERAND, 2, lambda m, _: LindbladSpec(m, [(SM, 0.5)])),
+    ("schrodinger_evolve hamiltonian", OPERAND, 2,
+     lambda m, _: schrodinger_evolve(m, PureState([1.0, 0.0]), GRID, 1.0)),
+    ("lindblad_evolve rho0", STATE, 2, lambda m, _: lindblad_evolve(LindbladSpec(H2, [(SM, 0.5)]), m, GRID, 1.0)),
+    ("example2_build initial", STATE, 4, lambda m, _: example2_build(Example2Params(case=2), m)),
+    ("example2_build initial", STATE, 4, lambda m, _: run_example2(Example2Params(case=2, steps=100), m)),
+    ("apply_channel rho", OPERAND, 2, lambda m, _: apply_channel(QuantumChannel([np.eye(2)]), m)),
+    ("matrix_log_hermitian operator", OPERAND, 2, lambda m, _: matrix_log_hermitian(m)),
+    ("ledger config rho0", WIRE_STATE, 2, lambda m, tmp: _ledger("rho0", tmp, m)),
+    ("ledger config rho_tau", WIRE_STATE, 2, lambda m, tmp: _ledger("rho_tau", tmp, m)),
+    ("partial_trace", STATE, 2, lambda m, _: partial_trace(m, [2], [0])),
+    ("Trajectory states", OPERAND, 2, lambda m, _: _trajectory(m, "states")),
+    ("Trajectory hamiltonians", OPERAND, 2, lambda m, _: _trajectory(m, "hamiltonians")),
+]
+
+CASES = [(name, kind, d, call) for name, kinds, d, call in SITES for kind in kinds]
+
+
+@pytest.mark.parametrize("name, kind, d, call", CASES,
+                         ids=[f"{c[0]}-{c[1]}-{k}" for k, c in enumerate(CASES)])
+def test_operand_is_gated_under_its_caller(name, kind, d, call, tmp_path):
+    call(np.eye(d) / d, tmp_path)
+    with pytest.raises(ValidationError, match="^" + re.escape(name + ":")):
+        call(_bad(kind, d), tmp_path)
+
+
+@pytest.mark.parametrize("which", ["states", "hamiltonians"])
+def test_trajectory_rejects_a_list_of_mixed_shapes(which):
+    with pytest.raises(ValidationError, match=f"^Trajectory {which}: matrices of mixed shapes"):
+        _trajectory(np.eye(3) / 3, which)
+
+
+def test_apply_channel_reads_no_lower_triangle_into_a_state():
+    """The unit-trace non-Hermitian matrix used to come out as a state whose
+    off-diagonal was the mean of its two entries."""
+    with pytest.raises(ValidationError, match="^apply_channel rho: hermiticity defect 3.000e-01"):
+        apply_channel(QuantumChannel([np.eye(2)]), [[0.5, 0.3], [0.0, 0.5]])

@@ -16,7 +16,7 @@ from qledger.models import (
     run_example1,
     run_example2,
 )
-from qledger.qcore import NumericError, ValidationError
+from qledger.qcore import DensityMatrix, NumericError, PureState, ValidationError
 
 
 def test_example1_params_validation():
@@ -187,6 +187,29 @@ def test_case2_checks_its_states_once(gates):
     assert gates.count("Trajectory states") == 1
     spec, rho0 = example2_build(p)
     assert np.array_equal(tr.states, lindblad_evolve(spec, rho0, GridSpec(p.t_max, p.steps), p.beta).states)
+
+
+def test_example2_takes_a_custom_initial_state_bare_or_held():
+    """A bare matrix or vector gives the run of the container it becomes:
+    case 2 from |01><01|, case 1 from |100>."""
+    rho = np.zeros((4, 4))
+    rho[1, 1] = 1.0
+    psi = np.zeros(8)
+    psi[4] = 1.0
+    for case, bare, held in ((2, rho, DensityMatrix(rho)), (1, psi, PureState(psi))):
+        p = Example2Params(case=case, t_max=2.0, steps=400)
+        tr, _ = run_example2(p, bare)
+        assert np.array_equal(tr.states, run_example2(p, held)[0].states)
+        assert not np.array_equal(tr.states, run_example2(p)[0].states)
+    assert np.abs(tr.states[0] - np.diag([0.0, 0.0, 1.0, 0.0])).max() <= 1e-14  # case 1: battery |10>
+
+
+def test_example2_rejects_a_bad_initial_state_by_name():
+    p = Example2Params(case=2, t_max=2.0, steps=400)
+    with pytest.raises(ValidationError, match="^run_example2: state dim 2 does not match spec dim 4"):
+        run_example2(p, np.eye(2) / 2)
+    with pytest.raises(ValidationError, match="^example2_build initial: trace"):
+        run_example2(p, np.eye(4) / 2)
 
 
 def test_case2_coherent_power_integrates_coherence():

@@ -586,6 +586,17 @@ def test_partial_trace_stack_validates_dims_and_keep():
         partial_trace_stack(stack, [2, 2], [2])
 
 
+def test_partial_trace_stack_checks_its_shape():
+    """A (T, d, d) square stack, as an array or a list of matrices; anything
+    else is rejected under partial_trace's name, not by a numpy reshape."""
+    rho = np.eye(4) / 4
+    for bad in (rho, np.zeros((2, 4, 3)), [[1.0]]):
+        with pytest.raises(ValidationError, match=r"^partial_trace: expected a \(T, d, d\) stack, got shape"):
+            partial_trace_stack(bad, [2, 2], [0])
+    assert np.array_equal(partial_trace_stack([rho, rho], [2, 2], [0]),
+                          partial_trace_stack(np.stack([rho, rho]), [2, 2], [0]))
+
+
 def test_partial_trace_returns_a_state(solves):
     """A bare array is checked as a state under partial_trace's name, so the
     reduced matrix it returns is one; a DensityMatrix is one already."""
