@@ -31,6 +31,10 @@ chunk starts from the last chunk's coordinates.  Once per block of
 ``STACK_BLOCK`` states the coordinates are written into the complex states
 by an exact signed gather: each float of a state is one coordinate, its
 negative or zero, so every state is exactly Hermitian by construction.
+A caller that reads only a subsystem (the example-1 oracle) asks the
+private stepper to reduce each checked block by ``partial_trace_stack``
+as it goes: it then keeps the reduced states only, and the full states
+live in one buffer of a block's size.
 The build is paid once per run, so at large d a run of few steps costs
 more than the four stage products per step it replaces.
 
@@ -68,6 +72,7 @@ from .qcore import (
     _real,
     _reject,
     hermitian_eig,
+    partial_trace_stack,
 )
 
 TRACE_DRIFT_TOL = 1e-8
@@ -306,9 +311,14 @@ def lindblad_evolve(spec: LindbladSpec, rho0, grid: GridSpec, beta: float,
                       spec.hamiltonian, beta)
 
 
-def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: int, name: str):
+def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: int, name: str,
+                    reduce=None):
     """Read-only times and states of ``lindblad_evolve``, checked by its monitor
-    only; errors name the caller ``name``."""
+    only; errors name the caller ``name``.
+
+    With ``reduce=(dims, keep)`` each checked block of states is reduced by
+    ``partial_trace_stack(block, dims, keep)`` as it goes, and only the reduced
+    states are kept: the full states live in one buffer of a block's size."""
     if not isinstance(spec, LindbladSpec):
         raise _reject(f"{name}: spec", spec, "a LindbladSpec")
     if not isinstance(grid, GridSpec):
@@ -329,9 +339,20 @@ def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: i
     psd_due = np.zeros(n, dtype=bool)
     psd_due[psd_check_every - 1::psd_check_every] = True
     psd_due[-1] = True
-    out = np.empty((n + 1, d, d), dtype=np.complex128)
-    view = out.view(np.float64).reshape(n + 1, 2 * n2)
     pick, src, sign = _coordinates(d)
+    x0 = np.append(np.ascontiguousarray(state.matrix).view(np.float64).reshape(-1)[pick], 0.0)
+    # the full states are written here: the whole run, or one block at a time,
+    # which holds fewer than STACK_BLOCK + MAX_CHUNK states
+    full = np.empty((n + 1 if reduce is None else STACK_BLOCK + MAX_CHUNK, d, d), dtype=np.complex128)
+    view = full.view(np.float64).reshape(len(full), 2 * n2)
+    np.multiply(x0[src], sign, out=view[0])
+    if reduce is None:
+        out = full
+    else:
+        # reducing row 0 checks dims and keep before any stepping
+        first = partial_trace_stack(full[:1], *reduce)
+        out = np.empty((n + 1,) + first.shape[1:], dtype=np.complex128)
+        out[0] = first[0]
 
     m = _rk4_propagator(spec, dt)
     b = min(MAX_CHUNK, max(1, PROPAGATOR_POWERS_BYTES // m.nbytes))
@@ -341,8 +362,7 @@ def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: i
     # the coordinates of the last checked state (row 0) and of the states
     # stepped since, and the zero column of ``_coordinates``
     xs = np.zeros((STACK_BLOCK + b, n2 + 1))
-    xs[0, :n2] = np.ascontiguousarray(state.matrix).view(np.float64).reshape(-1)[pick]
-    np.multiply(xs[0, src], sign, out=view[0])
+    xs[0] = x0
     chunk = np.empty(b * n2)
     # overflow is caught by the monitor, as a non-finite state at its step
     with np.errstate(over="ignore", invalid="ignore"):
@@ -363,14 +383,16 @@ def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: i
             xs[j + 1 : j + 1 + c, :n2] = chunk[: c * n2].reshape(c, n2)
             k += c
             if k - checked >= STACK_BLOCK or k == n:
-                seg = view[checked + 1 : k + 1]
+                rows = slice(checked + 1, k + 1) if reduce is None else slice(0, k - checked)
                 # "clip" skips the bounds check; src is in range
-                np.take(xs[1 : k - checked + 1], src, axis=1, out=seg, mode="clip")
-                seg *= sign
-                _monitor(out[checked + 1 : k + 1], checked, psd_due[checked:k], times, dt, name)
+                np.take(xs[1 : k - checked + 1], src, axis=1, out=view[rows], mode="clip")
+                view[rows] *= sign
+                _monitor(full[rows], checked, psd_due[checked:k], times, dt, name)
+                if reduce is not None:
+                    out[checked + 1 : k + 1] = partial_trace_stack(full[rows], *reduce)
                 xs[0] = xs[k - checked]
                 checked = k
-    del powers, stacked
+    del powers, stacked, full
 
     times.setflags(write=False)  # so a Trajectory keeps them, not copies
     out.setflags(write=False)

@@ -16,7 +16,8 @@ positivity check against its floor, and they never reach a reported number.
 
 Each input check lives in one place: ``_as_square`` coerces and bounds a
 matrix, or a (..., d, d) stack in blocks of ``STACK_BLOCK`` (a list or tuple
-of matrices of one shape is stacked), and ``_as_hermitian`` adds the
+of matrices of one shape is stacked; what numpy cannot read as a regular
+array of numbers is rejected under the caller's name), and ``_as_hermitian`` adds the
 hermiticity check on top.  It is the one gate in front of the containers,
 the ``Trajectory`` stacks and both eigensolver entry points.  ``_gated`` is
 the one place where a bare array becomes an operand: a container passes as
@@ -96,12 +97,12 @@ def _as_square(m, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
     with ``stack``, a (..., d, d) stack of them, or a list or tuple of
     matrices or containers of one shape, stacked."""
     if stack and isinstance(m, (list, tuple)):
-        parts = [np.asarray(getattr(x, "matrix", x), dtype=np.complex128) for x in m]
+        parts = [_complex_array(x, name) for x in m]
         shapes = sorted({p.shape for p in parts})
         if len(shapes) > 1:
             raise ValidationError(f"{name}: matrices of mixed shapes {', '.join(map(str, shapes))}")
         m = np.stack(parts) if parts else np.empty(0)
-    a = np.asarray(getattr(m, "matrix", m), dtype=np.complex128)
+    a = _complex_array(m, name)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"{name}: expected a square matrix, got shape {a.shape}")
     if not (1 <= a.shape[-1] <= MAX_DIM):
@@ -110,6 +111,15 @@ def _as_square(m, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
         if not np.isfinite(b).all():
             raise ValidationError(f"{name}: entries must be finite")
     return a
+
+
+def _complex_array(m, name: str) -> np.ndarray:
+    """A matrix, container or nested sequence as a complex128 array; a ragged
+    or non-numeric input is a ``ValidationError`` under ``name``."""
+    try:
+        return np.asarray(getattr(m, "matrix", m), dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}: expected a regular array of numbers ({exc})") from None
 
 
 def _as_hermitian(m, name: str, *, stack: bool = False) -> np.ndarray:
@@ -250,8 +260,15 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, state: "PureState | np.ndarray") -> "DensityMatrix":
+        """|v><v|, exactly Hermitian: the upper triangle and the real diagonal of
+        ``np.outer``, whose complex products may round v_i conj(v_j) and
+        v_j conj(v_i) differently, with the lower triangle its conjugate."""
         v = state.amplitudes if isinstance(state, PureState) else np.asarray(state, np.complex128)
-        return cls(np.outer(v, v.conj()), check_psd=False)
+        rho = np.outer(v, v.conj())
+        lower = np.tril_indices(len(rho), -1)
+        rho[lower] = rho.T[lower].conj()
+        np.fill_diagonal(rho.imag, 0.0)
+        return cls(rho, check_psd=False)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"

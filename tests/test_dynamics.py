@@ -343,18 +343,78 @@ def test_monitor_runs_once_per_block(monkeypatch):
     per_run = []
     steps = models._lindblad_steps
 
-    def counted(spec, rho0, grid, every, name):
+    def counted(spec, rho0, grid, every, name, **kw):
         before = len(checks)
-        out = steps(spec, rho0, grid, every, name)
-        per_run.append((grid.steps, len(checks) - before))
+        out = steps(spec, rho0, grid, every, name, **kw)
+        per_run.append((grid.steps, len(checks) - before, kw.get("reduce")))
         return out
 
     monkeypatch.setattr(models, "_lindblad_steps", counted)
     example1_pseudomode_oracle(Example1Params(R=12.5))
     assert len(per_run) == 2  # the d = 4 calibration and the d = 8 run
+    assert all(reduce is not None for _, _, reduce in per_run)
+    per_run = [(n, calls) for n, calls, _ in per_run]
     for n, calls in per_run:
         assert 1 <= calls <= -(-n // STACK_BLOCK) + 1
     assert sum(checks) == sum(-(-n // 10) for n, _ in per_run)  # every 10th state and the last
+
+
+@pytest.mark.parametrize("steps", [100, STACK_BLOCK, 2500])
+@pytest.mark.parametrize("n, keep", [(2, [0]), (3, [0]), (3, [0, 1])], ids=["d4-0", "d8-0", "d8-01"])
+def test_reduced_run_is_the_partial_trace_of_the_full_run(n, keep, steps):
+    """Reducing each block as it is checked keeps the bits of reducing the
+    whole run at the end, on grids shorter than, equal to and longer than a
+    block."""
+    spec, rho0 = _qubit_chain(n)
+    grid, dims = GridSpec(1.0, steps), [2] * n
+    times, full = dyn._lindblad_steps(spec, rho0, grid, 7, "test")
+    rtimes, red = dyn._lindblad_steps(spec, rho0, grid, 7, "test", reduce=(dims, keep))
+    assert np.array_equal(rtimes, times)
+    assert red.shape == (steps + 1, 2 ** len(keep), 2 ** len(keep)) and not red.flags.writeable
+    assert np.array_equal(red, models.partial_trace_stack(full, dims, keep))
+
+
+def _oracle_runs(p):
+    """The oracle's two generators, initial states and factor dimensions: the
+    d = 4 calibration (qubit, mode) and the d = 8 run (battery, partner, mode)."""
+    h4 = p.omega0 * (tensor(NUM, I2) + tensor(I2, NUM)) + p.rabi * (tensor(SP, SM) + tensor(SM, SP))
+    coupling = p.beta1 * tensor(SP, I2, SM) + p.beta2 * tensor(I2, SP, SM)
+    num3 = tensor(NUM, I2, I2) + tensor(I2, NUM, I2) + tensor(I2, I2, NUM)
+    h8 = p.omega0 * num3 + p.rabi * (coupling + coupling.conj().T)
+    psi4, psi8 = np.eye(4)[2], p.c01 * np.eye(8)[4] + p.c02 * np.eye(8)[2]
+    return [(LindbladSpec(h4, [(tensor(I2, SM), 2.0 * p.lam)]), DensityMatrix.from_pure(psi4), [2, 2]),
+            (LindbladSpec(h8, [(tensor(I2, I2, SM), 2.0 * p.lam)]), DensityMatrix.from_pure(psi8), [2, 2, 2])]
+
+
+@pytest.mark.parametrize("run", [0, 1], ids=["calibration", "d8"])
+def test_reduced_run_fails_as_the_full_run(run):
+    """On a grid too coarse for the oracle's generators each reduced run raises
+    the unreduced run's error, word for word."""
+    spec, rho0, dims = _oracle_runs(Example1Params(R=1.0))[run]
+    messages = []
+    for reduce in (None, (dims, [0])):
+        with pytest.raises(NumericError) as info:
+            dyn._lindblad_steps(spec, rho0, GridSpec(20.0, 120), 10, "test", reduce=reduce)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] and "increase steps" in messages[0]
+
+
+def test_oracle_peak_memory():
+    """The oracle keeps the battery, not the d = 8 trajectory: its traced
+    peak at R = 12.5 (100001 states) stays within 32 MiB, where the full
+    trajectory alone is 98 MiB."""
+    import tracemalloc
+
+    p = Example1Params(R=12.5)
+    example1_pseudomode_oracle(p)  # warm-up: imports and lazy caches
+    tracemalloc.start()
+    try:
+        tr = example1_pseudomode_oracle(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.states.shape == (100001, 2, 2)
+    assert peak <= 32 * 2**20
 
 
 def _step_by_step_failure(spec, rho0, grid, psd_check_every):

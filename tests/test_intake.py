@@ -26,6 +26,7 @@ from qledger.qcore import (
     QuantumChannel,
     ValidationError,
     apply_channel,
+    hermitian_eig,
     matrix_log_hermitian,
     matrix_to_json,
     partial_trace,
@@ -119,3 +120,16 @@ def test_apply_channel_reads_no_lower_triangle_into_a_state():
     off-diagonal was the mean of its two entries."""
     with pytest.raises(ValidationError, match="^apply_channel rho: hermiticity defect 3.000e-01"):
         apply_channel(QuantumChannel([np.eye(2)]), [[0.5, 0.3], [0.0, 0.5]])
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [("hermitian_eig", lambda: hermitian_eig("ab")),
+     ("apply_channel rho", lambda: apply_channel(QuantumChannel([np.eye(2)]), [[1, 0], [0]]))],
+    ids=["non-numeric", "ragged"],
+)
+def test_unreadable_array_is_rejected_under_its_caller(name, call):
+    """numpy's own error on coercing a non-numeric or ragged input comes out
+    as a ValidationError that names the caller."""
+    with pytest.raises(ValidationError, match="^" + re.escape(name + ": expected a regular array of numbers")):
+        call()

@@ -293,6 +293,21 @@ def test_density_matrix_validation():
     assert r.dim == 2
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_projector_of_a_pure_state_is_exactly_hermitian(d):
+    """np.outer may round v_i conj(v_j) and v_j conj(v_i) differently; the
+    projector keeps its upper triangle and real diagonal, and mirrors them."""
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    m = DensityMatrix.from_pure(psi).matrix
+    assert np.array_equal(m, m.conj().T)
+    outer = np.outer(psi, psi.conj())
+    upper = np.triu_indices(d, 1)
+    assert np.array_equal(m[upper], outer[upper])
+    assert np.array_equal(m.diagonal().real, outer.diagonal().real)
+
+
 def test_pure_state_and_channel_validation():
     psi = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
     rho = psi.to_density()
