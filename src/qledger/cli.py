@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -26,6 +27,7 @@ from .qcore import (
     _gated,
     _kraus_sum,
     _spectra,
+    _stack_seed,
     apply_channel,
     matrix_from_json,
 )
@@ -58,6 +60,11 @@ _ALIASES = {"lam": "lambda"}
 CONTRACTIVITY_TOL = 1e-10
 DUAL_PATH_TOL = 1e-10
 CLOSURE_TOL = 1e-9
+
+# the audit draws, solves and checks its cases this many at a time: enough
+# that each stack solve spreads numpy's call overhead over many matrices,
+# few enough that the held cases stay small
+_AUDIT_BLOCK = 128
 
 
 def _read_json(path):
@@ -217,23 +224,15 @@ def _cmd_audit(args) -> int:
             f"expected the damping construction to give dS_ir < 0, got {ds_ir:.3e}"
         )
 
-    rng = np.random.default_rng(args.seed)
+    draws = _audit_draws(np.random.default_rng(args.seed), args.count)
+    blocks = iter(lambda: list(itertools.islice(draws, _AUDIT_BLOCK)), [])
+    cases = itertools.chain.from_iterable(zip(b, *_audit_solve(b)) for b in blocks)
     failures = []
     min_ds_ir = np.inf
     worst_dual = 0.0
     worst_closure = 0.0
-    for case in range(args.count):
-        dim = int(rng.integers(2, 5))
-        beta = float(10.0 ** rng.uniform(-1.0, 1.0))
-        h = sampling.random_hermitian(rng, dim)
-        rho0 = sampling.random_density(rng, dim)
-        # keep every thermal population above float support, so the checks
-        # probe the inequalities rather than representation loss
-        beta = min(beta, 10.0 / sampling.spectral_span_bound(h))
-        chan = sampling.gibbs_preserving_channel(rng, h, beta)
-        rho_t = apply_channel(chan, rho0)
-
-        pi = gibbs_state(h, beta).state
+    for case, ((beta, h, rho0, _), spec, rho_t) in enumerate(cases):
+        pi = spec.state
         rel0 = relative_entropy(rho0, pi)
         rel_t = relative_entropy(rho_t, pi)
         ds_ir = rel0 - rel_t
@@ -272,6 +271,32 @@ def _cmd_audit(args) -> int:
         )
     print(f"audit: PASS ({args.count} cases, 0 violations)")
     return 0
+
+
+def _audit_draws(rng: np.random.Generator, count: int):
+    """The audit's random cases, (beta, H, rho0, channel draws), each drawn
+    whole before the next, so the seed fixes every case."""
+    for _ in range(count):
+        dim = int(rng.integers(2, 5))
+        beta = float(10.0 ** rng.uniform(-1.0, 1.0))
+        h = sampling.random_hermitian(rng, dim)
+        rho0 = sampling.random_density(rng, dim)
+        # keep every thermal population above float support, so the checks
+        # probe the inequalities rather than representation loss
+        beta = min(beta, 10.0 / sampling.spectral_span_bound(h))
+        yield beta, h, rho0, sampling._channel_draws(rng, dim)
+
+
+def _audit_solve(block) -> tuple[list, list]:
+    """The Gibbs state and the channel's output state of each case of a block.
+    Every H and rho0 is solved in one stack per dimension, and so is every
+    output, which is then checked as a state on its carried spectrum."""
+    _stack_seed([x for _, h, rho0, _ in block for x in (h, rho0)], 1)
+    specs = [gibbs_state(h, beta) for beta, h, _, _ in block]
+    outs = [_gated(_kraus_sum(sampling._channel_from(spec, chan), rho0), "audit rho_t")
+            for spec, (_, _, rho0, chan) in zip(specs, block)]
+    _stack_seed(outs, 1)
+    return specs, [_gated(x, "audit rho_t", state=True) for x in outs]
 
 
 def _build_parser() -> argparse.ArgumentParser:

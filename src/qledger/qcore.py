@@ -17,7 +17,9 @@ positivity check against its floor, and they never reach a reported number.
 Each input check lives in one place: ``_as_square`` coerces and bounds a
 matrix, or a (..., d, d) stack in blocks of ``STACK_BLOCK`` (a list or tuple
 of matrices of one shape is stacked; what numpy cannot read as a regular
-array of numbers is rejected under the caller's name), and ``_as_hermitian`` adds the
+array of numbers is rejected under the caller's name, by ``_complex_array``,
+which ``PureState``, ``QuantumChannel``, ``DensityMatrix.from_pure`` and
+``partial_trace_stack`` use too), and ``_as_hermitian`` adds the
 hermiticity check on top.  It is the one gate in front of the containers,
 the ``Trajectory`` stacks and both eigensolver entry points.  ``_gated`` is
 the one place where a bare array becomes an operand: a container passes as
@@ -39,7 +41,8 @@ paid twice.
 the first-law ledger: the cold operands of one dimension above
 ``SCALAR_MAX_DIM`` share one stack call, whose per-matrix convergence test
 leaves every spectrum with the bits of a solve alone.  The path still
-depends on the dimension alone.
+depends on the dimension alone.  ``_stack_seed`` is that grouping, from a
+given dimension up; the audit uses it to solve its small cases as stacks.
 
 Conventions:
   * matrices are dense ``numpy`` arrays of complex128, row-major,
@@ -263,7 +266,7 @@ class DensityMatrix:
         """|v><v|, exactly Hermitian: the upper triangle and the real diagonal of
         ``np.outer``, whose complex products may round v_i conj(v_j) and
         v_j conj(v_i) differently, with the lower triangle its conjugate."""
-        v = state.amplitudes if isinstance(state, PureState) else np.asarray(state, np.complex128)
+        v = state.amplitudes if isinstance(state, PureState) else _complex_array(state, "DensityMatrix.from_pure")
         rho = np.outer(v, v.conj())
         lower = np.tril_indices(len(rho), -1)
         rho[lower] = rho.T[lower].conj()
@@ -311,18 +314,24 @@ def _spectrum(x):
 
 
 def _spectra(*xs) -> tuple:
-    """``_spectrum`` of each container; the cold ones of one dimension above
-    ``SCALAR_MAX_DIM`` are first seeded from one ``_jacobi_stack`` call, which
-    gives each the bits of a solve alone.  A repeated container is solved once."""
+    """``_spectrum`` of each container; the cold ones above ``SCALAR_MAX_DIM``
+    are first seeded by ``_stack_seed``."""
+    _stack_seed(xs, SCALAR_MAX_DIM + 1)
+    return tuple(map(_spectrum, xs))
+
+
+def _stack_seed(xs, min_dim: int) -> None:
+    """Seed the cold containers of ``xs`` of dimension ``min_dim`` and up from
+    one ``_jacobi_stack`` call per dimension, which gives each the bits of a
+    stack solve alone.  A repeated container is solved once."""
     stacks = {}
     for x in xs:
-        if x._eig is None and x.dim > SCALAR_MAX_DIM:
+        if x._eig is None and x.dim >= min_dim:
             stacks.setdefault(x.dim, {})[id(x)] = x
     for group in stacks.values():
         w, v = _jacobi_stack(np.stack([x.matrix for x in group.values()]), want_vectors=True)
         for x, wk, vk in zip(group.values(), w, v):
             _seed(x, wk, vk)
-    return tuple(map(_spectrum, xs))
 
 
 def _seed(x, w: np.ndarray, v: np.ndarray):
@@ -340,7 +349,7 @@ class PureState:
 
     def __init__(self, amplitudes) -> None:
         source = getattr(amplitudes, "amplitudes", amplitudes)
-        v = np.asarray(source, dtype=np.complex128)
+        v = _complex_array(source, "PureState")
         if v.ndim != 1 or not (1 <= v.size <= MAX_DIM):
             raise ValidationError(f"PureState: expected a vector of length 1..{MAX_DIM}")
         if not np.all(np.isfinite(v)):
@@ -371,23 +380,23 @@ class QuantumChannel:
     __slots__ = ("kraus", "_stack")
 
     def __init__(self, kraus) -> None:
-        kraus = [getattr(k, "matrix", k) for k in kraus]
+        kraus = [_complex_array(k, "QuantumChannel kraus") for k in kraus]
         if not kraus:
             raise ValidationError("QuantumChannel: at least one Kraus operator required")
-        shapes = {np.shape(k) for k in kraus}
+        shapes = {k.shape for k in kraus}
         if len(shapes) > 1:
             raise ValidationError("QuantumChannel: Kraus operators must share one dimension")
         (shape,) = shapes
         if len(shape) != 2 or shape[0] != shape[1]:  # named per operator, not as a stack
             raise ValidationError(f"QuantumChannel kraus: expected a square matrix, got shape {shape}")
-        ops = _as_square(kraus, "QuantumChannel kraus", stack=True)
+        ops = _as_square(np.stack(kraus), "QuantumChannel kraus", stack=True)
         d = ops.shape[-1]
         defect = float(np.abs(np.einsum("kji,kjl->il", ops.conj(), ops) - np.eye(d)).max())
         if defect > KRAUS_TOL:
             raise ValidationError(
                 f"QuantumChannel: completeness defect {defect:.3e} exceeds {KRAUS_TOL:.0e}"
             )
-        ops.setflags(write=False)  # a list always stacks into a new array
+        ops.setflags(write=False)  # np.stack always makes a new array
         object.__setattr__(self, "_stack", ops)
         object.__setattr__(self, "kraus", tuple(ops))
 
@@ -434,6 +443,13 @@ def _jacobi2(a: np.ndarray):
     return np.array([w0, w1]), np.array([[col0[0], col1[0]], [col0[1], col1[1]]], dtype=np.complex128)
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclic_pairs(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The pairs (p, q), p < q, in cyclic row order, each with the other indices."""
+    return tuple((p, q, tuple(i for i in range(n) if i != p and i != q))
+                 for p in range(n - 1) for q in range(p + 1, n))
+
+
 def _jacobi(a: np.ndarray):
     """Diagonalize one Hermitian matrix by cyclic Jacobi sweeps.
 
@@ -445,8 +461,13 @@ def _jacobi(a: np.ndarray):
     The path depends on the dimension alone.  Dimension 2 is one exact
     rotation (``_jacobi2``).  Up to ``SCALAR_MAX_DIM`` the inner loops work on
     plain Python complex scalars, which beats numpy calls per rotation for
-    the many tiny solves of the fuzz suites.  Larger matrices go through
-    ``_jacobi_stack`` as a stack of one.
+    the many tiny solves of the fuzz suites.  There, a rotation of the pair
+    (p, q) rotates the column entries outside the pair and writes the row
+    entries as their exact conjugates, so it works one triangle and A stays
+    exactly Hermitian; the diagonal is a real list, whose pair moves in
+    closed form to a_pp + t r and a_qq - t r (r = |a_pq|, as in ``_jacobi2``),
+    and a_pq becomes 0 (Golub & Van Loan, Matrix Computations, 8.5).  Larger
+    matrices go through ``_jacobi_stack`` as a stack of one.
     """
     n = a.shape[0]
     if n == 1:
@@ -470,6 +491,7 @@ def _jacobi(a: np.ndarray):
     # norm above the stopping level, so they are skipped
     skip = JACOBI_TOL * norm_f / (2.0 * n)
 
+    dg = [A[i][i].real for i in range(n)]
     V = [[1.0 + 0.0j if i == j else 0.0 + 0.0j for j in range(n)] for i in range(n)]
 
     for _ in range(JACOBI_MAX_SWEEPS):
@@ -484,45 +506,43 @@ def _jacobi(a: np.ndarray):
                 off2 += 2.0 * (x.real * x.real + x.imag * x.imag)
         if off2 <= stop2:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p][q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                phase = apq / r
-                _, c, s = _rotation((A[p][p].real - A[q][q].real) / (2.0 * r))
-                sf = s * phase              # s e^{+i phi}
-                sc = sf.conjugate()         # s e^{-i phi}
+        for p, q, others in _cyclic_pairs(n):
+            rp = A[p]
+            rq = A[q]
+            apq = rp[q]
+            r = abs(apq)
+            if r <= skip:
+                continue
+            phase = apq / r
+            t, c, s = _rotation((dg[p] - dg[q]) / (2.0 * r))
+            sf = s * phase              # s e^{+i phi}
+            sc = sf.conjugate()         # s e^{-i phi}
 
-                for i in range(n):
-                    row = A[i]
-                    aip = row[p]
-                    aiq = row[q]
-                    row[p] = c * aip + sc * aiq
-                    row[q] = c * aiq - sf * aip
-                rp = A[p]
-                rq = A[q]
-                for i in range(n):
-                    aip = rp[i]
-                    aiq = rq[i]
-                    rp[i] = c * aip + sf * aiq
-                    rq[i] = c * aiq - sc * aip
-                rp[q] = 0.0
-                rq[p] = 0.0
-                rp[p] = rp[p].real
-                rq[q] = rq[q].real
-                for row in V:
-                    vip = row[p]
-                    viq = row[q]
-                    row[p] = c * vip + sc * viq
-                    row[q] = c * viq - sf * vip
+            for i in others:
+                row = A[i]
+                aip = row[p]
+                aiq = row[q]
+                x = c * aip + sc * aiq
+                y = c * aiq - sf * aip
+                row[p] = x
+                row[q] = y
+                rp[i] = x.conjugate()
+                rq[i] = y.conjugate()
+            dg[p] += t * r
+            dg[q] -= t * r
+            rp[q] = 0j
+            rq[p] = 0j
+            for row in V:
+                vip = row[p]
+                viq = row[q]
+                row[p] = c * vip + sc * viq
+                row[q] = c * viq - sf * vip
     else:
         raise NumericError(
             f"Jacobi eigensolver did not converge within {JACOBI_MAX_SWEEPS} sweeps (dim {n})"
         )
 
-    w = np.array([A[i][i].real for i in range(n)])
+    w = np.array(dg)
     order = np.argsort(w, kind="stable")
     return w[order], np.array(V, dtype=np.complex128)[:, order]
 
@@ -670,7 +690,7 @@ def partial_trace(rho, dims, keep) -> DensityMatrix:
 def partial_trace_stack(states: np.ndarray, dims, keep) -> np.ndarray:
     """Vectorized partial trace over a (T, d, d) stack of states; only its
     shape is checked, not its entries."""
-    states = np.asarray(states)
+    states = _complex_array(states, "partial_trace")
     if states.ndim != 3 or states.shape[1] != states.shape[2]:
         raise ValidationError(f"partial_trace: expected a (T, d, d) stack, got shape {states.shape}")
     d = states.shape[-1]

@@ -97,19 +97,34 @@ def gibbs_preserving_channel(rng: np.random.Generator, hamiltonian, beta: float)
     Convex mixture of three commuting building blocks: a unitary generated
     by H with random per-level phases, full replacement by the Gibbs state,
     and dephasing in the H eigenbasis.  Each fixes the Gibbs state, hence
-    so does the mixture.
+    so does the mixture.  The random numbers (``_channel_draws``) do not
+    depend on the spectrum of H, so a caller may draw them first and build
+    the channel later from the Gibbs state (``_channel_from``), as the audit
+    does to solve many Hamiltonians in one stack.
     """
     beta = _as_beta(beta, "gibbs_preserving_channel")
     (h,) = _as_operands("gibbs_preserving_channel", hamiltonian=hamiltonian)
     spec = gibbs_state(h, beta)
+    return _channel_from(spec, _channel_draws(rng, h.dim))
+
+
+def _channel_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The random numbers of a Gibbs-preserving channel on ``dim`` levels, in
+    draw order: the three mixture weights, then one phase angle per level."""
+    weights = rng.dirichlet(np.ones(3))
+    return weights, rng.uniform(0.0, 2.0 * np.pi, size=dim)
+
+
+def _channel_from(spec, draws) -> QuantumChannel:
+    """The Gibbs-preserving channel of the ``GibbsSpec`` ``spec`` for the
+    random numbers ``draws`` of ``_channel_draws``."""
+    weights, angles = draws
     w, v = _spectrum(spec.hamiltonian)
     d = w.size
-
-    weights = rng.dirichlet(np.ones(3))
     vt = v.T  # vt[k] is the k-th energy eigenvector
 
     # random phases per energy level: commutes with H
-    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=d))
+    phases = np.exp(1j * angles)
     unitary = np.sqrt(weights[0]) * ((v * phases) @ v.conj().T)
 
     # full replacement: K_kj = sqrt(p_k) |e_k><e_j|, maps anything to Gibbs

@@ -193,6 +193,38 @@ def test_criterion_6a_flat_regime_power_monotonic():
     )
 
 
+def _power_rises(R: float, steps: int = Example1Params.steps):
+    """Steps where the example-1 power rises by more than 1e-9, and its minimum."""
+    _, series = run_example1(Example1Params(R=R, steps=steps))
+    return int(np.count_nonzero(np.diff(series.power) > 1e-9)), float(series.power.min())
+
+
+def test_criterion_6a_diagnostic_crossover_and_grid():
+    """Why 6a fails: the power is monotone at small R and stops being so
+    between R = 0.1 and 0.2, and its dip at R = 0.3 is the same on the
+    default grid and on one 4x finer (measured: they differ by 3.6e-9), so
+    the dip belongs to the closed-form model, not to the grid."""
+    lo, hi = 0.1, 0.2
+    ok = _power_rises(lo)[0] == 0 and _power_rises(hi)[0] > 0
+    while ok and hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        if _power_rises(mid)[0] == 0:
+            lo = mid
+        else:
+            hi = mid
+    steps = Example1Params.steps
+    (rises, p_min), (rises_fine, p_min_fine) = _power_rises(0.3), _power_rises(0.3, 4 * steps)
+    gap = abs(p_min - p_min_fine)
+    ok = ok and gap <= 1e-8
+    _report(
+        "criterion 6a diagnostic",
+        ok,
+        f"P monotone up to R={lo:.4f}, rising steps from R={hi:.4f}; R=0.3 power minimum "
+        f"{p_min:.7f} with {steps} steps ({rises} rising), {p_min_fine:.7f} with {4 * steps} "
+        f"({rises_fine} rising), gap {gap:.1e} <= 1e-8",
+    )
+
+
 def test_criterion_6b_oscillatory_regime_backflow():
     """R=30 information backflow must change sign repeatedly."""
     _, series = run_example1(Example1Params(R=30.0))

@@ -22,6 +22,7 @@ from qledger.dynamics import GridSpec, LindbladSpec, lindblad_evolve, schrodinge
 from qledger.measures import Trajectory
 from qledger.models import Example2Params, example2_build, run_example2
 from qledger.qcore import (
+    DensityMatrix,
     PureState,
     QuantumChannel,
     ValidationError,
@@ -30,6 +31,7 @@ from qledger.qcore import (
     matrix_log_hermitian,
     matrix_to_json,
     partial_trace,
+    partial_trace_stack,
 )
 
 SM = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -125,8 +127,12 @@ def test_apply_channel_reads_no_lower_triangle_into_a_state():
 @pytest.mark.parametrize(
     "name, call",
     [("hermitian_eig", lambda: hermitian_eig("ab")),
-     ("apply_channel rho", lambda: apply_channel(QuantumChannel([np.eye(2)]), [[1, 0], [0]]))],
-    ids=["non-numeric", "ragged"],
+     ("apply_channel rho", lambda: apply_channel(QuantumChannel([np.eye(2)]), [[1, 0], [0]])),
+     ("PureState", lambda: PureState([1, [0]])),
+     ("QuantumChannel kraus", lambda: QuantumChannel([[[1, 0], [0]]])),
+     ("partial_trace", lambda: partial_trace_stack([[1, 0], [0]], [2], [0])),
+     ("DensityMatrix.from_pure", lambda: DensityMatrix.from_pure("ab"))],
+    ids=["non-numeric", "ragged", "pure-state", "kraus", "partial-trace-stack", "from-pure"],
 )
 def test_unreadable_array_is_rejected_under_its_caller(name, call):
     """numpy's own error on coercing a non-numeric or ragged input comes out

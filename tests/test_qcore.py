@@ -9,6 +9,7 @@ from qledger import qcore, sampling
 from qledger.measures import Trajectory, _tables, dephase
 from qledger.qcore import (
     MAX_DIM,
+    SCALAR_MAX_DIM,
     STACK_BLOCK,
     DensityMatrix,
     HermitianOperator,
@@ -156,6 +157,19 @@ def mixed_stack(rng, dim):
         np.zeros((dim, dim), complex),
         random_hermitian(rng, dim),
     ])
+
+
+@pytest.mark.parametrize("dim", range(3, SCALAR_MAX_DIM + 1))
+def test_scalar_solver_matches_lapack(dim):
+    """The one-triangle scalar path: eigenvalues within 1e-13 of the Frobenius
+    norm of ``numpy.linalg.eigvalsh``'s, vectors that reconstruct the matrix
+    within 1e-12 of that norm and are unitary within 1e-12."""
+    for a in mixed_stack(np.random.default_rng(940 + dim), dim):
+        norm = np.linalg.norm(a)
+        w, v = _jacobi(a)
+        assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-13 * norm
+        assert np.linalg.norm((v * w) @ v.conj().T - a) <= 1e-12 * norm
+        assert np.linalg.norm(v.conj().T @ v - np.eye(dim)) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 16, 32, 33, 64])

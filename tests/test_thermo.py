@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qledger import cli
+from qledger import cli, sampling
 from qledger.measures import coherence, dephase
 from qledger.qcore import (
     DensityMatrix,
@@ -17,7 +17,7 @@ from qledger.qcore import (
     hermitian_eig,
     hermitian_eigvals,
 )
-from qledger.sampling import random_density, random_hermitian, spectral_span_bound
+from qledger.sampling import gibbs_preserving_channel, random_density, random_hermitian, spectral_span_bound
 from qledger.thermo import (
     GibbsSpec,
     ThermoLedger,
@@ -498,10 +498,53 @@ def test_criterion_1_draw_body_solves_four_matrices(solves):
         assert len(solves) <= 4 * draw
 
 
-def test_audit_case_solves_three_matrices(solves, capsys):
-    assert cli.main(["audit", "--count", "25", "--seed", "7"]) == 0
-    assert "PASS (25 cases, 0 violations)" in capsys.readouterr().out
-    assert 0 < len(solves) <= 3 * 25
+def test_audit_case_solves_three_matrices(solves, stack_solves, capsys, monkeypatch):
+    """Per block, one stack per dimension over every H and rho0, then one over
+    every channel output: 3 x 25 matrices, no scalar solve.  A stack gives a
+    matrix the bits of a solve alone, so the block size moves no output."""
+    dims = [h.dim for _, h, _, _ in cli._audit_draws(np.random.default_rng(7), 25)]
+    outs = set()
+    for block in (cli._AUDIT_BLOCK, 10, 1):
+        monkeypatch.setattr(cli, "_AUDIT_BLOCK", block)
+        expected = []
+        for start in range(0, 25, block):
+            counts = {}
+            for d in dims[start : start + block]:
+                counts[d] = counts.get(d, 0) + 1
+            expected += [(2 * k, d) for d, k in counts.items()] + [(k, d) for d, k in counts.items()]
+        stack_solves.clear()
+        assert cli.main(["audit", "--count", "25", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS (25 cases, 0 violations)" in out
+        assert solves == [] and stack_solves == expected
+        assert sum(b for b, _ in stack_solves) == 3 * 25
+        outs.add(out)
+    assert len(outs) == 1
+
+
+def test_channel_draws_then_build_give_the_public_channel():
+    """``gibbs_preserving_channel`` is its draws followed by its build, to the
+    bit, and leaves the generator where they do."""
+    h = random_hermitian(np.random.default_rng(960), 4)
+    rng, ref = np.random.default_rng(961), np.random.default_rng(961)
+    chan = sampling._channel_from(gibbs_state(h, 0.7), sampling._channel_draws(rng, 4))
+    assert np.array_equal(chan._stack, gibbs_preserving_channel(ref, h, 0.7)._stack)
+    assert rng.random() == ref.random()
+
+
+def test_audit_draws_are_the_one_case_at_a_time_draws():
+    """The audit draws its cases ahead of their solves, in the order of a loop
+    that draws (dim, beta, H, rho0) and builds the channel one case at a time."""
+    rng = np.random.default_rng(7)
+    for beta, h, rho0, draws in cli._audit_draws(np.random.default_rng(7), 60):
+        dim = int(rng.integers(2, 5))
+        b = float(10.0 ** rng.uniform(-1.0, 1.0))
+        h_ref, rho0_ref = random_hermitian(rng, dim), random_density(rng, dim)
+        b = min(b, 10.0 / spectral_span_bound(h_ref))
+        chan = gibbs_preserving_channel(rng, h_ref, b)
+        assert h.dim == dim and beta == b
+        assert np.array_equal(h.matrix, h_ref.matrix) and np.array_equal(rho0.matrix, rho0_ref.matrix)
+        assert np.array_equal(sampling._channel_from(gibbs_state(h, beta), draws)._stack, chan._stack)
 
 
 # ---------------------------------------------------------------------------
