@@ -69,6 +69,7 @@ from .qcore import (
     _integral,
     _jacobi,
     _min_eigvals,
+    _mirror,
     _real,
     _reject,
     hermitian_eig,
@@ -414,11 +415,11 @@ def schrodinger_evolve(hamiltonian, psi0, grid: GridSpec, beta: float) -> Trajec
         raise ValidationError(f"schrodinger_evolve: state dim {psi.dim} does not match H dim {h.dim}")
 
     w, vecs = hermitian_eig(h)
-    a0 = vecs.conj().T @ psi.amplitudes
+    a0 = np.einsum("ji,j->i", vecs.conj(), psi.amplitudes)  # V^dag psi(0)
     times = grid.times()
     phases = np.exp(-1j * np.outer(times, w))
-    amps = (phases * a0) @ vecs.T  # amps[k] = V (e^{-i w t_k} . a0)
-    states = amps[:, :, None] * amps.conj()[:, None, :]
+    amps = np.einsum("tk,ik->ti", phases * a0, vecs)  # amps[k] = V (e^{-i w t_k} . a0)
+    states = _mirror(amps[:, :, None] * amps.conj()[:, None, :])
     times.setflags(write=False)  # so the Trajectory keeps them, not copies
     states.setflags(write=False)
     return Trajectory(times, states, h, beta)

@@ -49,6 +49,7 @@ from .qcore import (
     _jacobi_stack,
     _seed,
     _spectrum,
+    _synthesize,
 )
 from .thermo import _energy, _entropy, _gibbs
 
@@ -75,9 +76,8 @@ def dephase(rho, hamiltonian) -> DensityMatrix:
     is deterministic.  The output keeps its spectrum: the populations, sorted.
     """
     _, v, pops = _energy_populations(rho, hamiltonian, "dephase")
-    m = (v * pops) @ v.conj().T
     order = np.argsort(pops, kind="stable")
-    return _seed(DensityMatrix(0.5 * (m + m.conj().T), check_psd=False), pops[order], v[:, order])
+    return _seed(DensityMatrix(_synthesize(v, pops), check_psd=False), pops[order], v[:, order])
 
 
 def coherence(rho, hamiltonian) -> float:

@@ -5,52 +5,41 @@ Jacobi eigensolver with complex rotations, on one of two paths chosen by
 shape alone.  ``_jacobi`` takes one matrix: up to ``SCALAR_MAX_DIM`` it
 runs scalar rotations on Python complex numbers, the fastest choice for the
 many tiny solves of the fuzz suites; larger matrices go through
-``_jacobi_stack``.  ``_jacobi_stack`` takes a (B, n, n) stack, such as the
-states of a trajectory, and rotates n/2 disjoint pairs of every matrix per
-numpy call (parallel-ordering Jacobi).  Matrices are small (64 is a hard
-cap), a regime where Jacobi is simple and accurate to machine precision.
-Both paths use elementwise arithmetic only, never BLAS, so a spectrum has
-the same bits on every numpy build.  The one exception is a monitor:
-``_min_eigvals`` takes LAPACK eigenvalues of a stack for the integrator's
-positivity check against its floor, and they never reach a reported number.
+``_jacobi_stack``, which takes a (B, n, n) stack, such as the states of a
+trajectory, and rotates n/2 disjoint pairs of every matrix per numpy call
+(parallel-ordering Jacobi; 64 is a hard cap on the dimension).  Both paths
+use elementwise arithmetic only, never BLAS, so a spectrum has the same bits
+on every numpy build.  The one exception is a monitor: ``_min_eigvals``
+takes LAPACK eigenvalues for the integrator's positivity check, and they
+never reach a reported number.  One kernel builds every matrix from a
+spectrum or a factor: ``_synthesize(v, x)``, V diag(x) V^H as one einsum
+(no BLAS) through ``_mirror``, which keeps the upper triangle and a real
+diagonal and writes the lower triangle as their exact conjugate.
 
 Each input check lives in one place: ``_as_square`` coerces and bounds a
 matrix, or a (..., d, d) stack in blocks of ``STACK_BLOCK`` (a list or tuple
-of matrices of one shape is stacked; what numpy cannot read as a regular
-array of numbers is rejected under the caller's name, by ``_complex_array``,
-which ``PureState``, ``QuantumChannel``, ``DensityMatrix.from_pure`` and
-``partial_trace_stack`` use too), and ``_as_hermitian`` adds the
-hermiticity check on top.  It is the one gate in front of the containers,
-the ``Trajectory`` stacks and both eigensolver entry points.  ``_gated`` is
-the one place where a bare array becomes an operand: a container passes as
-it is, anything else is gated once and held in a ``HermitianOperator`` for
-the call; ``_gated(..., state=True)`` is the one state intake, a
-``DensityMatrix`` checked by ``_check_state``.  Both report under
-"<function> <argument>", as ``_as_operands`` does, which gates each distinct
-operand of a thermo or measures function and requires one shared dimension.
-A scalar argument is read by one of three predicates, ``_real``,
-``_integral`` and ``_complex``, and a failure is reported by ``_reject`` as
-"<caller>: <argument> must be ..., got <value>"; ``_as_beta`` is the one
-inverse-temperature check.  ``partial_trace`` takes its input as a state and
-is the single-state case of ``partial_trace_stack``, which checks the stack's
-shape, ``dims`` and ``keep``.  One spectrum per operand: ``HermitianOperator``
-and ``DensityMatrix`` keep their (w, V) in a slot, filled on first use
-(``_spectrum``) or by the positivity check, whose decomposition is kept, not
-paid twice.
-``_spectra`` serves a function that needs several spectra at once, such as
-the first-law ledger: the cold operands of one dimension above
-``SCALAR_MAX_DIM`` share one stack call, whose per-matrix convergence test
-leaves every spectrum with the bits of a solve alone.  The path still
-depends on the dimension alone.  ``_stack_seed`` is that grouping, from a
-given dimension up; the audit uses it to solve its small cases as stacks.
+of one shape is stacked); ``_complex_array`` rejects what numpy cannot read
+as a regular array of numbers under the caller's name, and ``_as_hermitian``
+adds the hermiticity check.  ``_gated`` is the one place where a bare array
+becomes an operand, held in a ``HermitianOperator``; ``_gated(...,
+state=True)`` is the one state intake, a ``DensityMatrix`` checked by
+``_check_state``.  Both report under "<function> <argument>", as
+``_as_operands`` does, which gates each distinct operand of a thermo or
+measures function and requires one shared dimension.  A scalar argument is
+read by ``_real``, ``_integral`` or ``_complex``, a failure is reported by
+``_reject`` as "<caller>: <argument> must be ..., got <value>", and
+``_as_beta`` is the one inverse-temperature check.  One spectrum per
+operand: a container keeps its (w, V) in a slot, filled on first use
+(``_spectrum``) or by the positivity check.  ``_spectra`` seeds the cold
+operands of one dimension above ``SCALAR_MAX_DIM`` from one stack call
+(``_stack_seed``, which the audit also uses for its small cases); the
+per-matrix convergence test gives each spectrum the bits of a solve alone.
 
-Conventions:
-  * matrices are dense ``numpy`` arrays of complex128, row-major,
-  * eigenvalues are returned ascending with matching eigenvector columns,
-  * eigenvector phases (and the basis inside a degenerate cluster) are
-    arbitrary; downstream code only consumes basis-independent quantities,
-  * the JSON wire format for a matrix is
-    ``{"dim": n, "re": [...], "im": [...]}`` with row-major entry lists.
+Conventions: matrices are dense complex128 ``numpy`` arrays, row-major;
+eigenvalues ascend with matching eigenvector columns, whose phases (and the
+basis inside a degenerate cluster) are arbitrary, so downstream code only
+consumes basis-independent quantities; the JSON wire format for a matrix is
+``{"dim": n, "re": [...], "im": [...]}`` with row-major entry lists.
 """
 
 from __future__ import annotations
@@ -263,15 +252,12 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, state: "PureState | np.ndarray") -> "DensityMatrix":
-        """|v><v|, exactly Hermitian: the upper triangle and the real diagonal of
-        ``np.outer``, whose complex products may round v_i conj(v_j) and
-        v_j conj(v_i) differently, with the lower triangle its conjugate."""
+        """|v><v| through ``_mirror``, since ``np.outer`` may round v_i conj(v_j)
+        and v_j conj(v_i) differently.  A bare input must be a vector."""
         v = state.amplitudes if isinstance(state, PureState) else _complex_array(state, "DensityMatrix.from_pure")
-        rho = np.outer(v, v.conj())
-        lower = np.tril_indices(len(rho), -1)
-        rho[lower] = rho.T[lower].conj()
-        np.fill_diagonal(rho.imag, 0.0)
-        return cls(rho, check_psd=False)
+        if v.ndim != 1:
+            raise ValidationError(f"DensityMatrix.from_pure: expected a vector, got shape {v.shape}")
+        return cls(_mirror(np.outer(v, v.conj())), check_psd=False)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
@@ -722,15 +708,14 @@ def apply_channel(channel: QuantumChannel, rho) -> DensityMatrix:
 
 
 def _kraus_sum(channel: QuantumChannel, rho) -> np.ndarray:
-    """sum_k K rho K^dag, made exactly Hermitian; not checked as a state."""
+    """sum_k K rho K^dag through ``_mirror``; not checked as a state."""
     a = _as_square(rho, "apply_channel")
     if a.shape[0] != channel.dim:
         raise ValidationError(
             f"apply_channel: state dim {a.shape[0]} does not match channel dim {channel.dim}"
         )
     k = channel._stack
-    out = (k @ a @ k.conj().swapaxes(1, 2)).sum(axis=0)
-    return 0.5 * (out + out.conj().T)
+    return _mirror((k @ a @ k.conj().swapaxes(1, 2)).sum(axis=0))
 
 
 def matrix_log_hermitian(operator, floor: float = LOG_FLOOR) -> np.ndarray:
@@ -744,9 +729,23 @@ def matrix_log_hermitian(operator, floor: float = LOG_FLOOR) -> np.ndarray:
     if not (f is not None and 0 < f < math.inf):
         raise _reject("matrix_log_hermitian: floor", floor, "a positive finite real number")
     w, v = _spectrum(_gated(operator, "matrix_log_hermitian operator"))
-    lw = np.log(np.maximum(w, f))
-    out = (v * lw) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
+    return _synthesize(v, np.log(np.maximum(w, f)))
+
+
+def _mirror(m: np.ndarray) -> np.ndarray:
+    """A fresh (..., d, d) array made exactly Hermitian in place: the upper
+    triangle and real diagonal kept, the lower triangle their conjugate.
+    Row i is written from column i, so no temporary of a stack is made."""
+    d = m.shape[-1]
+    for i in range(1, d):
+        np.conjugate(m[..., :i, i], out=m[..., i, :i])
+    m.imag[..., range(d), range(d)] = 0.0
+    return m
+
+
+def _synthesize(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """V diag(x) V^H for real x: one einsum, no BLAS call, through ``_mirror``."""
+    return _mirror(np.einsum("...ik,...k,...jk->...ij", v, x, v.conj()))
 
 
 # ---------------------------------------------------------------------------

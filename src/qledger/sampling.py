@@ -23,6 +23,7 @@ from .qcore import (
     _real,
     _reject,
     _spectrum,
+    _synthesize,
 )
 from .thermo import gibbs_state
 
@@ -65,7 +66,7 @@ def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) 
     elif not (_integral(rank) and 1 <= rank <= dim):
         raise _reject("random_density: rank", rank, f"an integer in [1, {dim}]")
     g = _ginibre(rng, dim, rank)
-    m = g @ g.conj().T
+    m = _synthesize(g, np.ones(rank))
     # a Gram matrix is positive semidefinite by construction
     return DensityMatrix(m / m.trace().real, check_psd=False)
 
@@ -128,7 +129,7 @@ def _channel_from(spec, draws) -> QuantumChannel:
     unitary = np.sqrt(weights[0]) * ((v * phases) @ v.conj().T)
 
     # full replacement: K_kj = sqrt(p_k) |e_k><e_j|, maps anything to Gibbs
-    pops = np.maximum(np.diag(v.conj().T @ spec.state.matrix @ v).real, 0.0)
+    pops = _spectrum(spec.state)[0][::-1]  # the state's spectrum by energy
     replace = np.sqrt(weights[1] * pops)[:, None, None, None] * (
         vt[:, None, :, None] * vt.conj()[None, :, None, :]
     )

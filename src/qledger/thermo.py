@@ -47,6 +47,7 @@ from .qcore import (
     _seed,
     _spectra,
     _spectrum,
+    _synthesize,
 )
 
 # support cutoffs for relative entropy: sigma eigenvalues below
@@ -162,14 +163,13 @@ def gibbs_state(hamiltonian, beta: float) -> GibbsSpec:
     op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
     w, v = _spectrum(op)
     p, _, log_z = _gibbs(w, beta)
-    m = (v * p) @ v.conj().T
     z = math.exp(log_z)
     # with the ground energy at exactly 0 the bare sum already is Z, so the
     # shift convention requires Z >= 1
     if w[0] == 0.0 and z < 1.0 - 1e-12:
         raise NumericError(f"gibbs_state: Z = {z} < 1 with ground energy 0")
     # p falls as w rises, so the reversed pair is the ascending spectrum
-    state = _seed(DensityMatrix(0.5 * (m + m.conj().T), check_psd=False), p[::-1], v[:, ::-1])
+    state = _seed(DensityMatrix(_synthesize(v, p), check_psd=False), p[::-1], v[:, ::-1])
     return GibbsSpec(hamiltonian=op, beta=beta, Z=z, log_Z=float(log_z), state=state)
 
 
@@ -182,8 +182,7 @@ def passive_state(rho, hamiltonian) -> DensityMatrix:
     a, h = _as_operands("passive_state", rho=rho, hamiltonian=hamiltonian)
     r = np.sort(_spectrum(a)[0])[::-1]
     w, v = _spectrum(h)
-    m = (v * r) @ v.conj().T
-    return DensityMatrix(0.5 * (m + m.conj().T), check_psd=False)
+    return DensityMatrix(_synthesize(v, r), check_psd=False)
 
 
 def ergotropy(rho, hamiltonian) -> float:

@@ -1,6 +1,7 @@
 """Core linear algebra: eigensolver, validated containers, composition."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -320,6 +321,16 @@ def test_projector_of_a_pure_state_is_exactly_hermitian(d):
     upper = np.triu_indices(d, 1)
     assert np.array_equal(m[upper], outer[upper])
     assert np.array_equal(m.diagonal().real, outer.diagonal().real)
+
+
+def test_from_pure_takes_a_bare_input_only_as_a_vector():
+    for bare in ([[1, 0], [0, 0]], [[1.0]], 1.0, np.zeros((1, 2, 1))):
+        shape = re.escape(str(np.shape(bare)))
+        with pytest.raises(ValidationError, match=rf"^DensityMatrix.from_pure: .*shape {shape}$"):
+            DensityMatrix.from_pure(bare)
+    # an unnormalized vector is still reported by the trace check
+    with pytest.raises(ValidationError, match="DensityMatrix: trace"):
+        DensityMatrix.from_pure([1.0, 1.0])
 
 
 def test_pure_state_and_channel_validation():
@@ -685,7 +696,7 @@ def test_kraus_sum_equals_the_loop_bitwise(d):
     kraus = _isometry_channel(rng, d, 3)
     rho = random_density_matrix(rng, d)
     out = sum(k @ rho @ k.conj().T for k in kraus)
-    ref = 0.5 * (out + out.conj().T)
+    ref = qcore._mirror(out)
     assert qcore._kraus_sum(QuantumChannel(kraus), rho).tobytes() == ref.tobytes()
 
 
@@ -703,7 +714,7 @@ def test_gibbs_preserving_kraus_stack_equals_outer_products_bitwise():
         weights = draw.dirichlet(np.ones(3))
         phases = np.exp(1j * draw.uniform(0.0, 2.0 * np.pi, size=d))
         ref = [np.sqrt(weights[0]) * ((v * phases) @ v.conj().T)]
-        pops = np.maximum(np.diag(v.conj().T @ spec.state.matrix @ v).real, 0.0)
+        pops = hermitian_eigvals(spec.state)[::-1]
         ref += [np.sqrt(weights[1] * pops[k]) * np.outer(v[:, k], v[:, j].conj())
                 for k in range(d) for j in range(d)]
         ref += [np.sqrt(weights[2]) * np.outer(v[:, k], v[:, k].conj()) for k in range(d)]
