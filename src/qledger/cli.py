@@ -345,6 +345,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit_error("validation", str(exc))
         return 2
+    except MemoryError as exc:  # a grid or process too large to allocate
+        _emit_error("validation", f"out of memory: {exc}")
+        return 2
 
 
 def _emit_error(code: str, detail: str) -> None:

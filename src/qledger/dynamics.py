@@ -31,10 +31,9 @@ chunk starts from the last chunk's coordinates.  Once per block of
 ``STACK_BLOCK`` states the coordinates are written into the complex states
 by an exact signed gather: each float of a state is one coordinate, its
 negative or zero, so every state is exactly Hermitian by construction.
-A caller that reads only a subsystem (the example-1 oracle) asks the
-private stepper to reduce each checked block by ``partial_trace_stack``
-as it goes: it then keeps the reduced states only, and the full states
-live in one buffer of a block's size.
+Every run writes its states into one buffer of a block's size and keeps
+each checked block as its ``partial_trace_stack``: the example-1 oracle
+keeps its battery only, any other run the identity trace, a plain copy.
 The build is paid once per run, so at large d a run of few steps costs
 more than the four stage products per step it replaces.
 
@@ -317,9 +316,9 @@ def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: i
     """Read-only times and states of ``lindblad_evolve``, checked by its monitor
     only; errors name the caller ``name``.
 
-    With ``reduce=(dims, keep)`` each checked block of states is reduced by
-    ``partial_trace_stack(block, dims, keep)`` as it goes, and only the reduced
-    states are kept: the full states live in one buffer of a block's size."""
+    Each checked block of states is written into one buffer of a block's size
+    and kept as ``partial_trace_stack(block, dims, keep)``, with ``reduce=(dims,
+    keep)``; without it ``([d], [0])``, the identity, a plain copy."""
     if not isinstance(spec, LindbladSpec):
         raise _reject(f"{name}: spec", spec, "a LindbladSpec")
     if not isinstance(grid, GridSpec):
@@ -342,18 +341,15 @@ def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: i
     psd_due[-1] = True
     pick, src, sign = _coordinates(d)
     x0 = np.append(np.ascontiguousarray(state.matrix).view(np.float64).reshape(-1)[pick], 0.0)
-    # the full states are written here: the whole run, or one block at a time,
-    # which holds fewer than STACK_BLOCK + MAX_CHUNK states
-    full = np.empty((n + 1 if reduce is None else STACK_BLOCK + MAX_CHUNK, d, d), dtype=np.complex128)
+    dims, keep = reduce or ([d], [0])
+    # the full states of one block, fewer than STACK_BLOCK + MAX_CHUNK
+    full = np.empty((STACK_BLOCK + MAX_CHUNK, d, d), dtype=np.complex128)
     view = full.view(np.float64).reshape(len(full), 2 * n2)
     np.multiply(x0[src], sign, out=view[0])
-    if reduce is None:
-        out = full
-    else:
-        # reducing row 0 checks dims and keep before any stepping
-        first = partial_trace_stack(full[:1], *reduce)
-        out = np.empty((n + 1,) + first.shape[1:], dtype=np.complex128)
-        out[0] = first[0]
+    # reducing row 0 checks dims and keep before any stepping
+    first = partial_trace_stack(full[:1], dims, keep)
+    out = np.empty((n + 1,) + first.shape[1:], dtype=np.complex128)
+    out[0] = first[0]
 
     m = _rk4_propagator(spec, dt)
     b = min(MAX_CHUNK, max(1, PROPAGATOR_POWERS_BYTES // m.nbytes))
@@ -384,13 +380,12 @@ def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: i
             xs[j + 1 : j + 1 + c, :n2] = chunk[: c * n2].reshape(c, n2)
             k += c
             if k - checked >= STACK_BLOCK or k == n:
-                rows = slice(checked + 1, k + 1) if reduce is None else slice(0, k - checked)
+                rows = slice(0, k - checked)
                 # "clip" skips the bounds check; src is in range
                 np.take(xs[1 : k - checked + 1], src, axis=1, out=view[rows], mode="clip")
                 view[rows] *= sign
                 _monitor(full[rows], checked, psd_due[checked:k], times, dt, name)
-                if reduce is not None:
-                    out[checked + 1 : k + 1] = partial_trace_stack(full[rows], *reduce)
+                out[checked + 1 : k + 1] = partial_trace_stack(full[rows], dims, keep)
                 xs[0] = xs[k - checked]
                 checked = k
     del powers, stacked, full

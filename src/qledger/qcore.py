@@ -1,20 +1,21 @@
 """Dense complex linear algebra and quantum state primitives.
 
-Every reported spectral quantity in this package comes from a cyclic
-Jacobi eigensolver with complex rotations, on one of two paths chosen by
-shape alone.  ``_jacobi`` takes one matrix: up to ``SCALAR_MAX_DIM`` it
-runs scalar rotations on Python complex numbers, the fastest choice for the
-many tiny solves of the fuzz suites; larger matrices go through
-``_jacobi_stack``, which takes a (B, n, n) stack, such as the states of a
-trajectory, and rotates n/2 disjoint pairs of every matrix per numpy call
-(parallel-ordering Jacobi; 64 is a hard cap on the dimension).  Both paths
-use elementwise arithmetic only, never BLAS, so a spectrum has the same bits
-on every numpy build.  The one exception is a monitor: ``_min_eigvals``
-takes LAPACK eigenvalues for the integrator's positivity check, and they
-never reach a reported number.  One kernel builds every matrix from a
-spectrum or a factor: ``_synthesize(v, x)``, V diag(x) V^H as one einsum
-(no BLAS) through ``_mirror``, which keeps the upper triangle and a real
-diagonal and writes the lower triangle as their exact conjugate.
+Every reported spectral quantity in this package comes from a cyclic Jacobi
+eigensolver with complex rotations, on one of two paths chosen by shape
+alone.  ``_jacobi`` takes one matrix: every dimension from 1 to
+``SCALAR_MAX_DIM`` runs one scalar loop of rotations on Python complex
+numbers, the fastest choice for the many tiny solves of the fuzz suites;
+larger matrices go through ``_jacobi_stack``, which takes a (B, n, n) stack,
+such as the states of a trajectory, and rotates n/2 disjoint pairs of every
+matrix per numpy call (parallel-ordering Jacobi; 64 is a hard cap on the
+dimension).  Both paths use elementwise arithmetic only, never BLAS, so a
+spectrum has the same bits on every numpy build.  The one exception is a
+monitor: ``_min_eigvals`` takes LAPACK eigenvalues for the integrator's
+positivity check, and they never reach a reported number.  One kernel builds
+every matrix from a spectrum or a factor: ``_synthesize(v, x)``, V diag(x)
+V^H as one einsum (no BLAS) through ``_mirror``, which keeps the upper
+triangle and a real diagonal and writes the lower triangle as their exact
+conjugate.
 
 Each input check lives in one place: ``_as_square`` coerces and bounds a
 matrix, or a (..., d, d) stack in blocks of ``STACK_BLOCK`` (a list or tuple
@@ -397,38 +398,6 @@ class QuantumChannel:
 # ---------------------------------------------------------------------------
 # cyclic Jacobi eigensolver
 
-def _rotation(tau: float):
-    """Tangent, cosine and sine of the Jacobi angle for a given tau."""
-    if abs(tau) > 1e12:
-        t = 1.0 / (2.0 * tau)
-    else:
-        t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    return t, c, t * c
-
-
-def _jacobi2(a: np.ndarray):
-    """Exact single-rotation diagonalization of a 2x2 Hermitian matrix."""
-    d0 = a[0, 0].real
-    d1 = a[1, 1].real
-    b = complex(a[0, 1])
-    r = abs(b)
-    if r == 0.0:
-        if d0 <= d1:
-            return np.array([d0, d1]), np.eye(2, dtype=np.complex128)
-        return np.array([d1, d0]), np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    phase = b / r
-    t, c, s = _rotation((d0 - d1) / (2.0 * r))
-    w0 = d0 + t * r
-    w1 = d1 - t * r
-    col0 = (c, s * phase.conjugate())
-    col1 = (-s * phase, c)
-    if w0 > w1:
-        w0, w1 = w1, w0
-        col0, col1 = col1, col0
-    return np.array([w0, w1]), np.array([[col0[0], col1[0]], [col0[1], col1[1]]], dtype=np.complex128)
-
-
 @functools.lru_cache(maxsize=None)
 def _cyclic_pairs(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """The pairs (p, q), p < q, in cyclic row order, each with the other indices."""
@@ -444,22 +413,17 @@ def _jacobi(a: np.ndarray):
     ``JACOBI_TOL`` times the Frobenius norm of the input.  Raises
     ``NumericError`` after ``JACOBI_MAX_SWEEPS`` sweeps without convergence.
 
-    The path depends on the dimension alone.  Dimension 2 is one exact
-    rotation (``_jacobi2``).  Up to ``SCALAR_MAX_DIM`` the inner loops work on
-    plain Python complex scalars, which beats numpy calls per rotation for
-    the many tiny solves of the fuzz suites.  There, a rotation of the pair
-    (p, q) rotates the column entries outside the pair and writes the row
-    entries as their exact conjugates, so it works one triangle and A stays
-    exactly Hermitian; the diagonal is a real list, whose pair moves in
-    closed form to a_pp + t r and a_qq - t r (r = |a_pq|, as in ``_jacobi2``),
-    and a_pq becomes 0 (Golub & Van Loan, Matrix Computations, 8.5).  Larger
-    matrices go through ``_jacobi_stack`` as a stack of one.
+    The path depends on the dimension alone.  From 1 to ``SCALAR_MAX_DIM``
+    the inner loops work on plain Python complex scalars, which beats numpy
+    calls per rotation for the many tiny solves of the fuzz suites.  A
+    rotation of the pair (p, q) rotates the column entries outside the pair
+    and writes the row entries as their exact conjugates, so it works one
+    triangle and A stays exactly Hermitian; the diagonal is a real list,
+    whose pair moves in closed form to a_pp + t r and a_qq - t r (r =
+    |a_pq|), and a_pq becomes 0 (Golub & Van Loan, Matrix Computations,
+    8.5).  Larger matrices go through ``_jacobi_stack`` as a stack of one.
     """
     n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real]), np.eye(1, dtype=np.complex128)
-    if n == 2:
-        return _jacobi2(a)
     if n > SCALAR_MAX_DIM:
         w, v = _jacobi_stack(a[None], want_vectors=True)
         return w[0], v[0]
@@ -500,8 +464,14 @@ def _jacobi(a: np.ndarray):
             if r <= skip:
                 continue
             phase = apq / r
-            t, c, s = _rotation((dg[p] - dg[q]) / (2.0 * r))
-            sf = s * phase              # s e^{+i phi}
+            # tangent t, cosine c and sine t c of the Jacobi angle
+            tau = (dg[p] - dg[q]) / (2.0 * r)
+            if abs(tau) > 1e12:
+                t = 1.0 / (2.0 * tau)
+            else:
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            sf = t * c * phase          # s e^{+i phi}
             sc = sf.conjugate()         # s e^{-i phi}
 
             for i in others:
@@ -656,9 +626,9 @@ def tensor(*factors) -> np.ndarray:
         factors = tuple(factors[0])
     if not factors:
         raise ValidationError("tensor: at least one factor required")
-    out = np.asarray(getattr(factors[0], "matrix", factors[0]), dtype=np.complex128)
+    out = _complex_array(factors[0], "tensor")
     for f in factors[1:]:
-        out = np.kron(out, np.asarray(getattr(f, "matrix", f), dtype=np.complex128))
+        out = np.kron(out, _complex_array(f, "tensor"))
     return out
 
 
@@ -680,16 +650,18 @@ def partial_trace_stack(states: np.ndarray, dims, keep) -> np.ndarray:
     if states.ndim != 3 or states.shape[1] != states.shape[2]:
         raise ValidationError(f"partial_trace: expected a (T, d, d) stack, got shape {states.shape}")
     d = states.shape[-1]
-    dims, keep = list(dims), list(keep)
+    dims = _listed(dims, "partial_trace: dims", "positive integers")
     if not all(_integral(x) and x >= 1 for x in dims):
         raise _reject("partial_trace: dims", dims, "positive integers")
     dims = [int(x) for x in dims]
     n = len(dims)
     if int(np.prod(dims)) != d:
         raise ValidationError(f"partial_trace: dims {dims} do not factor dimension {d}")
+    want = f"distinct ascending indices in 0..{n - 1}"
+    keep = _listed(keep, "partial_trace: keep", want)
     ascending = keep and all(map(_integral, keep)) and keep == sorted(set(keep))
     if not (ascending and 0 <= keep[0] and keep[-1] < n):
-        raise ValidationError(f"partial_trace: keep {keep} must be distinct ascending indices in 0..{n - 1}")
+        raise ValidationError(f"partial_trace: keep {keep} must be {want}")
     keep = [int(k) for k in keep]
     t = states.shape[0]
     reshaped = states.reshape([t] + dims + dims)
@@ -699,6 +671,14 @@ def partial_trace_stack(states: np.ndarray, dims, keep) -> np.ndarray:
     red = np.einsum(reshaped, [0] + row + col, out)
     dk = int(np.prod([dims[k] for k in keep]))
     return red.reshape(t, dk, dk)
+
+
+def _listed(x, name: str, want: str) -> list:
+    """A sequence argument as a list; anything else is ``_reject``-ed."""
+    try:
+        return list(x)
+    except TypeError:
+        raise _reject(name, x, want) from None
 
 
 def apply_channel(channel: QuantumChannel, rho) -> DensityMatrix:

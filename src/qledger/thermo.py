@@ -146,9 +146,7 @@ def relative_entropy(rho, sigma) -> float:
         return _relent_from_spectra(wr, vr, _gibbs(wh, sigma.beta)[1], vh)
     a, b = _as_operands("relative_entropy", rho=rho, sigma=sigma)
     (wr, vr), (ws, vs) = _spectra(a, b)
-    overlap = np.abs(vr.conj().T @ vs) ** 2  # overlap[i, j] = |<r_i|s_j>|^2
-    wr = np.clip(wr, 0.0, None)
-    weights = wr @ overlap  # rho weight on each sigma eigenvector
+    wr, weights = _overlap_weights(wr, vr, vs)
     unsupported = ws < SIGMA_SUPPORT_TOL
     if np.any(weights[unsupported] > RHO_WEIGHT_TOL):
         return math.inf
@@ -356,7 +354,13 @@ def first_law_ledger(rho0, h0, rho_tau, h_tau, beta: float) -> ThermoLedger:
 
 
 def _relent_from_spectra(wr, vr, log_psigma, vsigma) -> float:
+    wr, weights = _overlap_weights(wr, vr, vsigma)
+    return -float(_entropy(wr)) - float(weights @ log_psigma)
+
+
+def _overlap_weights(wr, vr, vsigma) -> tuple[np.ndarray, np.ndarray]:
+    """rho's spectrum clipped at 0, and its weight on each sigma eigenvector:
+    sum_i p_i |<r_i|s_j>|^2."""
     overlap = np.abs(vr.conj().T @ vsigma) ** 2
     wr = np.clip(wr, 0.0, None)
-    weights = wr @ overlap
-    return -float(_entropy(wr)) - float(weights @ log_psigma)
+    return wr, wr @ overlap

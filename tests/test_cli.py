@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from qledger import models
 from qledger.cli import main
 from qledger.measures import CSV_HEADER, read_csv
 from qledger.qcore import matrix_from_json, matrix_to_json
@@ -120,6 +121,19 @@ def test_numeric_failure_exit_code(capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "numeric"
     assert "steps" in err["detail"]
+
+
+def test_unallocatable_grid_is_a_validation_error(monkeypatch, capsys):
+    """A grid too large for memory exits 2 with the JSON error, not a
+    traceback; the runner stands in for the allocation that fails."""
+    def too_large(p):
+        raise MemoryError(f"Unable to allocate 7.28 TiB for {p.steps + 1} states")
+
+    monkeypatch.setattr(models, "run_example1", too_large)
+    assert run(["example1", "--override", "steps=1000000000000"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert err["detail"] == "out of memory: Unable to allocate 7.28 TiB for 1000000000001 states"
 
 
 # ---------------------------------------------------------------------------

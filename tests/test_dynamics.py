@@ -417,6 +417,29 @@ def test_oracle_peak_memory():
     assert peak <= 32 * 2**20
 
 
+def test_lindblad_evolve_peak_memory():
+    """Every run writes its states through one buffer of STACK_BLOCK +
+    MAX_CHUNK full states.  At d = 8 the traced peak of a run stays within
+    its output (states and times) plus three such buffers: the buffer
+    itself, and under two more for the coordinate rows, the propagator
+    powers and the block temporaries of the monitor and the gate.  A second
+    whole-run stack would add 5.1 MB."""
+    import tracemalloc
+
+    spec, rho0 = _qubit_chain(3)
+    grid = GridSpec(1.0, 5000)
+    lindblad_evolve(spec, rho0, grid, 1.0)  # warm-up: lazy caches
+    tracemalloc.start()
+    try:
+        tr = lindblad_evolve(spec, rho0, grid, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer = (STACK_BLOCK + dyn.MAX_CHUNK) * 8 * 8 * 16
+    assert tr.states.shape == (5001, 8, 8)
+    assert peak <= tr.states.nbytes + tr.times.nbytes + 3 * buffer
+
+
 def _step_by_step_failure(spec, rho0, grid, psd_check_every):
     """The first monitor message of a loop that applies the real RK4 step to
     the state's coordinates once per step and checks every state right after

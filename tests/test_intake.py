@@ -32,6 +32,7 @@ from qledger.qcore import (
     matrix_to_json,
     partial_trace,
     partial_trace_stack,
+    tensor,
 )
 
 SM = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -131,8 +132,9 @@ def test_apply_channel_reads_no_lower_triangle_into_a_state():
      ("PureState", lambda: PureState([1, [0]])),
      ("QuantumChannel kraus", lambda: QuantumChannel([[[1, 0], [0]]])),
      ("partial_trace", lambda: partial_trace_stack([[1, 0], [0]], [2], [0])),
-     ("DensityMatrix.from_pure", lambda: DensityMatrix.from_pure("ab"))],
-    ids=["non-numeric", "ragged", "pure-state", "kraus", "partial-trace-stack", "from-pure"],
+     ("DensityMatrix.from_pure", lambda: DensityMatrix.from_pure("ab")),
+     ("tensor", lambda: tensor("ab"))],
+    ids=["non-numeric", "ragged", "pure-state", "kraus", "partial-trace-stack", "from-pure", "tensor"],
 )
 def test_unreadable_array_is_rejected_under_its_caller(name, call):
     """numpy's own error on coercing a non-numeric or ragged input comes out

@@ -160,17 +160,29 @@ def mixed_stack(rng, dim):
     ])
 
 
-@pytest.mark.parametrize("dim", range(3, SCALAR_MAX_DIM + 1))
+@pytest.mark.parametrize("dim", range(1, SCALAR_MAX_DIM + 1))
 def test_scalar_solver_matches_lapack(dim):
-    """The one-triangle scalar path: eigenvalues within 1e-13 of the Frobenius
-    norm of ``numpy.linalg.eigvalsh``'s, vectors that reconstruct the matrix
-    within 1e-12 of that norm and are unitary within 1e-12."""
+    """The one-triangle scalar path, every dimension it takes: eigenvalues
+    within 1e-13 of the Frobenius norm of ``numpy.linalg.eigvalsh``'s, vectors
+    that reconstruct the matrix within 1e-12 of that norm and are unitary
+    within 1e-12."""
     for a in mixed_stack(np.random.default_rng(940 + dim), dim):
         norm = np.linalg.norm(a)
         w, v = _jacobi(a)
         assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-13 * norm
         assert np.linalg.norm((v * w) @ v.conj().T - a) <= 1e-12 * norm
         assert np.linalg.norm(v.conj().T @ v - np.eye(dim)) <= 1e-12
+
+
+def test_scalar_solver_skips_a_tiny_2x2_coupling():
+    """A 2x2 takes the scalar loop like any other matrix, with its skip rule:
+    an off-diagonal at or below JACOBI_TOL * |A|_F / (2 n) is left alone, so
+    the matrix already counts as diagonal and comes back as it is."""
+    a = np.array([[1.0, 1e-15j], [-1e-15j, 2.0]])
+    assert 0.0 < abs(a[0, 1]) <= qcore.JACOBI_TOL * np.linalg.norm(a) / 4
+    w, v = _jacobi(a)
+    assert np.array_equal(w, [1.0, 2.0]) and np.array_equal(v, np.eye(2))
+    assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-13 * np.linalg.norm(a)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 16, 32, 33, 64])

@@ -3,7 +3,9 @@
 
 A bool and a numeric string are rejected everywhere, nan and inf wherever a
 real or complex number is read, and a float (integral or not) wherever an
-integer is; numpy scalars of the right kind are accepted everywhere.
+integer is; numpy scalars of the right kind are accepted everywhere.  A list
+argument (``partial_trace``'s dims and keep) rejects anything that is not a
+sequence under the same name, and accepts a tuple or a numpy array.
 """
 
 import math
@@ -44,7 +46,8 @@ def _cross(i=0, j=1, g=1.0):
 
 
 # (caller and argument, kind, a good value, the call with the value in place);
-# every good value is an integer, so numpy scalars of every kind can hold it
+# every good value is an integer, so numpy scalars of every kind can hold it,
+# except at a "sequence" site, where the whole list argument is replaced
 SITES = [
     ("Example1Params: omega0", "real", 1, lambda v: Example1Params(omega0=v)),
     ("Example1Params: lam", "real", 1, lambda v: Example1Params(lam=v)),
@@ -96,11 +99,17 @@ SITES = [
     ("example1_pseudomode_oracle: psd_check_every", "integer", 10,
      lambda v: example1_pseudomode_oracle(Example1Params(), grid=GridSpec(2.0, 400), psd_check_every=v)),
     ("gibbs_preserving_channel: beta", "real", 1, lambda v: sampling.gibbs_preserving_channel(_rng(), H2, v)),
+    ("partial_trace: dims", "sequence", [2, 2], lambda v: partial_trace(RHO4, v, [0])),
+    ("partial_trace: keep", "sequence", [0], lambda v: partial_trace(RHO4, [2, 2], v)),
+    ("partial_trace: dims", "sequence", [2, 2], lambda v: partial_trace_stack(RHO4[None], v, [0])),
+    ("partial_trace: keep", "sequence", [0, 1], lambda v: partial_trace_stack(RHO4[None], [2, 2], v)),
 ]
 
 
-def _rejected(kind: str, good: int) -> list:
+def _rejected(kind: str, good) -> list:
     common = [True, "1", math.nan]
+    if kind == "sequence":  # a bare entry is no sequence
+        return common + [good[0], None]
     if kind == "real":
         return common + [math.inf, -math.inf]
     if kind == "integer":
@@ -108,7 +117,9 @@ def _rejected(kind: str, good: int) -> list:
     return common + [complex(math.inf, 0.0), complex(0.0, math.nan)]
 
 
-def _accepted(kind: str, good: int) -> list:
+def _accepted(kind: str, good) -> list:
+    if kind == "sequence":
+        return [tuple(good), np.array(good)]
     out = [np.int64(good)]
     if kind != "integer":
         out.append(np.float64(good))
