@@ -69,10 +69,12 @@ _AUDIT_BLOCK = 128
 
 def _read_json(path):
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _coerce(key: str, value, default):
@@ -208,6 +210,8 @@ def _cmd_ledger(args) -> int:
 def _cmd_audit(args) -> int:
     if args.count < 0:
         raise ValidationError("audit: count must be >= 0")
+    if args.seed < 0:
+        raise ValidationError("audit: seed must be >= 0")
     if args.expect_violation:
         # deliberately non-Gibbs-preserving: damp the Gibbs state toward the
         # ground level and watch the irreversible entropy go negative

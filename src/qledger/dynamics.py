@@ -67,6 +67,7 @@ from .qcore import (
     _gated,
     _integral,
     _jacobi,
+    _listed,
     _min_eigvals,
     _mirror,
     _real,
@@ -86,16 +87,24 @@ POSITIVITY_FLOOR = -1e-7
 PROPAGATOR_POWERS_BYTES = 2**20
 MAX_CHUNK = 64
 
+# numpy refuses an array of more bytes than this, and np.linspace sizes the
+# grid from the float value of its point count
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
+
 
 def _as_grid(t_max, steps, name: str) -> tuple[float, int]:
-    """A grid's t_max (positive and finite) and steps (an integer >= 2) as a
-    float and an int, whatever number types were passed."""
+    """A grid's t_max (positive and finite) and steps (an integer >= 2 whose
+    float64 grid numpy can index) as a float and an int, whatever number
+    types were passed."""
     t = _real(t_max)
     if not (t is not None and 0 < t < math.inf):
         raise _reject(f"{name}: t_max", t_max, "positive and finite")
     if not (_integral(steps) and steps >= 2):
         # two steps minimum: the measures need three grid points
         raise _reject(f"{name}: steps", steps, "an integer >= 2")
+    if float(int(steps) + 1) * 8 > _MAX_ARRAY_BYTES:
+        want = f"within numpy's size limit: a float64 grid of steps + 1 points in {_MAX_ARRAY_BYTES} bytes"
+        raise _reject(f"{name}: steps", steps, want)
     return t, int(steps)
 
 
@@ -136,6 +145,7 @@ class LindbladSpec:
         d = h.dim
         ops = []
         rates = []
+        jumps = _listed(jumps, "LindbladSpec: jumps", "a sequence of (operator, rate) pairs")
         for entry in jumps:
             try:
                 op, rate = entry
@@ -158,7 +168,10 @@ class LindbladSpec:
         gamma = np.zeros((m, m), dtype=np.complex128)
         for i, rate in enumerate(rates):
             gamma[i, i] = rate
-        for entry in cross_terms or ():
+        if cross_terms is None:
+            cross_terms = ()
+        cross_terms = _listed(cross_terms, "LindbladSpec: cross_terms", "a sequence of (i, j, rate) triples")
+        for entry in cross_terms:
             try:
                 i, j, g = entry
             except (TypeError, ValueError):

@@ -367,6 +367,7 @@ class QuantumChannel:
     __slots__ = ("kraus", "_stack")
 
     def __init__(self, kraus) -> None:
+        kraus = _listed(kraus, "QuantumChannel kraus", "a sequence of Kraus operators")
         kraus = [_complex_array(k, "QuantumChannel kraus") for k in kraus]
         if not kraus:
             raise ValidationError("QuantumChannel: at least one Kraus operator required")

@@ -8,7 +8,6 @@ ticks, which does not justify a plotting dependency.  Output is plain SVG
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -22,6 +21,12 @@ _MARGIN_L = 72
 _MARGIN_R = 18
 _MARGIN_T = 34
 _MARGIN_B = 48
+
+
+def _escape(text: str) -> str:
+    """Text as SVG character data: ``&`` first, then ``>`` and ``<``; quotes
+    stay as they are, since no label is written inside an attribute."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _ticks(lo: float, hi: float) -> np.ndarray:
@@ -128,23 +133,23 @@ def line_plot(path, x, curves, title: str = "", xlabel: str = "t", ylabel: str =
         )
         parts.append(
             f'<text x="{_WIDTH - _MARGIN_R - 6}" y="{_MARGIN_T + 18 + 16 * idx}" font-size="12" '
-            f'text-anchor="end" font-family="sans-serif" fill="{color}">{escape(label)}</text>'
+            f'text-anchor="end" font-family="sans-serif" fill="{color}">{_escape(label)}</text>'
         )
 
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.0f}" y="{_MARGIN_T - 12}" font-size="14" '
-            f'text-anchor="middle" font-family="sans-serif">{escape(title)}</text>'
+            f'text-anchor="middle" font-family="sans-serif">{_escape(title)}</text>'
         )
     parts.append(
         f'<text x="{_MARGIN_L + px_w / 2:.0f}" y="{_HEIGHT - 10}" font-size="12" '
-        f'text-anchor="middle" font-family="sans-serif">{escape(xlabel)}</text>'
+        f'text-anchor="middle" font-family="sans-serif">{_escape(xlabel)}</text>'
     )
     if ylabel:
         parts.append(
             f'<text x="16" y="{_MARGIN_T + px_h / 2:.0f}" font-size="12" text-anchor="middle" '
             f'font-family="sans-serif" transform="rotate(-90 16 {_MARGIN_T + px_h / 2:.0f})">'
-            f"{escape(ylabel)}</text>"
+            f"{_escape(ylabel)}</text>"
         )
     parts.append("</svg>")
 

@@ -103,6 +103,16 @@ def test_missing_config_file(capsys):
     assert err["error"] == "validation"
 
 
+@pytest.mark.parametrize("subcommand", ["ledger", "example1"])
+def test_config_that_is_not_utf8_is_a_validation_error(tmp_path, capsys, subcommand):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run([subcommand, "--config", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert err["detail"].startswith(f"{path}: not UTF-8 text")
+
+
 def test_svg_output_is_valid_xml(tmp_path, capsys):
     out = tmp_path / "o.csv"
     svg = tmp_path / "o.svg"
@@ -134,6 +144,16 @@ def test_unallocatable_grid_is_a_validation_error(monkeypatch, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "validation"
     assert err["detail"] == "out of memory: Unable to allocate 7.28 TiB for 1000000000001 states"
+
+
+@pytest.mark.parametrize("steps", ["1e20", "1e300"])
+def test_grid_beyond_numpy_size_limit_is_a_validation_error(capsys, steps):
+    """numpy refuses such a grid before it tries to allocate, so this is no
+    MemoryError; the parameters reject it first."""
+    assert run(["example1", "--override", f"steps={steps}"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert err["detail"].startswith("Example1Params: steps must be within numpy's size limit")
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +317,12 @@ def test_audit_negative_count(capsys):
     assert run(["audit", "--count", "-1"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "validation", "detail": "audit: count must be >= 0"}
+
+
+def test_audit_negative_seed(capsys):
+    assert run(["audit", "--count", "3", "--seed", "-1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "validation", "detail": "audit: seed must be >= 0"}
 
 
 def test_subcommands_reject_options_they_do_not_read(tmp_path, capsys):

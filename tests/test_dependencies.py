@@ -1,6 +1,9 @@
-"""The package imports nothing beyond the standard library and numpy."""
+"""The package imports nothing beyond the standard library and numpy, and
+its cold start loads no network, mail or XML stack."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,3 +23,19 @@ def test_package_imports_only_the_standard_library_and_numpy():
                 continue
             found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] not in allowed]
     assert not found, found
+
+
+# the stack that xml.sax.saxutils brings in through urllib.request: with ssl
+# it maps OpenSSL, several MB of resident memory in every run
+COLD_START_EXCLUDED = ("ssl", "_ssl", "socket", "http", "email", "urllib.request", "xml")
+
+
+def test_cold_import_loads_no_network_mail_or_xml_stack():
+    probe = "import sys; before = set(sys.modules); import qledger.cli; print(*sorted(set(sys.modules) - before))"
+    src = str(Path(qledger.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "qledger.cli" in loaded
+    excluded = [m for m in loaded if any(m == f or m.startswith(f + ".") for f in COLD_START_EXCLUDED)]
+    assert not excluded, excluded

@@ -55,6 +55,19 @@ def test_grid_spec_rejects_bools(t_max, steps, message):
         GridSpec(t_max, steps)
 
 
+def test_grid_spec_rejects_steps_beyond_numpy_size_limit():
+    limit = np.iinfo(np.intp).max
+    message = (f"^GridSpec: steps must be within numpy's size limit: a float64 grid of steps \\+ 1 "
+               f"points in {limit} bytes, got 100000000000000000000$")
+    with pytest.raises(ValidationError, match=message):
+        GridSpec(1.0, 10**20)
+    # numpy sizes the grid from the float value of its point count, which
+    # rounds 2**60 - 63 points up to 2**60 and 2**60 - 128 points to themselves
+    with pytest.raises(ValidationError, match="^GridSpec: steps must be within numpy's size limit"):
+        GridSpec(1.0, 2**60 - 64)
+    assert GridSpec(1.0, 2**60 - 129).steps == 2**60 - 129
+
+
 def test_lindblad_spec_validation():
     LindbladSpec(H2, [(SM, 0.5)])
     with pytest.raises(ValidationError):

@@ -4,8 +4,10 @@
 A bool and a numeric string are rejected everywhere, nan and inf wherever a
 real or complex number is read, and a float (integral or not) wherever an
 integer is; numpy scalars of the right kind are accepted everywhere.  A list
-argument (``partial_trace``'s dims and keep) rejects anything that is not a
-sequence under the same name, and accepts a tuple or a numpy array.
+argument (``partial_trace``'s dims and keep, ``LindbladSpec``'s jumps and
+cross_terms, ``QuantumChannel``'s kraus) rejects anything that is not a
+sequence under the same name, and accepts a tuple or a numpy array; an
+optional one (cross_terms) also takes None.
 """
 
 import math
@@ -18,6 +20,8 @@ from qledger import sampling
 from qledger.dynamics import GridSpec, LindbladSpec, lindblad_evolve
 from qledger.models import Example1Params, Example2Params, example1_pseudomode_oracle, run_example2
 from qledger.qcore import (
+    HermitianOperator,
+    QuantumChannel,
     ValidationError,
     matrix_from_json,
     matrix_log_hermitian,
@@ -30,6 +34,7 @@ SM = np.array([[0.0, 1.0], [0.0, 0.0]])
 H2 = np.diag([0.0, 1.0])
 H4 = np.diag([0.0, 1.0, 1.0, 2.0])
 RHO4 = np.eye(4) / 4
+JUMPS4 = [(np.kron(SM, np.eye(2)), 2.0), (np.kron(np.eye(2), SM), 2.0)]
 
 
 def _rng():
@@ -41,13 +46,13 @@ def _json(dim=2, re=(1, 0, 0, 1), im=(0, 0, 0, 0)):
 
 
 def _cross(i=0, j=1, g=1.0):
-    jumps = [(np.kron(SM, np.eye(2)), 2.0), (np.kron(np.eye(2), SM), 2.0)]
-    return LindbladSpec(H4, jumps, [(i, j, g)])
+    return LindbladSpec(H4, JUMPS4, [(i, j, g)])
 
 
 # (caller and argument, kind, a good value, the call with the value in place);
 # every good value is an integer, so numpy scalars of every kind can hold it,
 # except at a "sequence" site, where the whole list argument is replaced
+# ("sequence or None": an optional list argument)
 SITES = [
     ("Example1Params: omega0", "real", 1, lambda v: Example1Params(omega0=v)),
     ("Example1Params: lam", "real", 1, lambda v: Example1Params(lam=v)),
@@ -103,13 +108,18 @@ SITES = [
     ("partial_trace: keep", "sequence", [0], lambda v: partial_trace(RHO4, [2, 2], v)),
     ("partial_trace: dims", "sequence", [2, 2], lambda v: partial_trace_stack(RHO4[None], v, [0])),
     ("partial_trace: keep", "sequence", [0, 1], lambda v: partial_trace_stack(RHO4[None], [2, 2], v)),
+    # a container jump, so that the bare (operator, rate) entry cannot unpack
+    ("LindbladSpec: jumps", "sequence", [(HermitianOperator(np.diag([1.0, -1.0])), 1.0)],
+     lambda v: LindbladSpec(H2, v)),
+    ("LindbladSpec: cross_terms", "sequence or None", [(0, 1, 1)], lambda v: LindbladSpec(H4, JUMPS4, v)),
+    ("QuantumChannel kraus", "sequence", [np.eye(2)], lambda v: QuantumChannel(v)),
 ]
 
 
 def _rejected(kind: str, good) -> list:
     common = [True, "1", math.nan]
-    if kind == "sequence":  # a bare entry is no sequence
-        return common + [good[0], None]
+    if kind.startswith("sequence"):  # a bare entry is no sequence
+        return common + [good[0], 5] + ([] if kind.endswith("None") else [None])
     if kind == "real":
         return common + [math.inf, -math.inf]
     if kind == "integer":
@@ -118,8 +128,8 @@ def _rejected(kind: str, good) -> list:
 
 
 def _accepted(kind: str, good) -> list:
-    if kind == "sequence":
-        return [tuple(good), np.array(good)]
+    if kind.startswith("sequence"):
+        return [tuple(good), np.array(good)] + ([None] if kind.endswith("None") else [])
     out = [np.int64(good)]
     if kind != "integer":
         out.append(np.float64(good))

@@ -43,6 +43,16 @@ def test_line_plot_escapes_labels(tmp_path):
     assert "x > y" in texts
 
 
+def test_line_plot_escapes_to_pinned_bytes(tmp_path):
+    """``&`` first, then ``>`` and ``<``; quotes are written as they are."""
+    path = tmp_path / "p.svg"
+    x = np.linspace(0.0, 1.0, 5)
+    line_plot(path, x, [('a<b&c>"q"', x)], title="x > y & <z>")
+    text = path.read_text()
+    assert '>a&lt;b&amp;c&gt;"q"</text>' in text
+    assert ">x &gt; y &amp; &lt;z&gt;</text>" in text
+
+
 def test_line_plot_flat_and_single_point_ranges(tmp_path):
     # degenerate y ranges must still produce usable axes
     x = np.linspace(0.0, 1.0, 10)
