@@ -13,6 +13,8 @@ uncorrelated jumps sit on its diagonal.
 The unitary path never steps: with a constant H the propagator is built
 once from the eigendecomposition and applied per grid point, so case
 studies that reduce to closed evolution carry no integrator error at all.
+Its projectors are made one block of ``STACK_BLOCK`` grid points at a time,
+and each block is kept as its partial trace, as on the Lindblad path.
 
 The Lindblad path is classical RK4 with fixed dt.  The generator maps
 Hermitian matrices to Hermitian matrices, so it steps a state's d^2 real
@@ -415,19 +417,37 @@ def schrodinger_evolve(hamiltonian, psi0, grid: GridSpec, beta: float) -> Trajec
     one eigendecomposition, so norm and <H> are conserved to rounding.
     """
     beta = _as_beta(beta, "schrodinger_evolve")
-    if not isinstance(grid, GridSpec):
-        raise _reject("schrodinger_evolve: grid", grid, "a GridSpec")
     h = _gated(hamiltonian, "schrodinger_evolve hamiltonian")
-    psi = psi0 if isinstance(psi0, PureState) else PureState(psi0)
+    return Trajectory(*_schrodinger_steps(h, psi0, grid, "schrodinger_evolve"), h, beta)
+
+
+def _schrodinger_steps(h, psi, grid: GridSpec, name: str, reduce=None):
+    """Read-only times and projector states of ``schrodinger_evolve``; errors
+    name the caller ``name``.
+
+    The projectors of one block of ``STACK_BLOCK`` grid points at a time are
+    kept as ``partial_trace_stack(block, dims, keep)``, with ``reduce=(dims,
+    keep)``; without it ``([d], [0])``, the identity, a plain copy."""
+    if not isinstance(grid, GridSpec):
+        raise _reject(f"{name}: grid", grid, "a GridSpec")
+    h = _gated(h, f"{name} hamiltonian")
+    psi = psi if isinstance(psi, PureState) else PureState(psi)
     if psi.dim != h.dim:
-        raise ValidationError(f"schrodinger_evolve: state dim {psi.dim} does not match H dim {h.dim}")
+        raise ValidationError(f"{name}: state dim {psi.dim} does not match H dim {h.dim}")
 
     w, vecs = hermitian_eig(h)
     a0 = np.einsum("ji,j->i", vecs.conj(), psi.amplitudes)  # V^dag psi(0)
     times = grid.times()
     phases = np.exp(-1j * np.outer(times, w))
     amps = np.einsum("tk,ik->ti", phases * a0, vecs)  # amps[k] = V (e^{-i w t_k} . a0)
-    states = _mirror(amps[:, :, None] * amps.conj()[:, None, :])
-    times.setflags(write=False)  # so the Trajectory keeps them, not copies
-    states.setflags(write=False)
-    return Trajectory(times, states, h, beta)
+    dims, keep = reduce or ([h.dim], [0])
+    out = None
+    for i in range(0, times.size, STACK_BLOCK):
+        a = amps[i : i + STACK_BLOCK]
+        block = partial_trace_stack(_mirror(a[:, :, None] * a.conj()[:, None, :]), dims, keep)
+        if out is None:
+            out = np.empty((times.size,) + block.shape[1:], dtype=np.complex128)
+        out[i : i + len(a)] = block
+    times.setflags(write=False)  # so a Trajectory keeps them, not copies
+    out.setflags(write=False)
+    return times, out

@@ -31,6 +31,7 @@ so a trajectory row and a single matrix get the same bits.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -47,6 +48,8 @@ from .qcore import (
     _frozen,
     _jacobi,
     _jacobi_stack,
+    _listed,
+    _reject,
     _seed,
     _spectrum,
     _synthesize,
@@ -215,25 +218,44 @@ _CSV_FIELDS = tuple(f.name for f in fields(MeasureSeries))
 _CSV_ROW = ",".join(["%.12g"] * len(_CSV_FIELDS))
 
 
+def _comment_lines(comments, name: str) -> list[str]:
+    """The ``# `` lines of a ``comments`` argument, a sequence of one-line texts;
+    a comment that ``str.splitlines`` would split could not be read back."""
+    want = "a sequence of one-line comments"
+    if isinstance(comments, str):
+        raise _reject(f"{name}: comments", comments, want)
+    lines = [f"# {c}" for c in _listed(comments, f"{name}: comments", want)]
+    for line in lines:
+        if line.splitlines() != [line]:
+            raise _reject(f"{name}: comment", line[2:], "one line")
+    return lines
+
+
+def _csv_blocks(series: MeasureSeries, lines: list[str]):
+    """The text of ``format_csv`` in pieces: the comment ``lines`` and the
+    header, then the rows of one block of ``STACK_BLOCK`` grid points at a time."""
+    yield "\n".join([*lines, CSV_HEADER]) + "\n"
+    for i in range(0, len(series), STACK_BLOCK):
+        # x + 0.0 folds negative zero into plain 0
+        cols = [(getattr(series, f)[i : i + STACK_BLOCK] + 0.0).tolist() for f in _CSV_FIELDS]
+        yield "\n".join(map(_CSV_ROW.__mod__, zip(*cols))) + "\n"
+
+
 def format_csv(series: MeasureSeries, comments=()) -> str:
     """Render a series as CSV text, 12 significant digits per value.
 
     ``comments`` lines are emitted first, each prefixed with ``# ``; the
-    parser skips them, so they are free-form (the CLI echoes its effective
-    configuration here).
+    parser skips them, so they are free-form text of one line each (the CLI
+    echoes its effective configuration here).
     """
-    lines = [f"# {c}" for c in comments]
-    lines.append(CSV_HEADER)
-    # x + 0.0 folds negative zero into plain 0
-    cols = [(getattr(series, f) + 0.0).tolist() for f in _CSV_FIELDS]
-    lines.extend(_CSV_ROW % row for row in zip(*cols))
-    lines.append("")
-    return "\n".join(lines)
+    return "".join(_csv_blocks(series, _comment_lines(comments, "format_csv")))
 
 
 def write_csv(series: MeasureSeries, path, comments=()) -> None:
+    """Write ``format_csv``'s text to ``path``, one block of rows at a time."""
+    lines = _comment_lines(comments, "write_csv")
     with open(path, "w", newline="\n") as fh:
-        fh.write(format_csv(series, comments))
+        fh.writelines(_csv_blocks(series, lines))
 
 
 def read_csv(source) -> MeasureSeries:
@@ -244,7 +266,8 @@ def read_csv(source) -> MeasureSeries:
         with open(source, "r") as fh:
             text = fh.read()
     header_seen = False
-    rows = []
+    width = len(_CSV_FIELDS)
+    values = array("d")
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -255,15 +278,15 @@ def read_csv(source) -> MeasureSeries:
             header_seen = True
             continue
         parts = line.split(",")
-        if len(parts) != len(_CSV_FIELDS):
-            raise ValidationError(f"CSV line {ln}: expected {len(_CSV_FIELDS)} columns, got {len(parts)}")
+        if len(parts) != width:
+            raise ValidationError(f"CSV line {ln}: expected {width} columns, got {len(parts)}")
         try:
-            rows.append([float(x) for x in parts])
+            values.extend(map(float, parts))
         except ValueError as exc:
             raise ValidationError(f"CSV line {ln}: {exc}") from exc
     if not header_seen:
         raise ValidationError("CSV: header row missing")
-    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(_CSV_FIELDS))
+    data = np.frombuffer(values, dtype=np.float64).reshape(-1, width)
     return MeasureSeries(**{f: data[:, i] for i, f in enumerate(_CSV_FIELDS)})
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GridSpec, LindbladSpec, _as_grid, _lindblad_steps, schrodinger_evolve
+from .dynamics import GridSpec, LindbladSpec, _as_grid, _lindblad_steps, _schrodinger_steps
 from .measures import MeasureSeries, Trajectory, measure_series
 from .qcore import (
     DensityMatrix,
@@ -46,7 +46,6 @@ from .qcore import (
     _integral,
     _real,
     _reject,
-    partial_trace_stack,
     tensor,
 )
 
@@ -313,10 +312,9 @@ def run_example2(p: Example2Params, initial=None,
     h_free = _battery_free_h(p.omega0)
     if p.case == 1:
         h8, psi0 = example2_build(p, initial)
-        full = schrodinger_evolve(h8, psi0, grid, p.beta)
-        battery = partial_trace_stack(full.states, [2, 2, 2], [0, 1])
-        battery.setflags(write=False)  # so the Trajectory keeps it, not a copy
-        tr = Trajectory(full.times, battery, h_free, p.beta)
+        # each block of projectors reduced to the battery as it is made
+        times, battery = _schrodinger_steps(h8, psi0, grid, "run_example2", reduce=([2, 2, 2], [0, 1]))
+        tr = Trajectory(times, battery, h_free, p.beta)
     else:
         spec, rho0 = example2_build(p, initial)
         # the integrator's raw states, validated once as the battery trajectory

@@ -8,10 +8,11 @@ ticks, which does not justify a plotting dependency.  Output is plain SVG
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .qcore import ValidationError
+from .qcore import STACK_BLOCK, ValidationError
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
@@ -56,7 +57,8 @@ def line_plot(path, x, curves, title: str = "", xlabel: str = "t", ylabel: str =
     """Write labelled polylines over a shared x axis to an SVG file.
 
     ``curves`` is a sequence of (label, y-array) pairs; all arrays must
-    match x in length and be finite.
+    match x in length and be finite, and each axis must span a width that
+    is a finite normal float once padded.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
@@ -73,12 +75,19 @@ def line_plot(path, x, curves, title: str = "", xlabel: str = "t", ylabel: str =
             raise ValidationError(f"line_plot: curve {label!r} has non-finite values")
 
     x_lo, x_hi = _pad_range(float(x.min()), float(x.max()))
-    y_all = np.concatenate([y for _, y in curves])
-    y_lo, y_hi = _pad_range(float(y_all.min()), float(y_all.max()))
+    y_lo = min(float(y.min()) for _, y in curves)
+    y_hi = max(float(y.max()) for _, y in curves)
+    y_lo, y_hi = _pad_range(y_lo, y_hi)
     # breathing room so extremes do not sit on the frame
     y_pad = 0.05 * (y_hi - y_lo)
     y_lo -= y_pad
     y_hi += y_pad
+    for axis, lo, hi in (("x", x_lo, x_hi), ("y", y_lo, y_hi)):
+        # the ticks and the pixel scale divide by the span and take its logarithm
+        if not (math.isfinite(hi - lo) and hi - lo >= sys.float_info.min):
+            raise ValidationError(
+                f"line_plot: the {axis} axis spans [{lo!r}, {hi!r}], whose width is not a finite normal float"
+            )
 
     px_w = _WIDTH - _MARGIN_L - _MARGIN_R
     px_h = _HEIGHT - _MARGIN_T - _MARGIN_B
@@ -124,34 +133,38 @@ def line_plot(path, x, curves, title: str = "", xlabel: str = "t", ylabel: str =
             f'text-anchor="end" font-family="sans-serif">{format(tick, ".6g")}</text>'
         )
 
-    x_px = sx(x).tolist()
-    for idx, (label, y) in enumerate(curves):
-        color = _COLORS[idx % len(_COLORS)]
-        points = " ".join(map("%.2f,%.2f".__mod__, zip(x_px, sy(y).tolist())))
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{_WIDTH - _MARGIN_R - 6}" y="{_MARGIN_T + 18 + 16 * idx}" font-size="12" '
-            f'text-anchor="end" font-family="sans-serif" fill="{color}">{_escape(label)}</text>'
-        )
-
+    tail = []
     if title:
-        parts.append(
+        tail.append(
             f'<text x="{_WIDTH / 2:.0f}" y="{_MARGIN_T - 12}" font-size="14" '
             f'text-anchor="middle" font-family="sans-serif">{_escape(title)}</text>'
         )
-    parts.append(
+    tail.append(
         f'<text x="{_MARGIN_L + px_w / 2:.0f}" y="{_HEIGHT - 10}" font-size="12" '
         f'text-anchor="middle" font-family="sans-serif">{_escape(xlabel)}</text>'
     )
     if ylabel:
-        parts.append(
+        tail.append(
             f'<text x="16" y="{_MARGIN_T + px_h / 2:.0f}" font-size="12" text-anchor="middle" '
             f'font-family="sans-serif" transform="rotate(-90 16 {_MARGIN_T + px_h / 2:.0f})">'
             f"{_escape(ylabel)}</text>"
         )
-    parts.append("</svg>")
+    tail.append("</svg>")
 
+    x_px = sx(x)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.writelines(part + "\n" for part in parts)
+        for idx, (label, y) in enumerate(curves):
+            color = _COLORS[idx % len(_COLORS)]
+            # the points of one block of STACK_BLOCK at a time, one space between any two
+            fh.write('<polyline points="')
+            for i in range(0, x.size, STACK_BLOCK):
+                blk = slice(i, i + STACK_BLOCK)
+                points = map("%.2f,%.2f".__mod__, zip(x_px[blk].tolist(), sy(y[blk]).tolist()))
+                fh.write((" " if i else "") + " ".join(points))
+            fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+            fh.write(
+                f'<text x="{_WIDTH - _MARGIN_R - 6}" y="{_MARGIN_T + 18 + 16 * idx}" font-size="12" '
+                f'text-anchor="end" font-family="sans-serif" fill="{color}">{_escape(label)}</text>\n'
+            )
+        fh.writelines(part + "\n" for part in tail)

@@ -384,7 +384,7 @@ def test_reduced_run_is_the_partial_trace_of_the_full_run(n, keep, steps):
     rtimes, red = dyn._lindblad_steps(spec, rho0, grid, 7, "test", reduce=(dims, keep))
     assert np.array_equal(rtimes, times)
     assert red.shape == (steps + 1, 2 ** len(keep), 2 ** len(keep)) and not red.flags.writeable
-    assert np.array_equal(red, models.partial_trace_stack(full, dims, keep))
+    assert np.array_equal(red, dyn.partial_trace_stack(full, dims, keep))
 
 
 def _oracle_runs(p):
@@ -653,3 +653,42 @@ def test_excitation_exchange_oscillates():
 def test_schrodinger_state_vs_grid_mismatch():
     with pytest.raises(ValidationError):
         schrodinger_evolve(H2, PureState(np.array([1.0, 0.0, 0.0])), GridSpec(1.0, 10), 1.0)
+
+
+@pytest.mark.parametrize("steps", [100, STACK_BLOCK - 1, STACK_BLOCK, 2500])
+@pytest.mark.parametrize("keep", [[0, 1], [0], [2]])
+def test_reduced_closed_run_is_the_partial_trace_of_the_full_run(steps, keep):
+    """Reducing each block of projectors as it is made keeps the bits of
+    reducing the whole closed run, on grids shorter than, equal to and
+    longer than a block."""
+    h8, psi0 = models.example2_build(Example2Params(case=1))
+    grid, dims = GridSpec(5.0, steps), [2, 2, 2]
+    full = schrodinger_evolve(h8, psi0, grid, 1.0)
+    times, red = dyn._schrodinger_steps(h8, psi0, grid, "test", reduce=(dims, keep))
+    assert np.array_equal(times, full.times)
+    assert red.shape == (steps + 1, 2 ** len(keep), 2 ** len(keep)) and not red.flags.writeable
+    assert np.array_equal(red, dyn.partial_trace_stack(full.states, dims, keep))
+
+
+def test_closed_run_checks_name_the_caller():
+    with pytest.raises(ValidationError, match="^run_example2: grid must be a GridSpec, got 10$"):
+        dyn._schrodinger_steps(H2, PureState([1.0, 0.0]), 10, "run_example2")
+    with pytest.raises(ValidationError, match="^run_example2: state dim 3 does not match H dim 2$"):
+        dyn._schrodinger_steps(H2, PureState([1.0, 0.0, 0.0]), GridSpec(1.0, 10), "run_example2")
+
+
+def test_example2_case1_peak_memory():
+    """Case 1 reduces each block of d = 8 projectors to the battery as it is
+    made: its traced peak stays below the 7.8 MiB of the (8001, 8, 8) stack."""
+    import tracemalloc
+
+    p = Example2Params(case=1)
+    run_example2(p)  # warm-up: imports and lazy caches
+    tracemalloc.start()
+    try:
+        tr, _ = run_example2(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.states.shape == (8001, 4, 4)
+    assert peak < 8001 * 8 * 8 * 16

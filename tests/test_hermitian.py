@@ -59,7 +59,7 @@ SYNTHESIS = {
     measures: ("dephase",),
     thermo: ("gibbs_state", "passive_state"),
     sampling: ("random_density",),
-    dynamics: ("schrodinger_evolve",),
+    dynamics: ("schrodinger_evolve", "_schrodinger_steps"),
 }
 
 

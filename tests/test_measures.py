@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from qledger.dynamics import GridSpec, LindbladSpec, lindblad_evolve
 from qledger.measures import (
     CSV_HEADER,
+    MeasureSeries,
     Trajectory,
     charging_power_series,
     coherence,
@@ -23,7 +25,7 @@ from qledger.measures import (
     write_csv,
 )
 from qledger.models import Example2Params, run_example2
-from qledger.qcore import DensityMatrix, ValidationError
+from qledger.qcore import STACK_BLOCK, DensityMatrix, ValidationError
 from qledger.sampling import random_density, random_hermitian
 from qledger.thermo import gibbs_state, von_neumann_entropy
 
@@ -402,3 +404,84 @@ def test_csv_rejects_malformed():
         read_csv(io.StringIO(good_header + ",".join(["x"] * 10) + "\n"))
     with pytest.raises(ValidationError):
         read_csv(io.StringIO(""))
+
+
+def _random_series(rows: int, seed: int = 7):
+    """A MeasureSeries of ``rows`` random values of mixed sign and scale, each
+    exact at the CSV's 12 digits, with negative zeros for the fold."""
+    rng = np.random.default_rng(seed)
+    cols = rng.standard_normal((10, rows)) * 10.0 ** rng.integers(-8, 8, (10, rows))
+    cols = np.array([[float("%.12g" % v) for v in col] for col in cols]).reshape(10, rows)
+    cols[:, ::7] = -0.0
+    return MeasureSeries(*cols)
+
+
+@pytest.mark.parametrize("comments, match", [
+    (["ok", "a\nb"], r"^format_csv: comment must be one line, got 'a\\nb'$"),
+    (["a\r"], r"^format_csv: comment must be one line, got 'a\\r'$"),
+    (["a\u2028b"], r"^format_csv: comment must be one line, got 'a\\u2028b'$"),
+    ("abc", r"^format_csv: comments must be a sequence of one-line comments, got 'abc'$"),
+    (None, r"^format_csv: comments must be a sequence of one-line comments, got None$"),
+])
+def test_csv_comments_must_be_one_line_each(tmp_path, comments, match):
+    """A comment that would split into lines, a bare string and None are
+    rejected by name; write_csv rejects them before it opens the file."""
+    s = _random_series(3)
+    with pytest.raises(ValidationError, match=match):
+        format_csv(s, comments)
+    path = tmp_path / "kept.csv"
+    path.write_text("old")
+    with pytest.raises(ValidationError, match=match.replace("format_csv", "write_csv")):
+        write_csv(s, path, comments)
+    assert path.read_text() == "old"
+
+
+def test_csv_comments_round_trip(tmp_path):
+    s = _random_series(5)
+    path = tmp_path / "c.csv"
+    write_csv(s, path, comments=("config: {\"a\": 1}", "", "  second # note"))
+    text = path.read_text()
+    assert text.splitlines()[:3] == ['# config: {"a": 1}', "# ", "#   second # note"]
+    back = read_csv(path)
+    for f in fields(MeasureSeries):
+        assert np.array_equal(getattr(back, f.name), getattr(s, f.name) + 0.0)
+
+
+@pytest.mark.parametrize("rows", [0, 1, STACK_BLOCK, STACK_BLOCK + 1, 20001])
+def test_write_csv_writes_format_csv_text(tmp_path, rows):
+    """The blocks write_csv streams join to format_csv's text, on either side
+    of a block edge."""
+    s = _random_series(rows)
+    path = tmp_path / "s.csv"
+    write_csv(s, path, comments=["note"])
+    text = format_csv(s, comments=["note"])
+    assert path.read_bytes() == text.encode()
+    assert len(text.splitlines()) == rows + 2 and "-0," not in text
+    back = read_csv(path)
+    assert len(back) == rows
+    assert np.array_equal(back.energy, s.energy + 0.0)
+
+
+def test_write_csv_peak_memory(tmp_path):
+    """write_csv holds one block of rows, not the text: at 20001 rows its
+    traced peak stays within 2 MiB, where the text alone is larger."""
+    import tracemalloc
+
+    s = _random_series(20001)
+    path = tmp_path / "big.csv"
+    write_csv(s, path)  # warm-up
+    assert path.stat().st_size > 2 * 2**20
+    tracemalloc.start()
+    try:
+        write_csv(s, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
+def test_read_csv_reports_the_line():
+    text = "# c\n" + CSV_HEADER + "\n" + ",".join(["1"] * 10) + "\n\n" + ",".join(["1"] * 9 + ["y"]) + "\n"
+    with pytest.raises(ValidationError, match="^CSV line 5: could not convert string to float: 'y'$"):
+        read_csv(io.StringIO(text))
+    assert len(read_csv(io.StringIO(CSV_HEADER + "\n"))) == 0
