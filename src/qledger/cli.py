@@ -26,6 +26,7 @@ from .qcore import (
     ValidationError,
     _gated,
     _kraus_sum,
+    _real,
     _spectra,
     _stack_seed,
     apply_channel,
@@ -93,7 +94,7 @@ def _coerce(key: str, value, default):
         raise ValidationError(f"config key {key!r} must be an integer, got {value!r}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"config key {key!r} must be a number, got {value!r}")
-    return float(value)
+    return _real(value)  # an int beyond the float range is inf, for the dataclass to reject
 
 
 def _parse_override(text: str):

@@ -51,21 +51,22 @@ silently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import Trajectory
 from .qcore import (
-    MAX_DIM,
+    _COMPLEX,
+    _NONNEGATIVE,
+    _POSITIVE,
     STACK_BLOCK,
     NumericError,
     PureState,
     ValidationError,
     _as_beta,
     _as_square,
-    _complex,
+    _Frozen,
     _gated,
     _integral,
     _jacobi,
@@ -74,6 +75,7 @@ from .qcore import (
     _mirror,
     _real,
     _reject,
+    _scalar,
     hermitian_eig,
     partial_trace_stack,
 )
@@ -98,13 +100,12 @@ def _as_grid(t_max, steps, name: str) -> tuple[float, int]:
     """A grid's t_max (positive and finite) and steps (an integer >= 2 whose
     float64 grid numpy can index) as a float and an int, whatever number
     types were passed."""
-    t = _real(t_max)
-    if not (t is not None and 0 < t < math.inf):
-        raise _reject(f"{name}: t_max", t_max, "positive and finite")
+    t = _scalar(t_max, f"{name}: t_max", _POSITIVE)
     if not (_integral(steps) and steps >= 2):
         # two steps minimum: the measures need three grid points
         raise _reject(f"{name}: steps", steps, "an integer >= 2")
-    if float(int(steps) + 1) * 8 > _MAX_ARRAY_BYTES:
+    # an int beyond the float range reads as inf, so it is over the limit too
+    if _real(int(steps) + 1) * 8 > _MAX_ARRAY_BYTES:
         want = f"within numpy's size limit: a float64 grid of steps + 1 points in {_MAX_ARRAY_BYTES} bytes"
         raise _reject(f"{name}: steps", steps, want)
     return t, int(steps)
@@ -130,7 +131,7 @@ class GridSpec:
         return np.linspace(0.0, self.t_max, self.steps + 1)
 
 
-class LindbladSpec:
+class LindbladSpec(_Frozen):
     """Hamiltonian, jump operators and their (possibly correlated) rates.
 
     ``jumps`` is a sequence of ``(operator, rate)`` with rate >= 0;
@@ -158,9 +159,7 @@ class LindbladSpec:
                 raise ValidationError(
                     f"LindbladSpec: jump dim {a.shape[0]} does not match Hamiltonian dim {d}"
                 )
-            r = _real(rate)
-            if not (r is not None and 0 <= r < math.inf):
-                raise _reject("LindbladSpec: jump rate", rate, "a finite real number >= 0")
+            r = _scalar(rate, "LindbladSpec: jump rate", _NONNEGATIVE)
             a = a.copy()
             a.setflags(write=False)
             ops.append(a)
@@ -181,9 +180,7 @@ class LindbladSpec:
             if not (_integral(i) and _integral(j) and 0 <= i < m and 0 <= j < m and i != j):
                 want = f"two distinct integers in 0..{m - 1}"
                 raise _reject("LindbladSpec: cross term indices", (i, j), want)
-            z = _complex(g)
-            if z is None:
-                raise _reject("LindbladSpec: cross term rate", g, "a finite complex number")
+            z = _scalar(g, "LindbladSpec: cross term rate", _COMPLEX)
             gamma[i, j] = z
             gamma[j, i] = z.conjugate()
         if m:
@@ -197,9 +194,6 @@ class LindbladSpec:
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jumps", tuple(ops))
         object.__setattr__(self, "rate_matrix", gamma)
-
-    def __setattr__(self, *_):
-        raise AttributeError("LindbladSpec is immutable")
 
     @property
     def dim(self) -> int:

@@ -42,10 +42,12 @@ from .qcore import (
     DensityMatrix,
     HermitianOperator,
     ValidationError,
+    _as_array,
     _as_beta,
     _as_hermitian,
     _as_operands,
     _frozen,
+    _Frozen,
     _jacobi,
     _jacobi_stack,
     _listed,
@@ -93,7 +95,7 @@ def coherence(rho, hamiltonian) -> float:
     return float(_entropy(pops) - _entropy(_spectrum(a)[0]))
 
 
-class Trajectory:
+class Trajectory(_Frozen):
     """An evolving state on a uniform time grid, with its Hamiltonian(s).
 
     ``states`` is a read-only (T, d, d) complex stack, a copy if the caller's
@@ -111,11 +113,12 @@ class Trajectory:
 
     def __init__(self, times, states, hamiltonians, beta: float) -> None:
         beta = _as_beta(beta, "Trajectory")
-        t = np.asarray(times, dtype=np.float64)
+        finite = "Trajectory: grid times must be finite"
+        t = _as_array(times, "Trajectory times", np.float64, finite)
         if t.ndim != 1 or t.size < 3:
             raise ValidationError("Trajectory: need a 1-d grid with at least 3 points")
         if not np.all(np.isfinite(t)):
-            raise ValidationError("Trajectory: grid times must be finite")
+            raise ValidationError(finite)
         dt = float(t[1] - t[0])
         steps = np.diff(t)
         if not dt > 0.0 or steps.min() <= 0.0:
@@ -148,9 +151,6 @@ class Trajectory:
         object.__setattr__(self, "hamiltonians", _frozen(h, hamiltonians))
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "dt", dt)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Trajectory is immutable")
 
     def __len__(self) -> int:
         return self.times.size
@@ -198,7 +198,7 @@ class MeasureSeries:
     def __post_init__(self):
         n = None
         for f in fields(self):
-            a = np.asarray(getattr(self, f.name), dtype=np.float64)
+            a = _as_array(getattr(self, f.name), f"MeasureSeries {f.name}", np.float64)
             if a.ndim != 1:
                 raise ValidationError(f"MeasureSeries: {f.name} must be 1-d")
             if n is None:

@@ -26,7 +26,6 @@ omega0 = 1 unless set otherwise.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,17 +34,20 @@ import numpy as np
 from .dynamics import GridSpec, LindbladSpec, _as_grid, _lindblad_steps, _schrodinger_steps
 from .measures import MeasureSeries, Trajectory, measure_series
 from .qcore import (
+    _COMPLEX,
+    _FINITE,
+    _NONNEGATIVE,
+    _POSITIVE,
     DensityMatrix,
     HermitianOperator,
     NumericError,
     PureState,
     ValidationError,
     _as_beta,
-    _complex,
     _gated,
     _integral,
-    _real,
     _reject,
+    _scalar,
     tensor,
 )
 
@@ -57,22 +59,10 @@ _NUM = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
 _I2 = np.eye(2, dtype=np.complex128)
 
 
-# the kinds of number field of the example dataclasses: what one must be, the
-# qcore predicate that reads it (None when it is no such number), the range test
-_POSITIVE = ("a positive finite real number", _real, lambda v: 0.0 < v < math.inf)
-_NONNEGATIVE = ("a finite real number >= 0", _real, lambda v: 0.0 <= v < math.inf)
-_FINITE = ("a finite real number", _real, math.isfinite)
-_COMPLEX = ("a finite complex number", _complex, cmath.isfinite)
-
-
 def _check_fields(p, kind, *fields: str) -> None:
-    """Each named field of the dataclass ``p`` a number of the given kind."""
-    want, read, ok = kind
+    """Each named field of the dataclass ``p`` a number of the qcore ``kind``."""
     for field in fields:
-        x = getattr(p, field)
-        v = read(x)
-        if v is None or not ok(v):
-            raise _reject(f"{type(p).__name__}: {field}", x, want)
+        _scalar(getattr(p, field), f"{type(p).__name__}: {field}", kind)
 
 
 @dataclass(frozen=True)

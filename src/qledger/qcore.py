@@ -19,18 +19,20 @@ conjugate.
 
 Each input check lives in one place: ``_as_square`` coerces and bounds a
 matrix, or a (..., d, d) stack in blocks of ``STACK_BLOCK`` (a list or tuple
-of one shape is stacked); ``_complex_array`` rejects what numpy cannot read
-as a regular array of numbers under the caller's name, and ``_as_hermitian``
-adds the hermiticity check.  ``_gated`` is the one place where a bare array
-becomes an operand, held in a ``HermitianOperator``; ``_gated(...,
-state=True)`` is the one state intake, a ``DensityMatrix`` checked by
-``_check_state``.  Both report under "<function> <argument>", as
-``_as_operands`` does, which gates each distinct operand of a thermo or
-measures function and requires one shared dimension.  A scalar argument is
-read by ``_real``, ``_integral`` or ``_complex``, a failure is reported by
-``_reject`` as "<caller>: <argument> must be ..., got <value>", and
-``_as_beta`` is the one inverse-temperature check.  One spectrum per
-operand: a container keeps its (w, V) in a slot, filled on first use
+of one shape is stacked); ``_as_array`` rejects what numpy cannot read as a
+regular array of numbers, or an int beyond the float range, under the
+caller's name, and ``_as_hermitian`` adds the hermiticity check.  ``_gated``
+is the one place where a bare array becomes an operand, held in a
+``HermitianOperator``; ``_gated(..., state=True)`` is the one state intake, a
+``DensityMatrix`` checked by ``_check_state``.  Both report under "<function>
+<argument>", as ``_as_operands`` does, which gates each distinct operand of a
+thermo or measures function and requires one shared dimension.  A scalar is
+read by ``_real``, ``_integral`` or ``_complex``, one of a kind in the table
+of ``_POSITIVE`` ... ``_COMPLEX`` by ``_scalar``; a failure is reported by
+``_reject`` as "<caller>: <argument> must be ..., got <value>".  Every value
+object (the containers here, ``LindbladSpec``, ``Trajectory``) is a
+``_Frozen``, whose slots are set once.  One spectrum per operand: a
+container keeps its (w, V) in a slot, filled on first use
 (``_spectrum``) or by the positivity check.  ``_spectra`` seeds the cold
 operands of one dimension above ``SCALAR_MAX_DIM`` from one stack call
 (``_stack_seed``, which the audit also uses for its small cases); the
@@ -90,12 +92,12 @@ def _as_square(m, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
     with ``stack``, a (..., d, d) stack of them, or a list or tuple of
     matrices or containers of one shape, stacked."""
     if stack and isinstance(m, (list, tuple)):
-        parts = [_complex_array(x, name) for x in m]
+        parts = [_as_array(x, name) for x in m]
         shapes = sorted({p.shape for p in parts})
         if len(shapes) > 1:
             raise ValidationError(f"{name}: matrices of mixed shapes {', '.join(map(str, shapes))}")
         m = np.stack(parts) if parts else np.empty(0)
-    a = _complex_array(m, name)
+    a = _as_array(m, name)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"{name}: expected a square matrix, got shape {a.shape}")
     if not (1 <= a.shape[-1] <= MAX_DIM):
@@ -106,11 +108,14 @@ def _as_square(m, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
     return a
 
 
-def _complex_array(m, name: str) -> np.ndarray:
-    """A matrix, container or nested sequence as a complex128 array; a ragged
-    or non-numeric input is a ``ValidationError`` under ``name``."""
+def _as_array(m, name: str, dtype=np.complex128, finite: str | None = None) -> np.ndarray:
+    """A matrix, container or nested sequence as a ``dtype`` array; a ragged or
+    non-numeric input is a ``ValidationError`` under ``name``, an int beyond the
+    float range one with the message ``finite`` ("<name>: entries must be finite")."""
     try:
-        return np.asarray(getattr(m, "matrix", m), dtype=np.complex128)
+        return np.asarray(getattr(m, "matrix", m), dtype=dtype)
+    except OverflowError:
+        raise ValidationError(finite or f"{name}: entries must be finite") from None
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name}: expected a regular array of numbers ({exc})") from None
 
@@ -183,12 +188,36 @@ def _reject(name: str, value, want: str) -> ValidationError:
     return ValidationError(f"{name} must be {want}, got {value!r}")
 
 
+# the kinds of scalar argument: what one must be, the reader that takes it
+# (None when it is no such number), and the test its value must pass
+_POSITIVE = ("a positive finite real number", _real, lambda v: 0.0 < v < math.inf)
+_NONNEGATIVE = ("a finite real number >= 0", _real, lambda v: 0.0 <= v < math.inf)
+_FINITE = ("a finite real number", _real, math.isfinite)
+_UNIT = ("a real number in (0, 1]", _real, lambda v: 0.0 < v <= 1.0)
+_COMPLEX = ("a finite complex number", _complex, cmath.isfinite)
+
+
+def _scalar(x, name: str, kind):
+    """``x`` read as a number of ``kind``, or ``_reject``-ed under ``name``."""
+    want, read, ok = kind
+    v = read(x)
+    if v is None or not ok(v):
+        raise _reject(name, x, want)
+    return v
+
+
 def _as_beta(beta, name: str) -> float:
     """An inverse temperature: a real number, not a bool, positive and finite."""
-    b = _real(beta)
-    if b is not None and 0 < b < math.inf:
-        return b
-    raise _reject(f"{name}: beta", beta, "a positive finite real number")
+    return _scalar(beta, f"{name}: beta", _POSITIVE)
+
+
+class _Frozen:
+    """A value object: ``__init__`` sets its slots by ``object.__setattr__``, once."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def _frozen(a: np.ndarray, source) -> np.ndarray:
@@ -202,7 +231,7 @@ def _frozen(a: np.ndarray, source) -> np.ndarray:
 def _hold(x, m, name: str) -> None:
     """Set the matrix and spectrum slot of the new container ``x`` from ``m``:
     a container's as they are, anything else gated and frozen, slot empty."""
-    if isinstance(m, _CONTAINERS):
+    if isinstance(m, _Operator):
         a, eig = m.matrix, m._eig
     else:
         a, eig = _frozen(_as_hermitian(m, name), getattr(m, "matrix", m)), None
@@ -210,26 +239,29 @@ def _hold(x, m, name: str) -> None:
     object.__setattr__(x, "_eig", eig)
 
 
-class HermitianOperator:
-    """A validated Hermitian matrix (observable or Hamiltonian)."""
+class _Operator(_Frozen):
+    """The matrix and spectrum slots of the two operator containers."""
 
     __slots__ = ("matrix", "_eig")
-
-    def __init__(self, matrix) -> None:
-        _hold(self, matrix, "HermitianOperator")
-
-    def __setattr__(self, *_):
-        raise AttributeError("HermitianOperator is immutable")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def __repr__(self) -> str:
-        return f"HermitianOperator(dim={self.dim})"
+        return f"{type(self).__name__}(dim={self.dim})"
 
 
-class DensityMatrix:
+class HermitianOperator(_Operator):
+    """A validated Hermitian matrix (observable or Hamiltonian)."""
+
+    __slots__ = ()
+
+    def __init__(self, matrix) -> None:
+        _hold(self, matrix, "HermitianOperator")
+
+
+class DensityMatrix(_Operator):
     """A validated quantum state: Hermitian, unit trace, positive.
 
     The positivity check's eigendecomposition is kept as the state's spectrum
@@ -238,33 +270,20 @@ class DensityMatrix:
     algebraic constructions from a known spectrum) may pass ``check_psd=False``.
     """
 
-    __slots__ = ("matrix", "_eig")
+    __slots__ = ()
 
     def __init__(self, matrix, *, check_psd: bool = True) -> None:
         _hold(self, matrix, "DensityMatrix")
         _check_state(self, "DensityMatrix", check_psd)
 
-    def __setattr__(self, *_):
-        raise AttributeError("DensityMatrix is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     @classmethod
     def from_pure(cls, state: "PureState | np.ndarray") -> "DensityMatrix":
         """|v><v| through ``_mirror``, since ``np.outer`` may round v_i conj(v_j)
         and v_j conj(v_i) differently.  A bare input must be a vector."""
-        v = state.amplitudes if isinstance(state, PureState) else _complex_array(state, "DensityMatrix.from_pure")
+        v = state.amplitudes if isinstance(state, PureState) else _as_array(state, "DensityMatrix.from_pure")
         if v.ndim != 1:
             raise ValidationError(f"DensityMatrix.from_pure: expected a vector, got shape {v.shape}")
         return cls(_mirror(np.outer(v, v.conj())), check_psd=False)
-
-    def __repr__(self) -> str:
-        return f"DensityMatrix(dim={self.dim})"
-
-
-_CONTAINERS = (HermitianOperator, DensityMatrix)
 
 
 def _check_state(x, name: str, check_psd: bool = True):
@@ -329,25 +348,23 @@ def _seed(x, w: np.ndarray, v: np.ndarray):
     return x
 
 
-class PureState:
+class PureState(_Frozen):
     """A normalized complex state vector."""
 
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes) -> None:
         source = getattr(amplitudes, "amplitudes", amplitudes)
-        v = _complex_array(source, "PureState")
+        finite = "PureState: amplitudes must be finite"
+        v = _as_array(source, "PureState", finite=finite)
         if v.ndim != 1 or not (1 <= v.size <= MAX_DIM):
             raise ValidationError(f"PureState: expected a vector of length 1..{MAX_DIM}")
         if not np.all(np.isfinite(v)):
-            raise ValidationError("PureState: amplitudes must be finite")
+            raise ValidationError(finite)
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValidationError(f"PureState: norm {nrm} deviates from 1 beyond {NORM_TOL:.0e}")
         object.__setattr__(self, "amplitudes", _frozen(v, source))
-
-    def __setattr__(self, *_):
-        raise AttributeError("PureState is immutable")
 
     @property
     def dim(self) -> int:
@@ -357,7 +374,7 @@ class PureState:
         return DensityMatrix.from_pure(self)
 
 
-class QuantumChannel:
+class QuantumChannel(_Frozen):
     """A CPTP map given by Kraus operators with sum_k K_k^dag K_k = I.
 
     The operators are held as one read-only (K, d, d) stack, copied from the
@@ -368,7 +385,7 @@ class QuantumChannel:
 
     def __init__(self, kraus) -> None:
         kraus = _listed(kraus, "QuantumChannel kraus", "a sequence of Kraus operators")
-        kraus = [_complex_array(k, "QuantumChannel kraus") for k in kraus]
+        kraus = [_as_array(k, "QuantumChannel kraus") for k in kraus]
         if not kraus:
             raise ValidationError("QuantumChannel: at least one Kraus operator required")
         shapes = {k.shape for k in kraus}
@@ -387,9 +404,6 @@ class QuantumChannel:
         ops.setflags(write=False)  # np.stack always makes a new array
         object.__setattr__(self, "_stack", ops)
         object.__setattr__(self, "kraus", tuple(ops))
-
-    def __setattr__(self, *_):
-        raise AttributeError("QuantumChannel is immutable")
 
     @property
     def dim(self) -> int:
@@ -627,9 +641,9 @@ def tensor(*factors) -> np.ndarray:
         factors = tuple(factors[0])
     if not factors:
         raise ValidationError("tensor: at least one factor required")
-    out = _complex_array(factors[0], "tensor")
+    out = _as_array(factors[0], "tensor")
     for f in factors[1:]:
-        out = np.kron(out, _complex_array(f, "tensor"))
+        out = np.kron(out, _as_array(f, "tensor"))
     return out
 
 
@@ -647,7 +661,7 @@ def partial_trace(rho, dims, keep) -> DensityMatrix:
 def partial_trace_stack(states: np.ndarray, dims, keep) -> np.ndarray:
     """Vectorized partial trace over a (T, d, d) stack of states; only its
     shape is checked, not its entries."""
-    states = _complex_array(states, "partial_trace")
+    states = _as_array(states, "partial_trace")
     if states.ndim != 3 or states.shape[1] != states.shape[2]:
         raise ValidationError(f"partial_trace: expected a (T, d, d) stack, got shape {states.shape}")
     d = states.shape[-1]
@@ -706,9 +720,7 @@ def matrix_log_hermitian(operator, floor: float = LOG_FLOOR) -> np.ndarray:
     log.  The default floor only guards against log(0); callers that need a
     support check must inspect the spectrum themselves.
     """
-    f = _real(floor)
-    if not (f is not None and 0 < f < math.inf):
-        raise _reject("matrix_log_hermitian: floor", floor, "a positive finite real number")
+    f = _scalar(floor, "matrix_log_hermitian: floor", _POSITIVE)
     w, v = _spectrum(_gated(operator, "matrix_log_hermitian operator"))
     return _synthesize(v, np.log(np.maximum(w, f)))
 
@@ -757,8 +769,8 @@ def matrix_from_json(obj) -> np.ndarray:
         raise _reject("matrix JSON: dim", dim, "an integer")
     if not (1 <= dim <= MAX_DIM):
         raise ValidationError(f"matrix JSON: dim {dim} outside [1, {MAX_DIM}]")
-    a = (_json_reals(re, dim) + 1j * _json_reals(im, dim)).reshape(dim, dim)
-    return _as_square(a, "matrix JSON")
+    # finite reals, and a shape fixed by the reshape: nothing is left to gate
+    return (_json_reals(re, dim) + 1j * _json_reals(im, dim)).reshape(dim, dim)
 
 
 def _json_reals(entries, dim: int) -> np.ndarray:

@@ -7,11 +7,11 @@ state.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .qcore import (
+    _FINITE,
+    _UNIT,
     MAX_DIM,
     DensityMatrix,
     HermitianOperator,
@@ -20,8 +20,8 @@ from .qcore import (
     _as_beta,
     _as_operands,
     _integral,
-    _real,
     _reject,
+    _scalar,
     _spectrum,
     _synthesize,
 )
@@ -39,9 +39,7 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermitianOperator:
     _check_dim(dim, "random_hermitian")
-    s = _real(scale)
-    if not (s is not None and math.isfinite(s)):
-        raise _reject("random_hermitian: scale", scale, "a finite real number")
+    _scalar(scale, "random_hermitian: scale", _FINITE)
     g = _ginibre(rng, dim, dim)
     return HermitianOperator(0.5 * scale * (g + g.conj().T))
 
@@ -147,9 +145,7 @@ def ground_damping_channel(dim: int, strength: float) -> QuantumChannel:
     negative irreversible-entropy differences in the audit.
     """
     _check_dim(dim, "ground_damping_channel")
-    s = _real(strength)
-    if not (s is not None and 0.0 < s <= 1.0):
-        raise _reject("ground_damping_channel: strength", strength, "a real number in (0, 1]")
+    s = _scalar(strength, "ground_damping_channel: strength", _UNIT)
     levels = np.arange(1, dim)
     kraus = np.zeros((dim, dim, dim), dtype=np.complex128)
     kraus[0, 0, 0] = 1.0

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .qcore import STACK_BLOCK, ValidationError
+from .qcore import STACK_BLOCK, ValidationError, _as_array
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
@@ -60,19 +60,23 @@ def line_plot(path, x, curves, title: str = "", xlabel: str = "t", ylabel: str =
     match x in length and be finite, and each axis must span a width that
     is a finite normal float once padded.
     """
-    x = np.asarray(x, dtype=np.float64)
+    finite = "line_plot: x values must be finite"
+    x = _as_array(x, "line_plot x", np.float64, finite)
     if x.ndim != 1 or x.size < 2:
         raise ValidationError("line_plot: x must be a 1-d array with at least 2 points")
     if not np.all(np.isfinite(x)):
-        raise ValidationError("line_plot: x values must be finite")
-    curves = [(str(label), np.asarray(y, dtype=np.float64)) for label, y in curves]
+        raise ValidationError(finite)
+    curves = [(str(label), y) for label, y in curves]
     if not curves:
         raise ValidationError("line_plot: at least one curve required")
-    for label, y in curves:
+    for i, (label, y) in enumerate(curves):
+        finite = f"line_plot: curve {label!r} has non-finite values"
+        y = _as_array(y, f"line_plot curve {label!r}", np.float64, finite)
         if y.shape != x.shape:
             raise ValidationError(f"line_plot: curve {label!r} length does not match x")
         if not np.all(np.isfinite(y)):
-            raise ValidationError(f"line_plot: curve {label!r} has non-finite values")
+            raise ValidationError(finite)
+        curves[i] = (label, y)
 
     x_lo, x_hi = _pad_range(float(x.min()), float(x.max()))
     y_lo = min(float(y.min()) for _, y in curves)

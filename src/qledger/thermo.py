@@ -25,7 +25,8 @@ After that every operand is a container: a bare array is gated once and
 held in one for the call, and a public function called from another gets
 the containers, not the arrays.  Spectra come from ``qcore._spectrum``, so
 a container is solved once for every function it is passed to; a Gibbs
-state holds its known (p, V_H).  The ledger and ``relative_entropy`` take
+state holds its known (p, V_H).  Every stored spectrum ascends, so a passive
+ordering is the spectrum reversed.  The ledger and ``relative_entropy`` take
 theirs from one ``qcore._spectra`` call, which solves their large cold
 operands as one stack.
 """
@@ -162,10 +163,6 @@ def gibbs_state(hamiltonian, beta: float) -> GibbsSpec:
     w, v = _spectrum(op)
     p, _, log_z = _gibbs(w, beta)
     z = math.exp(log_z)
-    # with the ground energy at exactly 0 the bare sum already is Z, so the
-    # shift convention requires Z >= 1
-    if w[0] == 0.0 and z < 1.0 - 1e-12:
-        raise NumericError(f"gibbs_state: Z = {z} < 1 with ground energy 0")
     # p falls as w rises, so the reversed pair is the ascending spectrum
     state = _seed(DensityMatrix(_synthesize(v, p), check_psd=False), p[::-1], v[:, ::-1])
     return GibbsSpec(hamiltonian=op, beta=beta, Z=z, log_Z=float(log_z), state=state)
@@ -178,7 +175,7 @@ def passive_state(rho, hamiltonian) -> DensityMatrix:
     increasing order, which minimizes the energy over unitary orbits.
     """
     a, h = _as_operands("passive_state", rho=rho, hamiltonian=hamiltonian)
-    r = np.sort(_spectrum(a)[0])[::-1]
+    r = _spectrum(a)[0][::-1]
     w, v = _spectrum(h)
     return DensityMatrix(_synthesize(v, r), check_psd=False)
 
@@ -186,7 +183,7 @@ def passive_state(rho, hamiltonian) -> DensityMatrix:
 def ergotropy(rho, hamiltonian) -> float:
     """Unitarily extractable work Tr[rho H] - Tr[passive(rho) H]."""
     a, h = _as_operands("ergotropy", rho=rho, hamiltonian=hamiltonian)
-    r = np.sort(_spectrum(a)[0])[::-1]
+    r = _spectrum(a)[0][::-1]
     return float(_energy(a.matrix, h.matrix)) - float(r @ _spectrum(h)[0])
 
 
@@ -271,15 +268,15 @@ def adiabatic_work_passive(rho_tau, h0, h_tau) -> float:
     H_0; the difference is the work of the drive stripped of ergotropy flow.
     """
     at, m0, mt = _as_operands("adiabatic_work_passive", rho_tau=rho_tau, h0=h0, h_tau=h_tau)
-    r = np.sort(_spectrum(at)[0])[::-1]
+    r = _spectrum(at)[0][::-1]
     return float(r @ _spectrum(mt)[0]) - float(r @ _spectrum(m0)[0])
 
 
 def operational_heat(rho0, rho_tau, h0) -> float:
     """Energy of the final spectrum minus the initial one, both passive on H_0."""
     a0, at, m0 = _as_operands("operational_heat", rho0=rho0, rho_tau=rho_tau, h0=h0)
-    r0 = np.sort(_spectrum(a0)[0])[::-1]
-    rt = np.sort(_spectrum(at)[0])[::-1]
+    r0 = _spectrum(a0)[0][::-1]
+    rt = _spectrum(at)[0][::-1]
     w0 = _spectrum(m0)[0]
     return float(rt @ w0) - float(r0 @ w0)
 
@@ -311,8 +308,8 @@ def first_law_ledger(rho0, h0, rho_tau, h_tau, beta: float) -> ThermoLedger:
     s_gt = float(_entropy(pt))
 
     # ergotropy split, passive pricing of the spectra
-    r0_desc = np.sort(wr0)[::-1]
-    rt_desc = np.sort(wrt)[::-1]
+    r0_desc = wr0[::-1]
+    rt_desc = wrt[::-1]
     delta_we = (et - float(rt_desc @ wht)) - (e0 - float(r0_desc @ wh0))
     w_ad_passive = float(rt_desc @ wht) - float(rt_desc @ wh0)
     q_op = float(rt_desc @ wh0) - float(r0_desc @ wh0)

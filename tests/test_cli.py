@@ -156,6 +156,20 @@ def test_grid_beyond_numpy_size_limit_is_a_validation_error(capsys, steps):
     assert err["detail"].startswith("Example1Params: steps must be within numpy's size limit")
 
 
+@pytest.mark.parametrize("example, override, detail", [
+    ("example1", "R=1" + "0" * 400, "Example1Params: R must be a finite real number >= 0, got inf"),
+    ("example2", "steps=1" + "0" * 400, "Example2Params: steps must be within numpy's size limit"),
+], ids=["example1-R", "example2-steps"])
+def test_int_beyond_the_float_range_is_a_validation_error(capsys, example, override, detail):
+    """A JSON integer too large for a float reads as inf, as in the library,
+    so the parameters reject it: exit 2 and one JSON object, no traceback."""
+    assert run([example, "--override", override]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "validation"
+    assert json.loads(err[0])["detail"].startswith(detail)
+
+
 # ---------------------------------------------------------------------------
 # ledger subcommand
 

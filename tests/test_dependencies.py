@@ -25,6 +25,24 @@ def test_package_imports_only_the_standard_library_and_numpy():
     assert not found, found
 
 
+def test_every_module_level_import_is_used():
+    """A name a module imports is read somewhere in it; ``__init__.py`` only
+    re-exports, and ``from __future__`` binds nothing."""
+    unused = []
+    for path in sorted(Path(qledger.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, unused
+
+
 # the stack that xml.sax.saxutils brings in through urllib.request: with ssl
 # it maps OpenSSL, several MB of resident memory in every run
 COLD_START_EXCLUDED = ("ssl", "_ssl", "socket", "http", "email", "urllib.request", "xml")

@@ -46,7 +46,7 @@ def test_grid_spec_takes_numpy_numbers(t_max, steps, dt):
 
 @pytest.mark.parametrize(
     "t_max, steps, message",
-    [(True, 10, "t_max must be positive and finite, got True"),
+    [(True, 10, "t_max must be a positive finite real number, got True"),
      (1.0, True, "steps must be an integer >= 2, got True")],
     ids=["bool-t_max", "bool-steps"],
 )

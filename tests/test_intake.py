@@ -13,16 +13,18 @@ import contextlib
 import io
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from qledger.cli import main
 from qledger.dynamics import GridSpec, LindbladSpec, lindblad_evolve, schrodinger_evolve
-from qledger.measures import Trajectory
-from qledger.models import Example2Params, example2_build, run_example2
+from qledger.measures import MeasureSeries, Trajectory
+from qledger.models import Example1Params, Example2Params, example2_build, run_example2
 from qledger.qcore import (
     DensityMatrix,
+    HermitianOperator,
     PureState,
     QuantumChannel,
     ValidationError,
@@ -34,6 +36,8 @@ from qledger.qcore import (
     partial_trace_stack,
     tensor,
 )
+from qledger.svg import line_plot
+from qledger.thermo import von_neumann_entropy
 
 SM = np.array([[0.0, 1.0], [0.0, 0.0]])
 H2 = np.diag([0.0, 1.0])
@@ -141,3 +145,39 @@ def test_unreadable_array_is_rejected_under_its_caller(name, call):
     as a ValidationError that names the caller."""
     with pytest.raises(ValidationError, match="^" + re.escape(name + ": expected a regular array of numbers")):
         call()
+
+
+BIG = 10**400  # an int beyond the float range: float(BIG) raises OverflowError
+SIZE_LIMIT = "steps must be within numpy's size limit"
+
+
+def _series(**columns):
+    return MeasureSeries(**({f.name: [0.0, 1.0] for f in fields(MeasureSeries)} | columns))
+
+
+@pytest.mark.parametrize(
+    "message, call",
+    [("von_neumann_entropy rho: entries must be finite", lambda _: von_neumann_entropy([[BIG]])),
+     ("HermitianOperator: entries must be finite", lambda _: HermitianOperator([[BIG]])),
+     ("PureState: amplitudes must be finite", lambda _: PureState([BIG, 0])),
+     ("QuantumChannel kraus: entries must be finite", lambda _: QuantumChannel([[[BIG]]])),
+     ("tensor: entries must be finite", lambda _: tensor(np.eye(2), [[BIG]])),
+     ("partial_trace: entries must be finite", lambda _: partial_trace_stack([[[BIG]]], [1], [0])),
+     ("matrix_to_json: entries must be finite", lambda _: matrix_to_json([[BIG]])),
+     ("Trajectory: grid times must be finite",
+      lambda _: Trajectory([0, 1, BIG], [np.eye(2) / 2] * 3, H2, 1.0)),
+     ("MeasureSeries power: entries must be finite", lambda _: _series(power=[0, BIG])),
+     ("line_plot: x values must be finite", lambda path: line_plot(path, [0, BIG], [("y", [0, 1])])),
+     ("line_plot: curve 'y' has non-finite values", lambda path: line_plot(path, [0, 1], [("y", [BIG, 1])])),
+     (f"GridSpec: {SIZE_LIMIT}", lambda _: GridSpec(1.0, BIG)),
+     (f"Example1Params: {SIZE_LIMIT}", lambda _: Example1Params(steps=BIG))],
+    ids=["entropy", "operator", "pure-state", "kraus", "tensor", "partial-trace-stack", "to-json",
+         "trajectory-times", "measure-series", "plot-x", "plot-y", "grid-steps", "example1-steps"],
+)
+def test_int_beyond_the_float_range_is_rejected_under_its_caller(message, call, tmp_path):
+    """Every intake that numpy or float() would hand such an int to says what
+    it says of inf, and ``line_plot`` says it before it opens its file."""
+    path = tmp_path / "plot.svg"
+    with pytest.raises(ValidationError, match="^" + re.escape(message)):
+        call(path)
+    assert not path.exists()

@@ -220,3 +220,20 @@ def test_case2_coherent_power_integrates_coherence():
     integral = np.cumsum(series.coherent_power) * dt * p.beta
     # trapezoid-grade agreement is enough here
     assert np.abs(integral[-1] - series.coherence[-1]) <= 5e-3
+
+
+def test_example1_regime_boundary_at_r_one_half():
+    """R = 1/2 is where D = sqrt(lam^2 - 4 rabi^2) in the envelope turns from
+    real to imaginary.  Up to it the power is never positive after t = 0, on a
+    window long enough for the battery to settle (measured max after t = 0:
+    -1.9e-11 at R = 0.1, -1.2e-9 at 0.3, and +5.6e-13, rounding as P -> 0, at
+    0.5); beyond it stretches of P > 0 appear, over which W_f rises."""
+    for R in (0.1, 0.3, 0.5):
+        _, s = run_example1(Example1Params(R=R, t_max=200.0, steps=200000))
+        assert s.power[1:].max() <= 1e-9, R
+    for R in (0.55, 0.6):  # measured max P: 1.13e-3 from t = 13.8, 1.08e-2 from t = 9.5
+        _, s = run_example1(Example1Params(R=R))
+        up = s.power > 1e-4
+        inside = up[:-1] & up[1:]  # the steps within a stretch
+        assert inside.any(), R
+        assert np.all(np.diff(s.extractable_work)[inside] > 0.0), R

@@ -14,6 +14,8 @@ from qledger.qcore import (
     HermitianOperator,
     NumericError,
     ValidationError,
+    _spectrum,
+    _stack_seed,
     hermitian_eig,
     hermitian_eigvals,
 )
@@ -150,6 +152,25 @@ def test_ergotropy_against_permutation_search():
         )
         assert abs(erg - (e_now - best)) <= 1e-10
         assert erg >= -1e-12
+
+
+def test_every_stored_spectrum_ascends():
+    """The passive ordering reverses a stored spectrum instead of sorting it,
+    so each route that fills a spectrum slot must leave it ascending: the
+    solver at both sizes, the stack seed, gibbs_state and dephase."""
+    rng = np.random.default_rng(11)
+    ops = [random_hermitian(rng, d) for d in (1, 2, 3, 4, 8, 16, 17, 32)]
+    ops.append(HermitianOperator(np.diag([1.0, 0.0, 0.0, 1.0])))  # degenerate, unsorted diagonal
+    cold = [HermitianOperator(np.array(h.matrix)) for h in ops]
+    _stack_seed(cold, 1)
+    slots = [_spectrum(h) for h in ops] + [h._eig for h in cold]
+    for h in ops[:5]:
+        slots += [_spectrum(gibbs_state(h, beta).state) for beta in (0.1, 1.0)]
+        slots.append(_spectrum(dephase(random_density(rng, h.dim), h)))
+    # the upper populations underflow to 0
+    slots.append(_spectrum(gibbs_state(np.diag([0.0, 1000.0, 2000.0]), 1.0).state))
+    for w, _ in slots:
+        assert np.all(np.diff(w) >= 0.0), w
 
 
 def test_gibbs_is_passive():
