@@ -25,6 +25,7 @@ from .qcore import (
     QuantumChannel,
     ValidationError,
     _gated,
+    _integral,
     _kraus_sum,
     _real,
     _spectra,
@@ -85,16 +86,15 @@ def _coerce(key: str, value, default):
             raise ValidationError(f"config key {key!r} must be a string, got {value!r}")
         return value
     if isinstance(default, int):
-        if isinstance(value, bool):
-            raise ValidationError(f"config key {key!r} must be an integer, got {value!r}")
-        if isinstance(value, int):
+        if _integral(value):
             return value
         if isinstance(value, float) and value.is_integer():
             return int(value)
         raise ValidationError(f"config key {key!r} must be an integer, got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    x = _real(value)  # an int beyond the float range is inf, for the dataclass to reject
+    if x is None:
         raise ValidationError(f"config key {key!r} must be a number, got {value!r}")
-    return _real(value)  # an int beyond the float range is inf, for the dataclass to reject
+    return x
 
 
 def _parse_override(text: str):

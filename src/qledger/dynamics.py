@@ -58,6 +58,7 @@ import numpy as np
 from .measures import Trajectory
 from .qcore import (
     _COMPLEX,
+    _MAX_ARRAY_BYTES,
     _NONNEGATIVE,
     _POSITIVE,
     STACK_BLOCK,
@@ -66,6 +67,7 @@ from .qcore import (
     ValidationError,
     _as_beta,
     _as_square,
+    _count,
     _Frozen,
     _gated,
     _integral,
@@ -76,7 +78,7 @@ from .qcore import (
     _real,
     _reject,
     _scalar,
-    hermitian_eig,
+    _spectrum,
     partial_trace_stack,
 )
 
@@ -91,24 +93,20 @@ POSITIVITY_FLOOR = -1e-7
 PROPAGATOR_POWERS_BYTES = 2**20
 MAX_CHUNK = 64
 
-# numpy refuses an array of more bytes than this, and np.linspace sizes the
-# grid from the float value of its point count
-_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
-
 
 def _as_grid(t_max, steps, name: str) -> tuple[float, int]:
     """A grid's t_max (positive and finite) and steps (an integer >= 2 whose
     float64 grid numpy can index) as a float and an int, whatever number
     types were passed."""
     t = _scalar(t_max, f"{name}: t_max", _POSITIVE)
-    if not (_integral(steps) and steps >= 2):
-        # two steps minimum: the measures need three grid points
-        raise _reject(f"{name}: steps", steps, "an integer >= 2")
-    # an int beyond the float range reads as inf, so it is over the limit too
-    if _real(int(steps) + 1) * 8 > _MAX_ARRAY_BYTES:
+    # two steps minimum: the measures need three grid points
+    n = _scalar(steps, f"{name}: steps", _count(2))
+    # np.linspace sizes the grid from the float value of its point count; an
+    # int beyond the float range reads as inf, so it is over the limit too
+    if _real(n + 1) * 8 > _MAX_ARRAY_BYTES:
         want = f"within numpy's size limit: a float64 grid of steps + 1 points in {_MAX_ARRAY_BYTES} bytes"
         raise _reject(f"{name}: steps", steps, want)
-    return t, int(steps)
+    return t, n
 
 
 @dataclass(frozen=True)
@@ -335,8 +333,7 @@ def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: i
     state = _gated(rho0, f"{name} rho0", state=True)
     if state.dim != spec.dim:
         raise ValidationError(f"{name}: state dim {state.dim} does not match spec dim {spec.dim}")
-    if not (_integral(psd_check_every) and psd_check_every >= 1):
-        raise _reject(f"{name}: psd_check_every", psd_check_every, "an integer >= 1")
+    psd_check_every = _scalar(psd_check_every, f"{name}: psd_check_every", _count(1))
 
     d = spec.dim
     n2 = d * d
@@ -429,7 +426,7 @@ def _schrodinger_steps(h, psi, grid: GridSpec, name: str, reduce=None):
     if psi.dim != h.dim:
         raise ValidationError(f"{name}: state dim {psi.dim} does not match H dim {h.dim}")
 
-    w, vecs = hermitian_eig(h)
+    w, vecs = _spectrum(h)
     a0 = np.einsum("ji,j->i", vecs.conj(), psi.amplitudes)  # V^dag psi(0)
     times = grid.times()
     phases = np.exp(-1j * np.outer(times, w))

@@ -113,12 +113,9 @@ class Trajectory(_Frozen):
 
     def __init__(self, times, states, hamiltonians, beta: float) -> None:
         beta = _as_beta(beta, "Trajectory")
-        finite = "Trajectory: grid times must be finite"
-        t = _as_array(times, "Trajectory times", np.float64, finite)
+        t = _as_array(times, "Trajectory times", np.float64, "Trajectory: grid times must be finite")
         if t.ndim != 1 or t.size < 3:
             raise ValidationError("Trajectory: need a 1-d grid with at least 3 points")
-        if not np.all(np.isfinite(t)):
-            raise ValidationError(finite)
         dt = float(t[1] - t[0])
         steps = np.diff(t)
         if not dt > 0.0 or steps.min() <= 0.0:
@@ -259,16 +256,19 @@ def write_csv(series: MeasureSeries, path, comments=()) -> None:
 
 
 def read_csv(source) -> MeasureSeries:
-    """Parse CSV produced by ``format_csv``; strict about the header row."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
+    """Parse CSV produced by ``format_csv``; strict about the header row.
+
+    The file is read one line at a time, and each line is split again by
+    ``str.splitlines``, which also splits at separators a file object keeps
+    inside a line (form feed, U+0085, U+2028, ...), so line numbers count them."""
+    if not hasattr(source, "read"):
         with open(source, "r") as fh:
-            text = fh.read()
+            return read_csv(fh)
     header_seen = False
     width = len(_CSV_FIELDS)
     values = array("d")
-    for ln, line in enumerate(text.splitlines(), start=1):
+    lines = (part for row in source for part in row.splitlines())
+    for ln, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

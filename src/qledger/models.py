@@ -44,9 +44,8 @@ from .qcore import (
     PureState,
     ValidationError,
     _as_beta,
+    _count,
     _gated,
-    _integral,
-    _reject,
     _scalar,
     tensor,
 )
@@ -240,8 +239,7 @@ class Example2Params:
         _check_fields(self, _NONNEGATIVE, "gamma")
         _as_beta(self.beta, "Example2Params")
         _as_grid(self.t_max, self.steps, "Example2Params")
-        if not (_integral(self.case) and self.case in (1, 2)):
-            raise _reject("Example2Params: case", self.case, "1 or 2")
+        _check_fields(self, _count(1, 2), "case")
 
     @property
     def detuning(self) -> float:

@@ -21,22 +21,24 @@ Each input check lives in one place: ``_as_square`` coerces and bounds a
 matrix, or a (..., d, d) stack in blocks of ``STACK_BLOCK`` (a list or tuple
 of one shape is stacked); ``_as_array`` rejects what numpy cannot read as a
 regular array of numbers, or an int beyond the float range, under the
-caller's name, and ``_as_hermitian`` adds the hermiticity check.  ``_gated``
-is the one place where a bare array becomes an operand, held in a
-``HermitianOperator``; ``_gated(..., state=True)`` is the one state intake, a
-``DensityMatrix`` checked by ``_check_state``.  Both report under "<function>
-<argument>", as ``_as_operands`` does, which gates each distinct operand of a
-thermo or measures function and requires one shared dimension.  A scalar is
-read by ``_real``, ``_integral`` or ``_complex``, one of a kind in the table
-of ``_POSITIVE`` ... ``_COMPLEX`` by ``_scalar``; a failure is reported by
-``_reject`` as "<caller>: <argument> must be ..., got <value>".  Every value
-object (the containers here, ``LindbladSpec``, ``Trajectory``) is a
-``_Frozen``, whose slots are set once.  One spectrum per operand: a
-container keeps its (w, V) in a slot, filled on first use
-(``_spectrum``) or by the positivity check.  ``_spectra`` seeds the cold
-operands of one dimension above ``SCALAR_MAX_DIM`` from one stack call
-(``_stack_seed``, which the audit also uses for its small cases); the
-per-matrix convergence test gives each spectrum the bits of a solve alone.
+caller's name (given a message for them, non-finite entries too), and
+``_as_hermitian`` adds the hermiticity check.  ``_gated`` is the one place
+where a bare array becomes an operand, held in a ``HermitianOperator``;
+``_gated(..., state=True)`` is the one state intake, a ``DensityMatrix``
+checked by ``_check_state``.  Both report under "<function> <argument>", as
+``_as_operands`` does, which gates each distinct operand of a thermo or
+measures function and requires one shared dimension.  A scalar is read by
+``_real``, ``_integral`` or ``_complex``, one of a kind in the table of
+``_POSITIVE`` ... ``_DIM`` or ``_count(lo, hi)`` by ``_scalar``, and a size
+is bounded by ``_MAX_ARRAY_BYTES``; a failure is reported by ``_reject`` as
+"<caller>: <argument> must be ..., got <value>".  Every value object (the
+containers here, ``LindbladSpec``, ``Trajectory``) is a ``_Frozen``, whose
+slots are set once.  One spectrum per operand: a container keeps its (w, V)
+in a slot, filled on first use (``_spectrum``) or by the positivity check.
+``_spectra`` seeds the cold operands of one dimension above
+``SCALAR_MAX_DIM`` from one stack call (``_stack_seed``, which the audit
+also uses for its small cases); the per-matrix convergence test gives each
+spectrum the bits of a solve alone.
 
 Conventions: matrices are dense complex128 ``numpy`` arrays, row-major;
 eigenvalues ascend with matching eigenvector columns, whose phases (and the
@@ -71,6 +73,8 @@ SCALAR_MAX_DIM = 16
 # many matrices at a time, so their temporaries stay small however long the
 # stack, and the monitors' numpy calls are paid per block, not per state
 STACK_BLOCK = 1024
+# numpy refuses an array of more bytes than this
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 LOG_FLOOR = 1e-300
 
@@ -111,13 +115,17 @@ def _as_square(m, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
 def _as_array(m, name: str, dtype=np.complex128, finite: str | None = None) -> np.ndarray:
     """A matrix, container or nested sequence as a ``dtype`` array; a ragged or
     non-numeric input is a ``ValidationError`` under ``name``, an int beyond the
-    float range one with the message ``finite`` ("<name>: entries must be finite")."""
+    float range one with the message ``finite`` ("<name>: entries must be finite").
+    Given ``finite``, any non-finite entry is rejected with it too."""
     try:
-        return np.asarray(getattr(m, "matrix", m), dtype=dtype)
+        a = np.asarray(getattr(m, "matrix", m), dtype=dtype)
     except OverflowError:
         raise ValidationError(finite or f"{name}: entries must be finite") from None
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name}: expected a regular array of numbers ({exc})") from None
+    if finite and not np.isfinite(a).all():
+        raise ValidationError(finite)
+    return a
 
 
 def _as_hermitian(m, name: str, *, stack: bool = False) -> np.ndarray:
@@ -188,6 +196,13 @@ def _reject(name: str, value, want: str) -> ValidationError:
     return ValidationError(f"{name} must be {want}, got {value!r}")
 
 
+def _count(lo: int, hi: int | None = None):
+    """The kind of an integer argument (``_integral``, read as an int) in
+    [lo, hi], or >= lo with no ``hi``."""
+    want = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
+    return want, lambda x: int(x) if _integral(x) else None, lambda v: v >= lo and (hi is None or v <= hi)
+
+
 # the kinds of scalar argument: what one must be, the reader that takes it
 # (None when it is no such number), and the test its value must pass
 _POSITIVE = ("a positive finite real number", _real, lambda v: 0.0 < v < math.inf)
@@ -195,6 +210,7 @@ _NONNEGATIVE = ("a finite real number >= 0", _real, lambda v: 0.0 <= v < math.in
 _FINITE = ("a finite real number", _real, math.isfinite)
 _UNIT = ("a real number in (0, 1]", _real, lambda v: 0.0 < v <= 1.0)
 _COMPLEX = ("a finite complex number", _complex, cmath.isfinite)
+_DIM = _count(1, MAX_DIM)
 
 
 def _scalar(x, name: str, kind):
@@ -355,12 +371,9 @@ class PureState(_Frozen):
 
     def __init__(self, amplitudes) -> None:
         source = getattr(amplitudes, "amplitudes", amplitudes)
-        finite = "PureState: amplitudes must be finite"
-        v = _as_array(source, "PureState", finite=finite)
+        v = _as_array(source, "PureState", finite="PureState: amplitudes must be finite")
         if v.ndim != 1 or not (1 <= v.size <= MAX_DIM):
             raise ValidationError(f"PureState: expected a vector of length 1..{MAX_DIM}")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError(finite)
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValidationError(f"PureState: norm {nrm} deviates from 1 beyond {NORM_TOL:.0e}")
@@ -670,7 +683,7 @@ def partial_trace_stack(states: np.ndarray, dims, keep) -> np.ndarray:
         raise _reject("partial_trace: dims", dims, "positive integers")
     dims = [int(x) for x in dims]
     n = len(dims)
-    if int(np.prod(dims)) != d:
+    if math.prod(dims) != d:
         raise ValidationError(f"partial_trace: dims {dims} do not factor dimension {d}")
     want = f"distinct ascending indices in 0..{n - 1}"
     keep = _listed(keep, "partial_trace: keep", want)
@@ -684,7 +697,7 @@ def partial_trace_stack(states: np.ndarray, dims, keep) -> np.ndarray:
     col = [i if i - 1 not in keep else n + i for i in range(1, n + 1)]
     out = [0] + [k + 1 for k in keep] + [n + k + 1 for k in keep]
     red = np.einsum(reshaped, [0] + row + col, out)
-    dk = int(np.prod([dims[k] for k in keep]))
+    dk = math.prod(dims[k] for k in keep)
     return red.reshape(t, dk, dk)
 
 
@@ -765,10 +778,7 @@ def matrix_from_json(obj) -> np.ndarray:
         dim, re, im = obj["dim"], obj["re"], obj["im"]
     except KeyError as exc:
         raise ValidationError(f"matrix JSON: malformed fields ({exc})") from exc
-    if not _integral(dim):
-        raise _reject("matrix JSON: dim", dim, "an integer")
-    if not (1 <= dim <= MAX_DIM):
-        raise ValidationError(f"matrix JSON: dim {dim} outside [1, {MAX_DIM}]")
+    dim = _scalar(dim, "matrix JSON: dim", _DIM)
     # finite reals, and a shape fixed by the reshape: nothing is left to gate
     return (_json_reals(re, dim) + 1j * _json_reals(im, dim)).reshape(dim, dim)
 

@@ -10,17 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 from .qcore import (
+    _DIM,
     _FINITE,
+    _MAX_ARRAY_BYTES,
     _UNIT,
-    MAX_DIM,
     DensityMatrix,
     HermitianOperator,
     PureState,
     QuantumChannel,
     _as_beta,
     _as_operands,
-    _integral,
-    _reject,
+    _count,
     _scalar,
     _spectrum,
     _synthesize,
@@ -28,17 +28,12 @@ from .qcore import (
 from .thermo import gibbs_state
 
 
-def _check_dim(dim, name: str) -> None:
-    if not (_integral(dim) and 1 <= dim <= MAX_DIM):
-        raise _reject(f"{name}: dim", dim, f"an integer in [1, {MAX_DIM}]")
-
-
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermitianOperator:
-    _check_dim(dim, "random_hermitian")
+    dim = _scalar(dim, "random_hermitian: dim", _DIM)
     _scalar(scale, "random_hermitian: scale", _FINITE)
     g = _ginibre(rng, dim, dim)
     return HermitianOperator(0.5 * scale * (g + g.conj().T))
@@ -58,11 +53,8 @@ def spectral_span_bound(op) -> float:
 
 def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> DensityMatrix:
     """Normalized Gram matrix of a Gaussian block; rank defaults to full."""
-    _check_dim(dim, "random_density")
-    if rank is None:
-        rank = dim
-    elif not (_integral(rank) and 1 <= rank <= dim):
-        raise _reject("random_density: rank", rank, f"an integer in [1, {dim}]")
+    dim = _scalar(dim, "random_density: dim", _DIM)
+    rank = dim if rank is None else _scalar(rank, "random_density: rank", _count(1, dim))
     g = _ginibre(rng, dim, rank)
     m = _synthesize(g, np.ones(rank))
     # a Gram matrix is positive semidefinite by construction
@@ -70,7 +62,7 @@ def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) 
 
 
 def random_pure(rng: np.random.Generator, dim: int) -> PureState:
-    _check_dim(dim, "random_pure")
+    dim = _scalar(dim, "random_pure: dim", _DIM)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return PureState(v / np.linalg.norm(v))
 
@@ -82,9 +74,9 @@ def random_channel(rng: np.random.Generator, dim: int, n_kraus: int = 3) -> Quan
     isometry W, and W's dim-sized blocks satisfy sum K^dag K = W^dag W = I
     exactly up to rounding.
     """
-    _check_dim(dim, "random_channel")
-    if not (_integral(n_kraus) and n_kraus >= 1):
-        raise _reject("random_channel: n_kraus", n_kraus, "an integer >= 1")
+    dim = _scalar(dim, "random_channel: dim", _DIM)
+    # the complex (n_kraus*dim, dim) Gaussian block must be within numpy's size limit
+    n_kraus = _scalar(n_kraus, "random_channel: n_kraus", _count(1, _MAX_ARRAY_BYTES // (16 * dim * dim)))
     g = _ginibre(rng, n_kraus * dim, dim)
     w, _ = np.linalg.qr(g)
     return QuantumChannel(w.reshape(n_kraus, dim, dim))
@@ -144,7 +136,7 @@ def ground_damping_channel(dim: int, strength: float) -> QuantumChannel:
     Not Gibbs-preserving for any finite temperature; used to exhibit
     negative irreversible-entropy differences in the audit.
     """
-    _check_dim(dim, "ground_damping_channel")
+    dim = _scalar(dim, "ground_damping_channel: dim", _DIM)
     s = _scalar(strength, "ground_damping_channel: strength", _UNIT)
     levels = np.arange(1, dim)
     kraus = np.zeros((dim, dim, dim), dtype=np.complex128)

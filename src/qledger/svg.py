@@ -60,12 +60,9 @@ def line_plot(path, x, curves, title: str = "", xlabel: str = "t", ylabel: str =
     match x in length and be finite, and each axis must span a width that
     is a finite normal float once padded.
     """
-    finite = "line_plot: x values must be finite"
-    x = _as_array(x, "line_plot x", np.float64, finite)
+    x = _as_array(x, "line_plot x", np.float64, "line_plot: x values must be finite")
     if x.ndim != 1 or x.size < 2:
         raise ValidationError("line_plot: x must be a 1-d array with at least 2 points")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError(finite)
     curves = [(str(label), y) for label, y in curves]
     if not curves:
         raise ValidationError("line_plot: at least one curve required")
@@ -74,8 +71,6 @@ def line_plot(path, x, curves, title: str = "", xlabel: str = "t", ylabel: str =
         y = _as_array(y, f"line_plot curve {label!r}", np.float64, finite)
         if y.shape != x.shape:
             raise ValidationError(f"line_plot: curve {label!r} length does not match x")
-        if not np.all(np.isfinite(y)):
-            raise ValidationError(finite)
         curves[i] = (label, y)
 
     x_lo, x_hi = _pad_range(float(x.min()), float(x.max()))

@@ -60,7 +60,10 @@ RHO_WEIGHT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GibbsSpec:
-    """A thermal state exp(-beta H)/Z together with its construction data."""
+    """A thermal state exp(-beta H)/Z together with its construction data.
+
+    ``Z`` is inf once ln Z exceeds the float range (ln Z > ~709.78);
+    ``log_Z`` stays exact."""
 
     hamiltonian: HermitianOperator
     beta: float
@@ -162,7 +165,10 @@ def gibbs_state(hamiltonian, beta: float) -> GibbsSpec:
     op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
     w, v = _spectrum(op)
     p, _, log_z = _gibbs(w, beta)
-    z = math.exp(log_z)
+    try:
+        z = math.exp(log_z)
+    except OverflowError:
+        z = math.inf
     # p falls as w rises, so the reversed pair is the ascending spectrum
     state = _seed(DensityMatrix(_synthesize(v, p), check_psd=False), p[::-1], v[:, ::-1])
     return GibbsSpec(hamiltonian=op, beta=beta, Z=z, log_Z=float(log_z), state=state)

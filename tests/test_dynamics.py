@@ -192,7 +192,7 @@ def test_integrators_check_beta_before_integrating(monkeypatch):
         raise AssertionError("integration started")
 
     monkeypatch.setattr(dyn, "_rk4_propagator", started)
-    monkeypatch.setattr(dyn, "hermitian_eig", started)
+    monkeypatch.setattr(dyn, "_spectrum", started)
     spec = LindbladSpec(H2, [(SM, 0.5)])
     with pytest.raises(ValidationError, match="^lindblad_evolve: beta"):
         lindblad_evolve(spec, DensityMatrix(np.diag([0.5, 0.5])), GridSpec(1.0, 10), beta=math.inf)

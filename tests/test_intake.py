@@ -18,6 +18,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from qledger import sampling
 from qledger.cli import main
 from qledger.dynamics import GridSpec, LindbladSpec, lindblad_evolve, schrodinger_evolve
 from qledger.measures import MeasureSeries, Trajectory
@@ -170,9 +171,12 @@ def _series(**columns):
      ("line_plot: x values must be finite", lambda path: line_plot(path, [0, BIG], [("y", [0, 1])])),
      ("line_plot: curve 'y' has non-finite values", lambda path: line_plot(path, [0, 1], [("y", [BIG, 1])])),
      (f"GridSpec: {SIZE_LIMIT}", lambda _: GridSpec(1.0, BIG)),
-     (f"Example1Params: {SIZE_LIMIT}", lambda _: Example1Params(steps=BIG))],
+     (f"Example1Params: {SIZE_LIMIT}", lambda _: Example1Params(steps=BIG)),
+     ("random_channel: n_kraus must be an integer in [1, ",
+      lambda _: sampling.random_channel(np.random.default_rng(0), 2, BIG))],
     ids=["entropy", "operator", "pure-state", "kraus", "tensor", "partial-trace-stack", "to-json",
-         "trajectory-times", "measure-series", "plot-x", "plot-y", "grid-steps", "example1-steps"],
+         "trajectory-times", "measure-series", "plot-x", "plot-y", "grid-steps", "example1-steps",
+         "kraus-count"],
 )
 def test_int_beyond_the_float_range_is_rejected_under_its_caller(message, call, tmp_path):
     """Every intake that numpy or float() would hand such an int to says what

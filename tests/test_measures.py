@@ -485,3 +485,35 @@ def test_read_csv_reports_the_line():
     with pytest.raises(ValidationError, match="^CSV line 5: could not convert string to float: 'y'$"):
         read_csv(io.StringIO(text))
     assert len(read_csv(io.StringIO(CSV_HEADER + "\n"))) == 0
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r", "\r\n", "\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_read_csv_counts_every_line_separator(tmp_path, sep):
+    """A line ends wherever ``str.splitlines`` ends one, read from a path or a
+    file object, so an error names the same line either way."""
+    row = ",".join(["1"] * 10)
+    text = "# c" + sep + CSV_HEADER + "\n" + row + sep + sep + row + "\n" + ",".join(["1"] * 9 + ["y"])
+    assert text.splitlines()[5].endswith("y")
+    path = tmp_path / "s.csv"
+    path.write_text(text, newline="")
+    for source in (io.StringIO(text), path):
+        with pytest.raises(ValidationError, match="^CSV line 6: could not convert string to float: 'y'$"):
+            read_csv(source)
+
+
+def test_read_csv_peak_memory(tmp_path):
+    """read_csv holds one line of the file at a time: at 20001 rows its traced
+    peak stays within 3 MiB, where the text and its lines alone are larger."""
+    import tracemalloc
+
+    s = _random_series(20001)
+    path = tmp_path / "big.csv"
+    write_csv(s, path)
+    read_csv(path)  # warm-up
+    tracemalloc.start()
+    try:
+        read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20

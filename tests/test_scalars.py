@@ -174,6 +174,11 @@ def test_partial_trace_names_every_rejected_value():
         partial_trace(RHO4, [2.9, 2.1], [0])
     with pytest.raises(ValidationError, match="^partial_trace: dims must be positive integers"):
         partial_trace_stack(RHO4[None], [-2, -2], [0])
+    # the product is exact: in int64 it would wrap to 4
+    message = f"partial_trace: dims [{2**62 + 1}, 4] do not factor dimension 4"
+    for call in (partial_trace, lambda r, dims, keep: partial_trace_stack(r[None], dims, keep)):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            call(RHO4, [2**62 + 1, 4], [0])
 
 
 def test_gibbs_preserving_channel_names_its_hamiltonian():

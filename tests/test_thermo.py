@@ -409,6 +409,16 @@ def test_delta_S_ir_names_gibbs_underflow():
         delta_S_ir(RHO_HALF, H_WIDE, RHO_MOSTLY_GROUND, H_WIDE, 1.0)
 
 
+def test_gibbs_state_beyond_the_float_range_of_z():
+    """ln Z = 1000 is beyond exp's float range: Z is inf, ln Z stays exact,
+    and delta_S_ir still names the underflow."""
+    h = np.diag([-1000.0, 0.0])
+    spec = gibbs_state(h, 1.0)
+    assert (spec.Z, spec.log_Z) == (math.inf, 1000.0)
+    with pytest.raises(NumericError, match="^delta_S_ir: a Gibbs population underflows to 0"):
+        delta_S_ir(RHO_HALF, h, RHO_MOSTLY_GROUND, h, 1.0)
+
+
 def test_relative_entropy_to_a_gibbs_spec_survives_underflow():
     spec = gibbs_state(H_WIDE, 1.0)
     # S(rho||pi) = -S(rho) + 1000 p_1 + ln Z = 500 - ln 2, the dual path of W_f
