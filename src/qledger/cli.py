@@ -17,32 +17,34 @@ import sys
 import numpy as np
 
 from . import models, sampling
-from .measures import write_csv
+from .measures import _populations, write_csv
 from .qcore import (
     HermitianOperator,
     NumericError,
     PropertyViolation,
     QuantumChannel,
     ValidationError,
+    _check_kraus,
+    _check_states,
     _gated,
     _integral,
+    _jacobi_stack,
+    _kraus_apply,
     _kraus_sum,
     _real,
     _spectra,
-    _stack_seed,
     apply_channel,
     matrix_from_json,
 )
-from .measures import coherence, dephase
 from .svg import line_plot
 from .thermo import (
     _energy,
+    _entropy,
+    _gibbs,
+    _relent_stack,
     delta_S_ir,
-    extractable_work,
     first_law_ledger,
     gibbs_state,
-    relative_entropy,
-    von_neumann_entropy,
 )
 
 # subcommand number -> (parameter dataclass, name of the runner in models,
@@ -62,6 +64,7 @@ _ALIASES = {"lam": "lambda"}
 CONTRACTIVITY_TOL = 1e-10
 DUAL_PATH_TOL = 1e-10
 CLOSURE_TOL = 1e-9
+_AUDIT_KINDS = ("contractivity", "dual-path", "closure")
 
 # the audit draws, solves and checks its cases this many at a time: enough
 # that each stack solve spreads numpy's call overhead over many matrices,
@@ -73,10 +76,10 @@ def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+    except ValueError as exc:  # JSONDecodeError, or an int beyond the int-to-str digit limit
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def _coerce(key: str, value, default):
@@ -105,6 +108,8 @@ def _parse_override(text: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except ValueError as exc:  # an int beyond the int-to-str digit limit
+        raise ValidationError(f"override {key!r}: {exc}") from None
     return key, value
 
 
@@ -231,36 +236,26 @@ def _cmd_audit(args) -> int:
 
     draws = _audit_draws(np.random.default_rng(args.seed), args.count)
     blocks = iter(lambda: list(itertools.islice(draws, _AUDIT_BLOCK)), [])
-    cases = itertools.chain.from_iterable(zip(b, *_audit_solve(b)) for b in blocks)
     failures = []
     min_ds_ir = np.inf
     worst_dual = 0.0
     worst_closure = 0.0
-    for case, ((beta, h, rho0, _), spec, rho_t) in enumerate(cases):
-        pi = spec.state
-        rel0 = relative_entropy(rho0, pi)
-        rel_t = relative_entropy(rho_t, pi)
+    for first, block in zip(itertools.count(0, _AUDIT_BLOCK), blocks):
+        beta = np.array([case[0] for case in block])
+        rel0, wf0, e0, coh0, sdeph0, rel_t, wf_t, e_t, coh_t, sdeph_t = _audit_values(block)
         ds_ir = rel0 - rel_t
-        min_ds_ir = min(min_ds_ir, ds_ir)
-        if ds_ir < -CONTRACTIVITY_TOL:
-            failures.append((case, "contractivity", ds_ir))
-
-        wf0 = extractable_work(rho0, h, beta)
-        dual = abs(wf0 - rel0 / beta)
-        worst_dual = max(worst_dual, dual)
-        if dual > DUAL_PATH_TOL:
-            failures.append((case, "dual-path", dual))
-
+        dual = np.abs(wf0 - rel0 / beta)
         # free-energy change against its coherence decomposition (H fixed,
         # so the partition term drops)
-        wf_t = extractable_work(rho_t, h, beta)
-        de = _energy(rho_t.matrix, h.matrix) - _energy(rho0.matrix, h.matrix)
-        dcoh = coherence(rho_t, h) - coherence(rho0, h)
-        dsdeph = von_neumann_entropy(dephase(rho_t, h)) - von_neumann_entropy(dephase(rho0, h))
-        closure = abs((wf_t - wf0) - (de + (dcoh - dsdeph) / beta))
-        worst_closure = max(worst_closure, closure)
-        if closure > CLOSURE_TOL:
-            failures.append((case, "closure", closure))
+        closure = np.abs((wf_t - wf0) - ((e_t - e0) + ((coh_t - coh0) - (sdeph_t - sdeph0)) / beta))
+        # fmin and fmax pass over nan, as the comparisons below do
+        min_ds_ir = np.fmin(min_ds_ir, np.fmin.reduce(ds_ir))
+        worst_dual = np.fmax(worst_dual, np.fmax.reduce(dual))
+        worst_closure = np.fmax(worst_closure, np.fmax.reduce(closure))
+        failed = np.array([ds_ir < -CONTRACTIVITY_TOL, dual > DUAL_PATH_TOL, closure > CLOSURE_TOL])
+        values = (ds_ir, dual, closure)
+        # case by case, each case's kinds in the order above
+        failures += [(first + i, _AUDIT_KINDS[k], values[k][i]) for i, k in np.argwhere(failed.T)]
 
     print(f"audit: seed={args.seed} count={args.count}")
     if args.count:
@@ -292,16 +287,60 @@ def _audit_draws(rng: np.random.Generator, count: int):
         yield beta, h, rho0, sampling._channel_draws(rng, dim)
 
 
-def _audit_solve(block) -> tuple[list, list]:
-    """The Gibbs state and the channel's output state of each case of a block.
-    Every H and rho0 is solved in one stack per dimension, and so is every
-    output, which is then checked as a state on its carried spectrum."""
-    _stack_seed([x for _, h, rho0, _ in block for x in (h, rho0)], 1)
-    specs = [gibbs_state(h, beta) for beta, h, _, _ in block]
-    outs = [_gated(_kraus_sum(sampling._channel_from(spec, chan), rho0), "audit rho_t")
-            for spec, (_, _, rho0, chan) in zip(specs, block)]
-    _stack_seed(outs, 1)
-    return specs, [_gated(x, "audit rho_t", state=True) for x in outs]
+def _audit_solve(block) -> list:
+    """The cases of a block solved per dimension, in order of first
+    appearance, as (index, beta, H, p, states): the cases' indices in the
+    block, beta (k,), H as a stack with its spectrum, the Gibbs populations
+    by energy, and (rho, w, V) for the stacks of rho0 and of the channels'
+    outputs.  Every H and rho0 of the block is solved in one stack per
+    dimension, and then every output, which is checked as a state on that
+    spectrum; the channels' Kraus operators are checked for completeness."""
+    groups = {}
+    for i, (_, h, _, _) in enumerate(block):
+        groups.setdefault(h.dim, []).append(i)
+    solved = []
+    for idx in groups.values():
+        h = np.stack([block[i][1].matrix for i in idx])
+        rho0 = np.stack([block[i][2].matrix for i in idx])
+        w, v = _jacobi_stack(np.concatenate([h, rho0]), want_vectors=True)
+        k = len(idx)
+        solved.append((idx, h, (w[:k], v[:k]), (rho0, w[k:], v[k:])))
+    out = []
+    for idx, h, (wh, vh), initial in solved:
+        beta = np.array([block[i][0] for i in idx])
+        p = _gibbs(wh, beta[:, None])[0]
+        weights, angles = (np.stack(x) for x in zip(*(block[i][3] for i in idx)))
+        kraus = sampling._gibbs_preserving_kraus(vh, p, weights, angles)
+        _check_kraus(kraus)
+        rho_t = _kraus_apply(kraus, initial[0])
+        if not np.isfinite(rho_t).all():
+            raise ValidationError("audit rho_t: entries must be finite")
+        wt, vt = _jacobi_stack(rho_t, want_vectors=True)
+        _check_states(rho_t, wt, "audit rho_t")
+        out.append((idx, beta, (h, wh, vh), p, (initial, (rho_t, wt, vt))))
+    return out
+
+
+def _audit_values(block) -> np.ndarray:
+    """Per case of a block, in case order, the audited quantities of rho0 and
+    then of the channel's output: S(rho || gibbs), the extractable work
+    F(rho) - F(gibbs), the energy, the coherence and the entropy of the
+    dephased state, as a (10, n) array.  Each is one kernel call per
+    dimension over the spectra ``_audit_solve`` carries.  The relative
+    entropy takes the overlaps with the Gibbs state's own eigenvalues and
+    the extractable work the traces, so the dual path compares two routes."""
+    values = np.empty((10, len(block)))
+    for idx, beta, (h, wh, vh), p, states in _audit_solve(block):
+        f_gibbs = (p[:, None, :] @ wh[:, :, None])[:, 0, 0] - _entropy(p) / beta
+        # the Gibbs state's spectrum ascends: its populations reversed
+        ws, vs = p[:, ::-1], vh[:, :, ::-1]
+        rows = []
+        for rho, w, v in states:
+            energy, pops = _energy(rho, h), _populations(vh, rho)
+            rows += [_relent_stack(w, v, ws, vs), energy - _entropy(w) / beta - f_gibbs, energy,
+                     _entropy(pops) - _entropy(w), _entropy(np.sort(pops, axis=-1))]
+        values[:, idx] = rows
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:

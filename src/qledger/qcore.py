@@ -192,8 +192,15 @@ def _complex(x) -> complex | None:
 
 def _reject(name: str, value, want: str) -> ValidationError:
     """The error for a scalar argument: "<caller>: <argument> must be <want>,
-    got <repr>", with ``name`` the caller and the argument."""
-    return ValidationError(f"{name} must be {want}, got {value!r}")
+    got <repr>", with ``name`` the caller and the argument.  An int too long
+    for ``repr`` (``sys.get_int_max_str_digits()``) is given by its length."""
+    try:
+        got = repr(value)
+    except ValueError:
+        n = abs(int(value))
+        k = int(n.bit_length() * math.log10(2))  # the digit count is k or k + 1
+        got = f"an integer of {k + (n >= 10**k)} digits"
+    return ValidationError(f"{name} must be {want}, got {got}")
 
 
 def _count(lo: int, hi: int | None = None):
@@ -315,6 +322,19 @@ def _check_state(x, name: str, check_psd: bool = True):
     return x
 
 
+def _check_states(m: np.ndarray, w: np.ndarray, name: str) -> None:
+    """``_check_state`` over a (n, d, d) stack with its ascending eigenvalues
+    (n, d): each matrix's trace and smallest eigenvalue against the same
+    tolerances, the first that fails raising the same message."""
+    tr, low = np.einsum("nii->n", m), w[:, 0]
+    bad = (np.abs(tr - 1.0) > TRACE_TOL) | (low < -PSD_TOL)
+    for t, wmin in zip(tr[bad][:1], low[bad][:1]):
+        if abs(t - 1.0) > TRACE_TOL:
+            raise ValidationError(f"{name}: trace {t} deviates from 1 beyond {TRACE_TOL:.0e}")
+        if wmin < -PSD_TOL:
+            raise ValidationError(f"{name}: smallest eigenvalue {wmin:.3e} below -{PSD_TOL:.0e}")
+
+
 def _gated(m, name: str, *, state: bool = False):
     """A container as it is; anything else through ``_as_hermitian`` once and
     held in a ``HermitianOperator`` with an empty spectrum slot.  With
@@ -408,12 +428,7 @@ class QuantumChannel(_Frozen):
         if len(shape) != 2 or shape[0] != shape[1]:  # named per operator, not as a stack
             raise ValidationError(f"QuantumChannel kraus: expected a square matrix, got shape {shape}")
         ops = _as_square(np.stack(kraus), "QuantumChannel kraus", stack=True)
-        d = ops.shape[-1]
-        defect = float(np.abs(np.einsum("kji,kjl->il", ops.conj(), ops) - np.eye(d)).max())
-        if defect > KRAUS_TOL:
-            raise ValidationError(
-                f"QuantumChannel: completeness defect {defect:.3e} exceeds {KRAUS_TOL:.0e}"
-            )
+        _check_kraus(ops)
         ops.setflags(write=False)  # np.stack always makes a new array
         object.__setattr__(self, "_stack", ops)
         object.__setattr__(self, "kraus", tuple(ops))
@@ -421,6 +436,16 @@ class QuantumChannel(_Frozen):
     @property
     def dim(self) -> int:
         return self._stack.shape[-1]
+
+
+def _check_kraus(ops: np.ndarray) -> None:
+    """sum_k K_k^dag K_k = I within ``KRAUS_TOL`` for the Kraus operators
+    (..., K, d, d) of one channel or of a stack of them; the first channel
+    that fails raises."""
+    eye = np.eye(ops.shape[-1])
+    defect = np.abs(np.einsum("...kji,...kjl->...il", ops.conj(), ops) - eye).max(axis=(-2, -1))
+    for x in defect[defect > KRAUS_TOL][:1]:
+        raise ValidationError(f"QuantumChannel: completeness defect {x:.3e} exceeds {KRAUS_TOL:.0e}")
 
 
 # ---------------------------------------------------------------------------
@@ -722,8 +747,14 @@ def _kraus_sum(channel: QuantumChannel, rho) -> np.ndarray:
         raise ValidationError(
             f"apply_channel: state dim {a.shape[0]} does not match channel dim {channel.dim}"
         )
-    k = channel._stack
-    return _mirror((k @ a @ k.conj().swapaxes(1, 2)).sum(axis=0))
+    return _kraus_apply(channel._stack, a)
+
+
+def _kraus_apply(k: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_k K rho K^dag through ``_mirror`` for Kraus operators (..., K, d, d)
+    and matrices (..., d, d) whose leading axes broadcast; a stack's products
+    are those of each channel alone, so each row has its bits."""
+    return _mirror((k @ a[..., None, :, :] @ k.conj().swapaxes(-1, -2)).sum(axis=-3))
 
 
 def matrix_log_hermitian(operator, floor: float = LOG_FLOOR) -> np.ndarray:

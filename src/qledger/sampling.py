@@ -110,24 +110,33 @@ def _channel_from(spec, draws) -> QuantumChannel:
     """The Gibbs-preserving channel of the ``GibbsSpec`` ``spec`` for the
     random numbers ``draws`` of ``_channel_draws``."""
     weights, angles = draws
-    w, v = _spectrum(spec.hamiltonian)
-    d = w.size
-    vt = v.T  # vt[k] is the k-th energy eigenvector
+    pops = _spectrum(spec.state)[0][::-1]  # the state's spectrum by energy
+    return QuantumChannel(_gibbs_preserving_kraus(_spectrum(spec.hamiltonian)[1], pops, weights, angles))
+
+
+def _gibbs_preserving_kraus(v, pops, weights, angles) -> np.ndarray:
+    """The (..., 1 + d^2 + d, d, d) Kraus operators of the Gibbs-preserving
+    channel of H's eigenvectors ``v`` (..., d, d), the Gibbs populations
+    ``pops`` (..., d) in the same order and the draws (..., 3) and (..., d) of
+    ``_channel_draws``; leading axes broadcast, and a channel of a stack has
+    the bits of the channel alone."""
+    d = pops.shape[-1]
+    vt = v.swapaxes(-1, -2)  # vt[..., k, :] is the k-th energy eigenvector
 
     # random phases per energy level: commutes with H
     phases = np.exp(1j * angles)
-    unitary = np.sqrt(weights[0]) * ((v * phases) @ v.conj().T)
+    unitary = np.sqrt(weights[..., :1, None]) * ((v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
     # full replacement: K_kj = sqrt(p_k) |e_k><e_j|, maps anything to Gibbs
-    pops = _spectrum(spec.state)[0][::-1]  # the state's spectrum by energy
-    replace = np.sqrt(weights[1] * pops)[:, None, None, None] * (
-        vt[:, None, :, None] * vt.conj()[None, :, None, :]
+    replace = np.sqrt(weights[..., 1:2] * pops)[..., :, None, None, None] * (
+        vt[..., :, None, :, None] * vt.conj()[..., None, :, None, :]
     )
 
     # dephasing onto the energy eigenprojectors
-    dephase = np.sqrt(weights[2]) * (vt[:, :, None] * vt.conj()[:, None, :])
+    dephase = np.sqrt(weights[..., 2:, None, None]) * (vt[..., :, :, None] * vt.conj()[..., :, None, :])
 
-    return QuantumChannel(np.concatenate([unitary[None], replace.reshape(d * d, d, d), dephase]))
+    lead = pops.shape[:-1]
+    return np.concatenate([unitary[..., None, :, :], replace.reshape(*lead, d * d, d, d), dephase], axis=-3)
 
 
 def ground_damping_channel(dim: int, strength: float) -> QuantumChannel:

@@ -16,8 +16,9 @@ The log of a Gibbs state is always evaluated in closed form,
 ln(gibbs) = -beta H - ln(Z) I, never through a numerical matrix log.
 
 ``_entropy``, ``_gibbs`` and ``_energy`` are the one definition of each
-spectral quantity, over the last axis, for one process here and for a
-whole trajectory in ``measures``.
+spectral quantity, over the last axis, for one process here, for a whole
+trajectory in ``measures`` and for a block of the audit's cases in ``cli``,
+which takes its relative entropies from ``_relent_stack``.
 
 Each public function checks its operands (``_as_operands``) and beta
 (``_as_beta``) at entry, so errors name the function and the argument.
@@ -147,7 +148,7 @@ def relative_entropy(rho, sigma) -> float:
     if isinstance(sigma, GibbsSpec):
         a, h = _as_operands("relative_entropy", rho=rho, sigma=sigma.hamiltonian)
         (wh, vh), (wr, vr) = _spectra(h, a)
-        return _relent_from_spectra(wr, vr, _gibbs(wh, sigma.beta)[1], vh)
+        return _relent_from_spectra(float(_entropy(wr)), wr, vr, _gibbs(wh, sigma.beta)[1], vh)
     a, b = _as_operands("relative_entropy", rho=rho, sigma=sigma)
     (wr, vr), (ws, vs) = _spectra(a, b)
     wr, weights = _overlap_weights(wr, vr, vs)
@@ -333,8 +334,8 @@ def first_law_ledger(rho0, h0, rho_tau, h_tau, beta: float) -> ThermoLedger:
 
     # relative entropies through eigenbasis overlaps, against the Gibbs log
     # in closed form, which stays finite where a population underflows
-    rel0 = _relent_from_spectra(wr0, vr0, log_p0, vh0)
-    relt = _relent_from_spectra(wrt, vrt, log_pt, vht)
+    rel0 = _relent_from_spectra(s_rho0, wr0, vr0, log_p0, vh0)
+    relt = _relent_from_spectra(s_rhot, wrt, vrt, log_pt, vht)
     ds_ir = rel0 - relt
 
     residual_eq2 = delta_e - (delta_we + w_ad_passive + q_op)
@@ -356,14 +357,29 @@ def first_law_ledger(rho0, h0, rho_tau, h_tau, beta: float) -> ThermoLedger:
     )
 
 
-def _relent_from_spectra(wr, vr, log_psigma, vsigma) -> float:
-    wr, weights = _overlap_weights(wr, vr, vsigma)
-    return -float(_entropy(wr)) - float(weights @ log_psigma)
+def _relent_from_spectra(s_rho, wr, vr, log_psigma, vsigma) -> float:
+    """S(rho || sigma) from rho's entropy ``s_rho`` and spectrum and sigma's
+    ln p and eigenvectors (``_entropy`` clips rho's spectrum itself)."""
+    return -s_rho - float(_overlap_weights(wr, vr, vsigma)[1] @ log_psigma)
 
 
 def _overlap_weights(wr, vr, vsigma) -> tuple[np.ndarray, np.ndarray]:
     """rho's spectrum clipped at 0, and its weight on each sigma eigenvector:
-    sum_i p_i |<r_i|s_j>|^2."""
-    overlap = np.abs(vr.conj().T @ vsigma) ** 2
+    sum_i p_i |<r_i|s_j>|^2, over leading axes that broadcast."""
+    overlap = np.abs(vr.conj().swapaxes(-1, -2) @ vsigma) ** 2
     wr = np.clip(wr, 0.0, None)
-    return wr, wr @ overlap
+    return wr, (wr[..., None, :] @ overlap)[..., 0, :]
+
+
+def _relent_stack(wr, vr, ws, vs) -> np.ndarray:
+    """``relative_entropy`` over a stack, from each rho's spectrum (n, d) and
+    (n, d, d) and each sigma's ascending one: the overlap weights against
+    ln ws, or +inf where rho weight above ``RHO_WEIGHT_TOL`` meets a sigma
+    eigenvalue below ``SIGMA_SUPPORT_TOL``.  Its products are the wrapper's,
+    one matrix at a time, so a row with full support has the wrapper's bits
+    for the same spectra."""
+    wr, weights = _overlap_weights(wr, vr, vs)
+    unsupported = ws < SIGMA_SUPPORT_TOL
+    log_ws = np.log(np.where(unsupported, 1.0, ws))[..., None]
+    rel = -_entropy(wr) - (weights[..., None, :] @ log_ws)[..., 0, 0]
+    return np.where((unsupported & (weights > RHO_WEIGHT_TOL)).any(axis=-1), math.inf, rel)

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from qledger import models
+from qledger import cli, models, sampling
 from qledger.cli import main
 from qledger.measures import CSV_HEADER, read_csv
 from qledger.qcore import matrix_from_json, matrix_to_json
@@ -170,6 +170,29 @@ def test_int_beyond_the_float_range_is_a_validation_error(capsys, example, overr
     assert json.loads(err[0])["detail"].startswith(detail)
 
 
+LONG_INT = "1" * 5000  # beyond Python's int-to-str digit limit (4300 by default)
+
+
+@pytest.mark.parametrize("route", ["config", "override", "ledger"])
+def test_int_beyond_the_digit_limit_is_a_validation_error(tmp_path, capsys, route):
+    """json raises a plain ValueError for such a literal, not a JSONDecodeError:
+    each route still exits 2 with one JSON object, no traceback."""
+    path = tmp_path / "c.json"
+    if route == "ledger":
+        path.write_text(ledger_config(tmp_path).read_text().replace('"beta": 1.0', f'"beta": {LONG_INT}'))
+    else:
+        path.write_text(f'{{"R": {LONG_INT}}}')
+    argv = {"config": ["example1", "--config", str(path)],
+            "override": ["example1", "--override", f"R={LONG_INT}"],
+            "ledger": ["ledger", "--config", str(path)]}[route]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    detail = json.loads(err[0])["detail"]
+    prefix = "override 'R': " if route == "override" else f"{path}: not valid JSON ("
+    assert detail.startswith(prefix + "Exceeds the limit (4300 digits)")
+
+
 # ---------------------------------------------------------------------------
 # ledger subcommand
 
@@ -320,6 +343,67 @@ def test_audit_counterexample_mode(capsys):
     assert run(["audit", "--expect-violation"]) == 0
     out = capsys.readouterr().out
     assert "negative irreversible entropy" in out
+
+
+def _damp_cases(monkeypatch, chosen: dict) -> None:
+    """Give each chosen case (index -> its phase draws) the channel of
+    ``--expect-violation``, ground damping of strength 1/2, wherever a channel
+    is built: one at a time (``sampling._channel_from``) or a stack at a time
+    (``sampling._gibbs_preserving_kraus``, padded with zero operators)."""
+    def is_chosen(angles):
+        return any(np.array_equal(angles, a) for a in chosen.values())
+
+    one = sampling._channel_from
+
+    def channel_from(spec, draws):
+        if is_chosen(draws[1]):
+            return sampling.ground_damping_channel(len(draws[1]), 0.5)
+        return one(spec, draws)
+
+    monkeypatch.setattr(sampling, "_channel_from", channel_from)
+    stacked = getattr(sampling, "_gibbs_preserving_kraus", None)
+    if stacked is None:
+        return
+
+    def kraus_stack(v, pops, weights, angles):
+        kraus = stacked(v, pops, weights, angles)
+        d = pops.shape[-1]
+        for row in np.ndindex(angles.shape[:-1]):
+            if is_chosen(angles[row]):
+                kraus[row] = 0.0
+                kraus[row][:d] = sampling.ground_damping_channel(d, 0.5)._stack
+        return kraus
+
+    monkeypatch.setattr(sampling, "_gibbs_preserving_kraus", kraus_stack)
+
+
+def test_audit_reports_violations_in_case_order(capsys, monkeypatch):
+    """Damped cases in three dimension groups of one block, whose groups come
+    in another order than the cases (d = 4 first, at case 0): each fails as
+    contractivity, listed in case order, and the first names the case."""
+    draws = list(cli._audit_draws(np.random.default_rng(7), 40))
+    chosen = {3: 2, 13: 4, 29: 3}
+    assert {i: draws[i][1].dim for i in chosen} == chosen and draws[0][1].dim == 4
+    _damp_cases(monkeypatch, {i: draws[i][3][1] for i in chosen})
+    assert run(["audit", "--count", "40", "--seed", "7"]) == 4
+    captured = capsys.readouterr()
+    fails = [line.split()[2:4] for line in captured.out.splitlines() if line.startswith("audit: FAIL")]
+    assert fails == [[f"case={i}", "kind=contractivity"] for i in (3, 13, 29)]
+    assert json.loads(captured.err) == {
+        "error": "property",
+        "detail": "3 violation(s) in 40 cases; reproduce with --seed 7 (first failing case 3)",
+    }
+
+
+def test_audit_checks_each_stacked_channel(capsys, monkeypatch):
+    """Kraus operators that are not complete stop the audit with the
+    channel's own message, exit 2."""
+    build = sampling._gibbs_preserving_kraus
+    monkeypatch.setattr(sampling, "_gibbs_preserving_kraus", lambda *args: 1.001 * build(*args))
+    assert run(["audit", "--count", "5", "--seed", "7"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert err["detail"].startswith("QuantumChannel: completeness defect 2.001e-03 exceeds 1e-10")
 
 
 def test_audit_zero_count(capsys):

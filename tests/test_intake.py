@@ -29,6 +29,7 @@ from qledger.qcore import (
     PureState,
     QuantumChannel,
     ValidationError,
+    _reject,
     apply_channel,
     hermitian_eig,
     matrix_log_hermitian,
@@ -185,3 +186,27 @@ def test_int_beyond_the_float_range_is_rejected_under_its_caller(message, call, 
     with pytest.raises(ValidationError, match="^" + re.escape(message)):
         call(path)
     assert not path.exists()
+
+
+
+HUGE = 10**5000  # too long for repr: beyond sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize(
+    "message, call",
+    [("GridSpec: steps must be within numpy's size limit", lambda: GridSpec(1.0, HUGE)),
+     ("random_channel: n_kraus must be an integer in [1, ",
+      lambda: sampling.random_channel(np.random.default_rng(0), 2, HUGE))],
+    ids=["grid-steps", "kraus-count"],
+)
+def test_int_too_long_for_repr_is_rejected_under_its_caller(message, call):
+    """Such an int is named by its length: its repr would itself raise a bare
+    ValueError."""
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + ".*, got an integer of 5001 digits$"):
+        call()
+
+
+@pytest.mark.parametrize("value, digits", [(HUGE, 5001), (HUGE - 1, 5000), (-HUGE, 5001)],
+                         ids=["10**5000", "10**5000-1", "-10**5000"])
+def test_too_long_int_digit_count(value, digits):
+    assert str(_reject("f: x", value, "small")) == f"f: x must be small, got an integer of {digits} digits"

@@ -733,6 +733,31 @@ def test_gibbs_preserving_kraus_stack_equals_outer_products_bitwise():
         assert got.tobytes() == np.stack(ref).tobytes()
 
 
+@pytest.mark.parametrize("bad", [np.diag([0.7, 0.6]), np.diag([1.2, -0.2])], ids=["trace", "negative"])
+def test_stacked_state_check_reports_as_the_single_one(bad):
+    """The first failing matrix of a stack gets ``_check_state``'s message."""
+    stack = np.stack([np.eye(2) / 2, bad, np.diag([1.3, -0.3])]).astype(complex)
+    with pytest.raises(ValidationError) as single:
+        qcore._gated(bad, "audit rho_t", state=True)
+    with pytest.raises(ValidationError) as stacked:
+        qcore._check_states(stack, np.linalg.eigvalsh(stack), "audit rho_t")
+    assert str(stacked.value) == str(single.value)
+    qcore._check_states(stack[:1], np.linalg.eigvalsh(stack[:1]), "audit rho_t")
+
+
+def test_stacked_kraus_check_reports_as_the_channel():
+    """A stack of channels fails on its first incomplete one, as that
+    channel's constructor does."""
+    kraus = np.stack([np.eye(2)[None], 1.001 * np.eye(2)[None], 1.1 * np.eye(2)[None]])
+    with pytest.raises(ValidationError) as single:
+        QuantumChannel(kraus[1])
+    with pytest.raises(ValidationError) as stacked:
+        qcore._check_kraus(kraus)
+    assert str(stacked.value) == str(single.value)
+    assert str(single.value).startswith("QuantumChannel: completeness defect 2.001e-03")
+    qcore._check_kraus(kraus[:1])
+
+
 def test_channel_kraus_is_a_tuple_of_read_only_operators():
     kraus = _isometry_channel(np.random.default_rng(3), 3, 4)
     ch = QuantumChannel(kraus)

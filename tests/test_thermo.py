@@ -16,6 +16,7 @@ from qledger.qcore import (
     ValidationError,
     _spectrum,
     _stack_seed,
+    apply_channel,
     hermitian_eig,
     hermitian_eigvals,
 )
@@ -551,6 +552,53 @@ def test_audit_case_solves_three_matrices(solves, stack_solves, capsys, monkeypa
         assert sum(b for b, _ in stack_solves) == 3 * 25
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_audit_stacks_agree_with_the_public_functions():
+    """Each row of the audit's stacked evaluation is what the public functions
+    give its case, and has the same bits in blocks of 60 and of 7.  Given the
+    spectra of the block's stack solves, the relative entropy, extractable
+    work, coherence and dephased entropy have the wrappers' bits (the energy
+    agrees within 1e-12); each stacked channel and its output are those of
+    ``_channel_from`` and ``apply_channel``, bit for bit."""
+    draws = list(cli._audit_draws(np.random.default_rng(7), 60))
+    assert {h.dim for _, h, _, _ in draws} == {2, 3, 4}
+    by_size = []
+    for size in (60, 7):
+        values = []
+        for first in range(0, 60, size):
+            block = draws[first : first + size]
+            values.append(cli._audit_values(block))
+            for idx, _, (_, _, vh), p, (_, (rho_t, _, _)) in cli._audit_solve(block):
+                weights, angles = (np.stack([block[i][3][k] for i in idx]) for k in (0, 1))
+                kraus = sampling._gibbs_preserving_kraus(vh, p, weights, angles)
+                for j, i in enumerate(idx):
+                    beta, h, rho0, chan = block[i]
+                    h = HermitianOperator(h.matrix)
+                    _stack_seed([h], 1)  # the bits of the block's stack solve
+                    channel = sampling._channel_from(gibbs_state(h, beta), chan)
+                    assert np.array_equal(kraus[j], channel._stack)
+                    assert np.array_equal(rho_t[j], apply_channel(channel, rho0).matrix)
+        by_size.append(np.concatenate(values, axis=1))
+    assert by_size[0].tobytes() == by_size[1].tobytes()
+
+    outputs = {}
+    for idx, _, _, _, (_, (rho_t, _, _)) in cli._audit_solve(draws):
+        outputs.update((i, rho_t[j]) for j, i in enumerate(idx))
+    for i, (beta, h, rho0, _) in enumerate(draws):
+        h, rho0 = HermitianOperator(h.matrix), DensityMatrix(rho0.matrix, check_psd=False)
+        rho_t = DensityMatrix(outputs[i], check_psd=False)
+        _stack_seed([h, rho0, rho_t], 1)
+        pi = gibbs_state(h, beta).state
+        expected = []
+        for rho in (rho0, rho_t):
+            expected += [relative_entropy(rho, pi), extractable_work(rho, h, beta),
+                         free_energy(rho, h, beta) + von_neumann_entropy(rho) / beta,
+                         coherence(rho, h), von_neumann_entropy(dephase(rho, h))]
+        got = by_size[0][:, i]
+        assert np.abs(got - expected).max() < 1e-12, i
+        exact = [0, 1, 3, 4, 5, 6, 8, 9]
+        assert got[exact].tolist() == [expected[k] for k in exact], i
 
 
 def test_channel_draws_then_build_give_the_public_channel():
