@@ -19,6 +19,7 @@ import numpy as np
 from . import models, sampling
 from .measures import _populations, write_csv
 from .qcore import (
+    DensityMatrix,
     HermitianOperator,
     NumericError,
     PropertyViolation,
@@ -32,6 +33,7 @@ from .qcore import (
     _kraus_apply,
     _kraus_sum,
     _real,
+    _rows,
     _spectra,
     apply_channel,
     matrix_from_json,
@@ -78,7 +80,7 @@ def _read_json(path):
             return json.load(fh)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
-    except ValueError as exc:  # JSONDecodeError, or an int beyond the int-to-str digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, too long an int, too deep a nesting
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 
@@ -108,7 +110,7 @@ def _parse_override(text: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    except ValueError as exc:  # an int beyond the int-to-str digit limit
+    except (ValueError, RecursionError) as exc:  # too long an int, or too deep a nesting
         raise ValidationError(f"override {key!r}: {exc}") from None
     return key, value
 
@@ -274,17 +276,28 @@ def _cmd_audit(args) -> int:
 
 
 def _audit_draws(rng: np.random.Generator, count: int):
-    """The audit's random cases, (beta, H, rho0, channel draws), each drawn
-    whole before the next, so the seed fixes every case."""
-    for _ in range(count):
-        dim = int(rng.integers(2, 5))
-        beta = float(10.0 ** rng.uniform(-1.0, 1.0))
-        h = sampling.random_hermitian(rng, dim)
-        rho0 = sampling.random_density(rng, dim)
-        # keep every thermal population above float support, so the checks
-        # probe the inequalities rather than representation loss
-        beta = min(beta, 10.0 / sampling.spectral_span_bound(h))
-        yield beta, h, rho0, sampling._channel_draws(rng, dim)
+    """The audit's random cases, (beta, H, rho0, channel draws).  Each case's
+    random numbers (dim, beta, H's and rho0's Ginibre blocks, the channel's)
+    are drawn whole before the next's, so the seed fixes every case; each
+    block's H, rho0 and beta cap are then built as one stack per dimension."""
+    for start in range(0, count, _AUDIT_BLOCK):
+        raw = []
+        for _ in range(min(_AUDIT_BLOCK, count - start)):
+            dim = int(rng.integers(2, 5))
+            beta = float(10.0 ** rng.uniform(-1.0, 1.0))
+            g_h, g_rho = sampling._ginibre(rng, dim, dim), sampling._ginibre(rng, dim, dim)
+            raw.append((dim, beta, g_h, g_rho, sampling._channel_draws(rng, dim)))
+        cases = [None] * len(raw)
+        for dim in dict.fromkeys(case[0] for case in raw):
+            idx = [i for i, case in enumerate(raw) if case[0] == dim]
+            h = sampling._hermitian_part(np.stack([raw[i][2] for i in idx]))
+            rho0 = _rows(sampling._gram_state(np.stack([raw[i][3] for i in idx])), DensityMatrix)
+            # keep every thermal population above float support, so the checks
+            # probe the inequalities rather than representation loss
+            caps = (10.0 / sampling._span_bounds(h)).tolist()
+            for i, hk, rk, cap in zip(idx, _rows(h, HermitianOperator), rho0, caps):
+                cases[i] = (min(raw[i][1], cap), hk, rk, raw[i][4])
+        yield from cases
 
 
 def _audit_solve(block) -> list:

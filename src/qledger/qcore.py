@@ -17,28 +17,22 @@ V^H as one einsum (no BLAS) through ``_mirror``, which keeps the upper
 triangle and a real diagonal and writes the lower triangle as their exact
 conjugate.
 
-Each input check lives in one place: ``_as_square`` coerces and bounds a
-matrix, or a (..., d, d) stack in blocks of ``STACK_BLOCK`` (a list or tuple
-of one shape is stacked); ``_as_array`` rejects what numpy cannot read as a
-regular array of numbers, or an int beyond the float range, under the
-caller's name (given a message for them, non-finite entries too), and
-``_as_hermitian`` adds the hermiticity check.  ``_gated`` is the one place
-where a bare array becomes an operand, held in a ``HermitianOperator``;
-``_gated(..., state=True)`` is the one state intake, a ``DensityMatrix``
-checked by ``_check_state``.  Both report under "<function> <argument>", as
-``_as_operands`` does, which gates each distinct operand of a thermo or
-measures function and requires one shared dimension.  A scalar is read by
-``_real``, ``_integral`` or ``_complex``, one of a kind in the table of
-``_POSITIVE`` ... ``_DIM`` or ``_count(lo, hi)`` by ``_scalar``, and a size
-is bounded by ``_MAX_ARRAY_BYTES``; a failure is reported by ``_reject`` as
-"<caller>: <argument> must be ..., got <value>".  Every value object (the
-containers here, ``LindbladSpec``, ``Trajectory``) is a ``_Frozen``, whose
-slots are set once.  One spectrum per operand: a container keeps its (w, V)
-in a slot, filled on first use (``_spectrum``) or by the positivity check.
-``_spectra`` seeds the cold operands of one dimension above
-``SCALAR_MAX_DIM`` from one stack call (``_stack_seed``, which the audit
-also uses for its small cases); the per-matrix convergence test gives each
-spectrum the bits of a solve alone.
+Each input check lives in one place: ``_as_array`` reads a regular array
+of numbers (an int beyond the float range is non-finite), ``_as_square``
+bounds a matrix or a (..., d, d) stack (a list of one shape is stacked) in
+blocks of ``STACK_BLOCK``, and ``_as_hermitian`` adds the hermiticity
+check.  A bare array becomes an operand in ``_gated``, held in a
+``HermitianOperator`` (with ``state=True``, a ``DensityMatrix`` checked by
+``_check_state``), or as a row of a stack gated once in ``_rows``, as
+``_as_operands`` gates the bare operands of one call; each reports under
+"<function> <argument>".  A scalar is read by ``_scalar`` as one of the
+kinds ``_POSITIVE`` ... ``_DIM`` or ``_count(lo, hi)``, and ``_reject``
+reports a failure as "<caller>: <argument> must be ..., got <value>".
+Every value object is a ``_Frozen``, whose slots are set once.  A
+container keeps its (w, V) in a slot, filled on first use (``_spectrum``)
+or by the positivity check; ``_spectra`` seeds the cold operands above
+``SCALAR_MAX_DIM`` from one stack call per dimension (``_stack_seed``),
+whose per-matrix convergence test gives each the bits of a solve alone.
 
 Conventions: matrices are dense complex128 ``numpy`` arrays, row-major;
 eigenvalues ascend with matching eigenvector columns, whose phases (and the
@@ -149,12 +143,22 @@ def _blocks(a: np.ndarray):
 
 
 def _as_operands(name: str, **ops) -> tuple:
-    """Each distinct operand (by identity) gated once (``_gated``) as
-    ``"<name> <key>"``; all share one dimension."""
-    held = {}
+    """Each distinct operand (by identity) gated once as ``"<name> <key>"``;
+    all share one dimension.  Containers pass as they are; two or more bare
+    ones are gated as one stack (``_rows``), or if it fails each alone
+    (``_gated``) in order, so the first at fault is named as before."""
+    named = {}
     for key, m in ops.items():
-        if id(m) not in held:
-            held[id(m)] = _gated(m, f"{name} {key}")
+        named.setdefault(id(m), (f"{name} {key}", m))
+    bare = {i: nm for i, nm in named.items() if not isinstance(nm[1], _Operator)}
+    held = {}
+    if len(bare) > 1:
+        names, ms = zip(*bare.values())
+        try:
+            held = dict(zip(bare, _rows(list(ms), HermitianOperator, names)))
+        except ValidationError:
+            pass
+    held = {i: held.get(i) or _gated(m, n) for i, (n, m) in named.items()}
     xs = tuple(held[id(m)] for m in ops.values())
     if len({x.dim for x in xs}) > 1:
         dims = ", ".join(f"{key} {x.dim}" for key, x in zip(ops, xs))
@@ -312,21 +316,17 @@ class DensityMatrix(_Operator):
 def _check_state(x, name: str, check_psd: bool = True):
     """A container's unit trace and, with ``check_psd``, positivity on its
     spectrum (solved once, and kept), reported under ``name``."""
-    tr = x.matrix.trace()
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValidationError(f"{name}: trace {tr} deviates from 1 beyond {TRACE_TOL:.0e}")
-    if check_psd:
-        wmin = float(_spectrum(x)[0][0])
-        if wmin < -PSD_TOL:
-            raise ValidationError(f"{name}: smallest eigenvalue {wmin:.3e} below -{PSD_TOL:.0e}")
+    _check_states(x.matrix[None], _spectrum(x)[0][None] if check_psd else None, name)
     return x
 
 
-def _check_states(m: np.ndarray, w: np.ndarray, name: str) -> None:
+def _check_states(m: np.ndarray, w, name: str) -> None:
     """``_check_state`` over a (n, d, d) stack with its ascending eigenvalues
-    (n, d): each matrix's trace and smallest eigenvalue against the same
+    (n, d), or with ``w`` None its traces alone: each matrix's trace (the
+    bits of ``matrix.trace()``) and smallest eigenvalue against the same
     tolerances, the first that fails raising the same message."""
-    tr, low = np.einsum("nii->n", m), w[:, 0]
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    low = np.zeros(len(m)) if w is None else w[:, 0]
     bad = (np.abs(tr - 1.0) > TRACE_TOL) | (low < -PSD_TOL)
     for t, wmin in zip(tr[bad][:1], low[bad][:1]):
         if abs(t - 1.0) > TRACE_TOL:
@@ -336,15 +336,34 @@ def _check_states(m: np.ndarray, w: np.ndarray, name: str) -> None:
 
 
 def _gated(m, name: str, *, state: bool = False):
-    """A container as it is; anything else through ``_as_hermitian`` once and
-    held in a ``HermitianOperator`` with an empty spectrum slot.  With
-    ``state``, a ``DensityMatrix``: a ``HermitianOperator`` is re-held without
-    a new gate, and it or the gated array is checked by ``_check_state``."""
+    """One operand: a container as it is; anything else through
+    ``_as_hermitian`` once and held in a ``HermitianOperator`` with an empty
+    spectrum slot (``_rows`` for a stack of them).  With ``state``, a
+    ``DensityMatrix``: a ``HermitianOperator`` is re-held without a new
+    gate, and it or the gated array is checked by ``_check_state``."""
     if isinstance(m, DensityMatrix) or (not state and isinstance(m, HermitianOperator)):
         return m
     x = object.__new__(DensityMatrix if state else HermitianOperator)
     _hold(x, m, name)
     return _check_state(x, name) if state else x
+
+
+def _rows(m, cls, name=None) -> list:
+    """The matrices of a fresh (n, d, d) stack, or of a list, gated as one
+    under ``name`` (``cls``'s, or a tuple of one per matrix) and, as states,
+    by their traces; each held, read only, in a new ``cls`` container."""
+    name = name or cls.__name__
+    a = _as_hermitian(m, name, stack=True)
+    if a.ndim != 3:
+        raise ValidationError(f"{name}: expected a stack of square matrices, got shape {a.shape}")
+    if cls is DensityMatrix:
+        _check_states(a, None, name)
+    a.setflags(write=False)
+    out = [object.__new__(cls) for _ in a]
+    for x, row in zip(out, a):
+        object.__setattr__(x, "matrix", row)
+        object.__setattr__(x, "_eig", None)
+    return out
 
 
 def _spectrum(x):
@@ -481,7 +500,7 @@ def _jacobi(a: np.ndarray):
         w, v = _jacobi_stack(a[None], want_vectors=True)
         return w[0], v[0]
 
-    A = [[complex(x) for x in row] for row in a.tolist()]
+    A = a.tolist()  # complex128 entries come out as Python complex
     norm2 = 0.0
     for row in A:
         for x in row:
@@ -551,9 +570,8 @@ def _jacobi(a: np.ndarray):
             f"Jacobi eigensolver did not converge within {JACOBI_MAX_SWEEPS} sweeps (dim {n})"
         )
 
-    w = np.array(dg)
-    order = np.argsort(w, kind="stable")
-    return w[order], np.array(V, dtype=np.complex128)[:, order]
+    order = sorted(range(n), key=dg.__getitem__)  # stable, as the stack solver's sort
+    return np.array([dg[i] for i in order]), np.array([[row[i] for i in order] for row in V])
 
 
 @functools.lru_cache(maxsize=None)

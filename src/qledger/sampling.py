@@ -33,10 +33,15 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermitianOperator:
+    """The Hermitian part of a Ginibre block, scaled (``_hermitian_part``)."""
     dim = _scalar(dim, "random_hermitian: dim", _DIM)
     _scalar(scale, "random_hermitian: scale", _FINITE)
-    g = _ginibre(rng, dim, dim)
-    return HermitianOperator(0.5 * scale * (g + g.conj().T))
+    return HermitianOperator(_hermitian_part(_ginibre(rng, dim, dim), scale))
+
+
+def _hermitian_part(g: np.ndarray, scale=1.0) -> np.ndarray:
+    """0.5 scale (G + G^H) over leading axes: ``random_hermitian``'s matrix."""
+    return 0.5 * scale * (g + g.conj().swapaxes(-1, -2))
 
 
 def spectral_span_bound(op) -> float:
@@ -45,20 +50,28 @@ def spectral_span_bound(op) -> float:
     Cheap and never an underestimate, so capping beta * span_bound keeps
     every thermal population above float support in randomized sweeps.
     """
-    m = _as_operands("spectral_span_bound", op=op)[0].matrix
-    radii = np.abs(m).sum(axis=1) - np.abs(np.diag(m))
-    d = np.diag(m).real
-    return float((d + radii).max() - (d - radii).min())
+    return float(_span_bounds(_as_operands("spectral_span_bound", op=op)[0].matrix))
+
+
+def _span_bounds(m: np.ndarray) -> np.ndarray:
+    """``spectral_span_bound`` over leading axes."""
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    radii = np.abs(m).sum(axis=-1) - np.abs(diag)
+    return (diag.real + radii).max(axis=-1) - (diag.real - radii).min(axis=-1)
 
 
 def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> DensityMatrix:
-    """Normalized Gram matrix of a Gaussian block; rank defaults to full."""
+    """Normalized Gram matrix of a Gaussian block (``_gram_state``), full rank by default."""
     dim = _scalar(dim, "random_density: dim", _DIM)
     rank = dim if rank is None else _scalar(rank, "random_density: rank", _count(1, dim))
-    g = _ginibre(rng, dim, rank)
-    m = _synthesize(g, np.ones(rank))
     # a Gram matrix is positive semidefinite by construction
-    return DensityMatrix(m / m.trace().real, check_psd=False)
+    return DensityMatrix(_gram_state(_ginibre(rng, dim, rank)), check_psd=False)
+
+
+def _gram_state(g: np.ndarray) -> np.ndarray:
+    """G G^H over its trace (``np.trace``, with each matrix's bits), over leading axes."""
+    m = _synthesize(g, np.ones(g.shape[-1]))
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_pure(rng: np.random.Generator, dim: int) -> PureState:
@@ -90,8 +103,8 @@ def gibbs_preserving_channel(rng: np.random.Generator, hamiltonian, beta: float)
     and dephasing in the H eigenbasis.  Each fixes the Gibbs state, hence
     so does the mixture.  The random numbers (``_channel_draws``) do not
     depend on the spectrum of H, so a caller may draw them first and build
-    the channel later from the Gibbs state (``_channel_from``), as the audit
-    does to solve many Hamiltonians in one stack.
+    the channel later (``_channel_from``), or the Kraus operators of many
+    channels at once (``_gibbs_preserving_kraus``), as the audit does.
     """
     beta = _as_beta(beta, "gibbs_preserving_channel")
     (h,) = _as_operands("gibbs_preserving_channel", hamiltonian=hamiltonian)

@@ -193,6 +193,25 @@ def test_int_beyond_the_digit_limit_is_a_validation_error(tmp_path, capsys, rout
     assert detail.startswith(prefix + "Exceeds the limit (4300 digits)")
 
 
+@pytest.mark.parametrize("route", ["config", "override", "ledger"])
+def test_nesting_beyond_the_recursion_limit_is_a_validation_error(tmp_path, capsys, route):
+    """json raises RecursionError for arrays nested 100000 deep: each route
+    exits 2 with one JSON object, no traceback."""
+    deep = "[" * 100000
+    path = tmp_path / "c.json"
+    path.write_text(deep)
+    argv = {"config": ["example1", "--config", str(path), "--out", str(tmp_path / "o.csv")],
+            "override": ["example1", "--override", f"R={deep}", "--out", str(tmp_path / "o.csv")],
+            "ledger": ["ledger", "--config", str(path)]}[route]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    detail = json.loads(err[0])["detail"]
+    prefix = "override 'R': " if route == "override" else f"{path}: not valid JSON ("
+    assert detail.startswith(prefix + "maximum recursion depth exceeded")
+    assert not (tmp_path / "o.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # ledger subcommand
 

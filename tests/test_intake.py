@@ -39,7 +39,7 @@ from qledger.qcore import (
     tensor,
 )
 from qledger.svg import line_plot
-from qledger.thermo import von_neumann_entropy
+from qledger.thermo import first_law_ledger, von_neumann_entropy
 
 SM = np.array([[0.0, 1.0], [0.0, 0.0]])
 H2 = np.diag([0.0, 1.0])
@@ -116,6 +116,42 @@ def test_operand_is_gated_under_its_caller(name, kind, d, call, tmp_path):
     call(np.eye(d) / d, tmp_path)
     with pytest.raises(ValidationError, match="^" + re.escape(name + ":")):
         call(_bad(kind, d), tmp_path)
+
+
+LEDGER_KEYS = ("rho0", "h0", "rho_tau", "h_tau")
+LEDGER_OPERANDS = (np.eye(2) / 2, H2, np.diag([0.75, 0.25]), 2 * H2)
+LEDGER_DEFECTS = {
+    "non-finite": (np.array([[0.5, np.inf], [np.inf, 0.5]]), "{key}: entries must be finite"),
+    "non-Hermitian": (np.array([[0.5, 0.3], [0.0, 0.5]]), "{key}: hermiticity defect 3.000e-01 exceeds 1e-12"),
+    "non-square": (np.zeros((2, 3)), "{key}: expected a square matrix, got shape (2, 3)"),
+    "vector": (np.array([0.5, 0.5]), "{key}: expected a square matrix, got shape (2,)"),
+    "stack": (np.stack([np.eye(2) / 2] * 2), "{key}: expected a square matrix, got shape (2, 2, 2)"),
+    "mixed dims": (np.eye(3) / 3, ": operands must share one dimension, got {dims}"),
+}
+
+
+@pytest.mark.parametrize("kind", LEDGER_DEFECTS)
+@pytest.mark.parametrize("position", range(4), ids=LEDGER_KEYS)
+def test_a_faulty_bare_operand_of_a_stacked_gate_is_named_alone(kind, position):
+    """The ledger's bare operands pass the gate as one stack; one faulty
+    operand in any position gets the message it got when each operand was
+    gated alone, word for word, under its own key."""
+    bad, message = LEDGER_DEFECTS[kind]
+    ops = list(LEDGER_OPERANDS)
+    ops[position] = bad
+    key = LEDGER_KEYS[position]
+    dims = ", ".join(f"{k} {3 if k == key else 2}" for k in LEDGER_KEYS)
+    with pytest.raises(ValidationError) as err:
+        first_law_ledger(*ops, 1.0)
+    assert str(err.value) == "first_law_ledger" + message.format(key=" " + key, dims=dims)
+
+
+def test_the_first_faulty_bare_operand_in_key_order_is_reported():
+    """As when each operand was gated alone in key order: rho0's hermiticity
+    defect is reported, not rho_tau's non-finite entry."""
+    ops = [LEDGER_DEFECTS["non-Hermitian"][0], H2, LEDGER_DEFECTS["non-finite"][0], [[1.0, 0.0], [0.0]]]
+    with pytest.raises(ValidationError, match=r"^first_law_ledger rho0: hermiticity defect 3\.000e-01 exceeds"):
+        first_law_ledger(*ops, 1.0)
 
 
 @pytest.mark.parametrize("which", ["states", "hamiltonians"])

@@ -1,5 +1,6 @@
 """Core linear algebra: eigensolver, validated containers, composition."""
 
+import hashlib
 import math
 import re
 
@@ -172,6 +173,38 @@ def test_scalar_solver_matches_lapack(dim):
         assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-13 * norm
         assert np.linalg.norm((v * w) @ v.conj().T - a) <= 1e-12 * norm
         assert np.linalg.norm(v.conj().T @ v - np.eye(dim)) <= 1e-12
+
+
+def _pinned_inputs() -> list:
+    """Seeded Hermitian matrices at d = 1 to ``SCALAR_MAX_DIM``, plain and
+    scaled to 1e150 and 1e300 (whose squares overflow), then a zero matrix,
+    the tied diagonal (1, 0, 1, 0) and a rotated spectrum (1, 1, 2, 2)."""
+    rng = np.random.default_rng(2024)
+    mats = []
+    for d in range(1, SCALAR_MAX_DIM + 1):
+        for scale in (1.0, 1e150, 1e300):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            mats.append(scale * 0.5 * (g + g.conj().T))
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    tied = (q * [1.0, 1.0, 2.0, 2.0]) @ q.conj().T
+    return mats + [np.zeros((3, 3), complex), np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex),
+                   0.5 * (tied + tied.conj().T)]
+
+
+def test_scalar_solver_bits_are_pinned():
+    """The scalar path is plain Python arithmetic, so its bits do not depend
+    on the numpy build: (w, V) hash to the digest of the solver that sorted
+    with ``np.argsort(kind="stable")``.  Tied eigenvalues keep their
+    diagonal order, as a stable sort keeps them."""
+    digest = hashlib.sha256()
+    for a in _pinned_inputs():
+        w, v = _jacobi(a)
+        assert w.dtype == np.float64 and v.dtype == np.complex128
+        digest.update(w.tobytes())
+        digest.update(v.tobytes())
+    assert digest.hexdigest() == "2a8db892477752d042df6f758dc5fb6c9b1932583847066c5595f7d3e4057ee6"
+    w, v = _jacobi(np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex))
+    assert w.tolist() == [0.0, 0.0, 1.0, 1.0] and np.array_equal(v, np.eye(4)[:, [1, 3, 0, 2]])
 
 
 def test_scalar_solver_skips_a_tiny_2x2_coupling():
@@ -743,6 +776,25 @@ def test_stacked_state_check_reports_as_the_single_one(bad):
         qcore._check_states(stack, np.linalg.eigvalsh(stack), "audit rho_t")
     assert str(stacked.value) == str(single.value)
     qcore._check_states(stack[:1], np.linalg.eigvalsh(stack[:1]), "audit rho_t")
+
+
+@pytest.mark.parametrize("cls, bad", [
+    (HermitianOperator, [[0.0, 0.3], [0.0, 0.0]]),
+    (HermitianOperator, [[np.nan, 0.0], [0.0, 0.0]]),
+    (DensityMatrix, np.diag([0.7, 0.6])),
+], ids=["non-hermitian", "non-finite", "trace"])
+def test_stacked_rows_report_as_their_containers(cls, bad):
+    """A stack gated as rows (the audit's H and rho0) fails with the message
+    its container gives its bad matrix; the rows it holds are read-only and
+    unsolved."""
+    bad = np.asarray(bad, dtype=complex)
+    with pytest.raises(ValidationError) as single:
+        cls(bad, check_psd=False) if cls is DensityMatrix else cls(bad)
+    with pytest.raises(ValidationError) as stacked:
+        qcore._rows(np.stack([np.eye(2) / 2, bad]).astype(complex), cls)
+    assert str(stacked.value) == str(single.value)
+    (row,) = qcore._rows(np.eye(2)[None] / 2 + 0j, cls)
+    assert type(row) is cls and row._eig is None and not row.matrix.flags.writeable
 
 
 def test_stacked_kraus_check_reports_as_the_channel():

@@ -611,9 +611,13 @@ def test_channel_draws_then_build_give_the_public_channel():
     assert rng.random() == ref.random()
 
 
-def test_audit_draws_are_the_one_case_at_a_time_draws():
+@pytest.mark.parametrize("block", [128, 7, 1])
+def test_audit_draws_are_the_one_case_at_a_time_draws(monkeypatch, block):
     """The audit draws its cases ahead of their solves, in the order of a loop
-    that draws (dim, beta, H, rho0) and builds the channel one case at a time."""
+    that draws (dim, beta, H, rho0) and builds the channel one case at a time,
+    and builds each block's H and rho0 as stacks with the public samplers'
+    bits, held read-only in the samplers' containers, whatever the block size."""
+    monkeypatch.setattr(cli, "_AUDIT_BLOCK", block)
     rng = np.random.default_rng(7)
     for beta, h, rho0, draws in cli._audit_draws(np.random.default_rng(7), 60):
         dim = int(rng.integers(2, 5))
@@ -624,6 +628,8 @@ def test_audit_draws_are_the_one_case_at_a_time_draws():
         assert h.dim == dim and beta == b
         assert np.array_equal(h.matrix, h_ref.matrix) and np.array_equal(rho0.matrix, rho0_ref.matrix)
         assert np.array_equal(sampling._channel_from(gibbs_state(h, beta), draws)._stack, chan._stack)
+        assert type(h) is HermitianOperator and type(rho0) is DensityMatrix
+        assert not (h.matrix.flags.writeable or rho0.matrix.flags.writeable)
 
 
 # ---------------------------------------------------------------------------
