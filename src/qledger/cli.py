@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 
@@ -19,12 +18,12 @@ import numpy as np
 from . import models, sampling
 from .measures import _populations, write_csv
 from .qcore import (
-    DensityMatrix,
     HermitianOperator,
     NumericError,
     PropertyViolation,
     QuantumChannel,
     ValidationError,
+    _as_hermitian,
     _check_kraus,
     _check_states,
     _gated,
@@ -33,7 +32,6 @@ from .qcore import (
     _kraus_apply,
     _kraus_sum,
     _real,
-    _rows,
     _spectra,
     apply_channel,
     matrix_from_json,
@@ -236,15 +234,15 @@ def _cmd_audit(args) -> int:
             f"expected the damping construction to give dS_ir < 0, got {ds_ir:.3e}"
         )
 
-    draws = _audit_draws(np.random.default_rng(args.seed), args.count)
-    blocks = iter(lambda: list(itertools.islice(draws, _AUDIT_BLOCK)), [])
+    rng = np.random.default_rng(args.seed)
     failures = []
     min_ds_ir = np.inf
     worst_dual = 0.0
     worst_closure = 0.0
-    for first, block in zip(itertools.count(0, _AUDIT_BLOCK), blocks):
-        beta = np.array([case[0] for case in block])
-        rel0, wf0, e0, coh0, sdeph0, rel_t, wf_t, e_t, coh_t, sdeph_t = _audit_values(block)
+    for first in range(0, args.count, _AUDIT_BLOCK):
+        # the block's groups are freed before the next block is drawn
+        beta, values = _audit_values(_audit_groups(rng, min(_AUDIT_BLOCK, args.count - first)))
+        rel0, wf0, e0, coh0, sdeph0, rel_t, wf_t, e_t, coh_t, sdeph_t = values
         ds_ir = rel0 - rel_t
         dual = np.abs(wf0 - rel0 / beta)
         # free-energy change against its coherence decomposition (H fixed,
@@ -275,75 +273,51 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-def _audit_draws(rng: np.random.Generator, count: int):
-    """The audit's random cases, (beta, H, rho0, channel draws).  Each case's
-    random numbers (dim, beta, H's and rho0's Ginibre blocks, the channel's)
-    are drawn whole before the next's, so the seed fixes every case; each
-    block's H, rho0 and beta cap are then built as one stack per dimension."""
-    for start in range(0, count, _AUDIT_BLOCK):
-        raw = []
-        for _ in range(min(_AUDIT_BLOCK, count - start)):
-            dim = int(rng.integers(2, 5))
-            beta = float(10.0 ** rng.uniform(-1.0, 1.0))
-            g_h, g_rho = sampling._ginibre(rng, dim, dim), sampling._ginibre(rng, dim, dim)
-            raw.append((dim, beta, g_h, g_rho, sampling._channel_draws(rng, dim)))
-        cases = [None] * len(raw)
-        for dim in dict.fromkeys(case[0] for case in raw):
-            idx = [i for i, case in enumerate(raw) if case[0] == dim]
-            h = sampling._hermitian_part(np.stack([raw[i][2] for i in idx]))
-            rho0 = _rows(sampling._gram_state(np.stack([raw[i][3] for i in idx])), DensityMatrix)
-            # keep every thermal population above float support, so the checks
-            # probe the inequalities rather than representation loss
-            caps = (10.0 / sampling._span_bounds(h)).tolist()
-            for i, hk, rk, cap in zip(idx, _rows(h, HermitianOperator), rho0, caps):
-                cases[i] = (min(raw[i][1], cap), hk, rk, raw[i][4])
-        yield from cases
-
-
-def _audit_solve(block) -> list:
-    """The cases of a block solved per dimension, in order of first
-    appearance, as (index, beta, H, p, states): the cases' indices in the
-    block, beta (k,), H as a stack with its spectrum, the Gibbs populations
-    by energy, and (rho, w, V) for the stacks of rho0 and of the channels'
-    outputs.  Every H and rho0 of the block is solved in one stack per
-    dimension, and then every output, which is checked as a state on that
-    spectrum; the channels' Kraus operators are checked for completeness."""
-    groups = {}
-    for i, (_, h, _, _) in enumerate(block):
-        groups.setdefault(h.dim, []).append(i)
-    solved = []
-    for idx in groups.values():
-        h = np.stack([block[i][1].matrix for i in idx])
-        rho0 = np.stack([block[i][2].matrix for i in idx])
+def _audit_groups(rng: np.random.Generator, n: int) -> list:
+    """The audit's next ``n`` cases, each drawn whole (dim, beta, H's and
+    rho0's Ginibre blocks, the channel's) before the next, grouped once by
+    dimension in order of first appearance and worked as stacks, gated as
+    the containers gate: per group (idx, beta, (H, wh, vh), p, kraus,
+    ((rho0, w, V), (rho_t, wt, vt))), with beta capped, the Gibbs
+    populations by energy and the Kraus operators checked."""
+    cases = {}
+    for i in range(n):
+        dim = int(rng.integers(2, 5))
+        beta = float(10.0 ** rng.uniform(-1.0, 1.0))
+        g_h, g_rho = sampling._ginibre(rng, dim, dim), sampling._ginibre(rng, dim, dim)
+        cases.setdefault(dim, []).append((i, beta, g_h, g_rho, *sampling._channel_draws(rng, dim)))
+    groups = []
+    for group in cases.values():
+        idx, beta, g_h, g_rho, weights, angles = map(np.array, zip(*group))
+        h = _as_hermitian(sampling._hermitian_part(g_h), "HermitianOperator", stack=True)
+        rho0 = _as_hermitian(sampling._gram_state(g_rho), "DensityMatrix", stack=True)
+        _check_states(rho0, None, "DensityMatrix")
+        # keep every thermal population above float support, so the checks
+        # probe the inequalities rather than representation loss
+        beta = np.minimum(beta, 10.0 / sampling._span_bounds(h))
         w, v = _jacobi_stack(np.concatenate([h, rho0]), want_vectors=True)
-        k = len(idx)
-        solved.append((idx, h, (w[:k], v[:k]), (rho0, w[k:], v[k:])))
-    out = []
-    for idx, h, (wh, vh), initial in solved:
-        beta = np.array([block[i][0] for i in idx])
+        (wh, w0), (vh, v0) = np.split(w, 2), np.split(v, 2)
         p = _gibbs(wh, beta[:, None])[0]
-        weights, angles = (np.stack(x) for x in zip(*(block[i][3] for i in idx)))
         kraus = sampling._gibbs_preserving_kraus(vh, p, weights, angles)
         _check_kraus(kraus)
-        rho_t = _kraus_apply(kraus, initial[0])
+        rho_t = _kraus_apply(kraus, rho0)
         if not np.isfinite(rho_t).all():
             raise ValidationError("audit rho_t: entries must be finite")
         wt, vt = _jacobi_stack(rho_t, want_vectors=True)
         _check_states(rho_t, wt, "audit rho_t")
-        out.append((idx, beta, (h, wh, vh), p, (initial, (rho_t, wt, vt))))
-    return out
+        groups.append((idx, beta, (h, wh, vh), p, kraus, ((rho0, w0, v0), (rho_t, wt, vt))))
+    return groups
 
 
-def _audit_values(block) -> np.ndarray:
-    """Per case of a block, in case order, the audited quantities of rho0 and
-    then of the channel's output: S(rho || gibbs), the extractable work
-    F(rho) - F(gibbs), the energy, the coherence and the entropy of the
-    dephased state, as a (10, n) array.  Each is one kernel call per
-    dimension over the spectra ``_audit_solve`` carries.  The relative
-    entropy takes the overlaps with the Gibbs state's own eigenvalues and
-    the extractable work the traces, so the dual path compares two routes."""
-    values = np.empty((10, len(block)))
-    for idx, beta, (h, wh, vh), p, states in _audit_solve(block):
+def _audit_values(groups) -> tuple[np.ndarray, np.ndarray]:
+    """Per case of the groups, in case order, beta (n,) and, for rho0 then
+    rho_t, S(rho || gibbs), F(rho) - F(gibbs), the energy, the coherence and
+    the dephased entropy as a (10, n) array, one kernel call per quantity
+    and group.  The relative entropy takes the overlaps with the Gibbs
+    state's eigenvalues and F the traces, so the dual path has two routes."""
+    n = sum(len(group[0]) for group in groups)
+    betas, values = np.empty(n), np.empty((10, n))
+    for idx, beta, (h, wh, vh), p, _, states in groups:
         f_gibbs = (p[:, None, :] @ wh[:, :, None])[:, 0, 0] - _entropy(p) / beta
         # the Gibbs state's spectrum ascends: its populations reversed
         ws, vs = p[:, ::-1], vh[:, :, ::-1]
@@ -352,8 +326,8 @@ def _audit_values(block) -> np.ndarray:
             energy, pops = _energy(rho, h), _populations(vh, rho)
             rows += [_relent_stack(w, v, ws, vs), energy - _entropy(w) / beta - f_gibbs, energy,
                      _entropy(pops) - _entropy(w), _entropy(np.sort(pops, axis=-1))]
-        values[:, idx] = rows
-    return values
+        betas[idx], values[:, idx] = beta, rows
+    return betas, values
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -23,8 +23,8 @@ bounds a matrix or a (..., d, d) stack (a list of one shape is stacked) in
 blocks of ``STACK_BLOCK``, and ``_as_hermitian`` adds the hermiticity
 check.  A bare array becomes an operand in ``_gated``, held in a
 ``HermitianOperator`` (with ``state=True``, a ``DensityMatrix`` checked by
-``_check_state``), or as a row of a stack gated once in ``_rows``, as
-``_as_operands`` gates the bare operands of one call; each reports under
+``_check_state``), or, as ``_as_operands`` gates the bare operands of one
+call, as a row of one stack gated in ``_rows``; each reports under
 "<function> <argument>".  A scalar is read by ``_scalar`` as one of the
 kinds ``_POSITIVE`` ... ``_DIM`` or ``_count(lo, hi)``, and ``_reject``
 reports a failure as "<caller>: <argument> must be ..., got <value>".
@@ -155,7 +155,7 @@ def _as_operands(name: str, **ops) -> tuple:
     if len(bare) > 1:
         names, ms = zip(*bare.values())
         try:
-            held = dict(zip(bare, _rows(list(ms), HermitianOperator, names)))
+            held = dict(zip(bare, _rows(list(ms), names)))
         except ValidationError:
             pass
     held = {i: held.get(i) or _gated(m, n) for i, (n, m) in named.items()}
@@ -327,11 +327,11 @@ def _check_states(m: np.ndarray, w, name: str) -> None:
     tolerances, the first that fails raising the same message."""
     tr = np.trace(m, axis1=-2, axis2=-1)
     low = np.zeros(len(m)) if w is None else w[:, 0]
-    bad = (np.abs(tr - 1.0) > TRACE_TOL) | (low < -PSD_TOL)
+    bad = ~(np.abs(tr - 1.0) <= TRACE_TOL) | ~(low >= -PSD_TOL)  # so that nan fails
     for t, wmin in zip(tr[bad][:1], low[bad][:1]):
-        if abs(t - 1.0) > TRACE_TOL:
+        if not abs(t - 1.0) <= TRACE_TOL:
             raise ValidationError(f"{name}: trace {t} deviates from 1 beyond {TRACE_TOL:.0e}")
-        if wmin < -PSD_TOL:
+        if not wmin >= -PSD_TOL:
             raise ValidationError(f"{name}: smallest eigenvalue {wmin:.3e} below -{PSD_TOL:.0e}")
 
 
@@ -348,18 +348,15 @@ def _gated(m, name: str, *, state: bool = False):
     return _check_state(x, name) if state else x
 
 
-def _rows(m, cls, name=None) -> list:
+def _rows(m, name) -> list:
     """The matrices of a fresh (n, d, d) stack, or of a list, gated as one
-    under ``name`` (``cls``'s, or a tuple of one per matrix) and, as states,
-    by their traces; each held, read only, in a new ``cls`` container."""
-    name = name or cls.__name__
+    under ``name`` (or a tuple of one name per matrix); each held, read only,
+    in a new ``HermitianOperator``."""
     a = _as_hermitian(m, name, stack=True)
     if a.ndim != 3:
         raise ValidationError(f"{name}: expected a stack of square matrices, got shape {a.shape}")
-    if cls is DensityMatrix:
-        _check_states(a, None, name)
     a.setflags(write=False)
-    out = [object.__new__(cls) for _ in a]
+    out = [object.__new__(HermitianOperator) for _ in a]
     for x, row in zip(out, a):
         object.__setattr__(x, "matrix", row)
         object.__setattr__(x, "_eig", None)
@@ -463,7 +460,7 @@ def _check_kraus(ops: np.ndarray) -> None:
     that fails raises."""
     eye = np.eye(ops.shape[-1])
     defect = np.abs(np.einsum("...kji,...kjl->...il", ops.conj(), ops) - eye).max(axis=(-2, -1))
-    for x in defect[defect > KRAUS_TOL][:1]:
+    for x in defect[~(defect <= KRAUS_TOL)][:1]:  # a nan defect fails too
         raise ValidationError(f"QuantumChannel: completeness defect {x:.3e} exceeds {KRAUS_TOL:.0e}")
 
 
@@ -484,6 +481,8 @@ def _jacobi(a: np.ndarray):
     sweeps repeat until the off-diagonal Frobenius norm drops below
     ``JACOBI_TOL`` times the Frobenius norm of the input.  Raises
     ``NumericError`` after ``JACOBI_MAX_SWEEPS`` sweeps without convergence.
+    A squared Frobenius norm below the normal floats (2^-1022) or beyond
+    them is met by solving 2^-e A (``_exponent``), an exact scaling.
 
     The path depends on the dimension alone.  From 1 to ``SCALAR_MAX_DIM``
     the inner loops work on plain Python complex scalars, which beats numpy
@@ -505,8 +504,10 @@ def _jacobi(a: np.ndarray):
     for row in A:
         for x in row:
             norm2 += x.real * x.real + x.imag * x.imag
-    if norm2 == 0.0:
-        return np.zeros(n), np.eye(n, dtype=np.complex128)
+    e = int(_exponent(a)) if not 2.0**-1022 <= norm2 < math.inf else 0
+    if e:  # a zero matrix has e = 0 and needs no sweep
+        w, v = _jacobi(_ldexp(a, -e))
+        return _unscaled(w, e, n), v
     norm_f = math.sqrt(norm2)
     stop2 = (JACOBI_TOL * norm_f) ** 2
     # rotations on pairs below this threshold cannot push the off-diagonal
@@ -604,7 +605,7 @@ def _jacobi_stack(a: np.ndarray, want_vectors: bool):
 
     Each sweep runs the rounds of ``_round_robin(n)``; a round rotates its
     disjoint pairs in every matrix at once with elementwise numpy operations.
-    Rotation, stopping rule, skip rule and sort are those of ``_jacobi``.
+    Scaling, rotation, stopping rule, skip rule and sort are those of ``_jacobi``.
     Convergence is tested per matrix at the start of each sweep and only the
     matrices still active are rotated, so a matrix gets the same bits in any
     stack.  The stack is worked in blocks of ``STACK_BLOCK`` matrices.
@@ -613,12 +614,20 @@ def _jacobi_stack(a: np.ndarray, want_vectors: bool):
     b, n = a.shape[0], a.shape[1]
     diag = np.arange(n)
     w = np.empty((b, n))
+    e = np.zeros(b, dtype=np.int16)  # |e| <= 1074
     v = np.empty((b, n, n), dtype=np.complex128) if want_vectors else None
     for start in range(0, b, STACK_BLOCK):
         A = np.array(a[start : start + STACK_BLOCK], dtype=np.complex128)
         idx = np.arange(start, start + A.shape[0])
         V = np.broadcast_to(np.eye(n, dtype=np.complex128), A.shape).copy() if want_vectors else None
-        norm_f = np.sqrt(_sum_last(_sum_last(A.real**2 + A.imag**2)))
+        with np.errstate(over="ignore"):  # an overflow is scaled away below
+            norm2 = _sum_last(_sum_last(A.real**2 + A.imag**2))
+        scaled = (norm2 < 2.0**-1022) | (norm2 == math.inf)
+        if scaled.any():  # e = 0, a factor of exactly 1, elsewhere
+            e[idx[scaled]] = _exponent(A[scaled])
+            A = _ldexp(A, -e[idx, None, None])
+            norm2 = _sum_last(_sum_last(A.real**2 + A.imag**2))
+        norm_f = np.sqrt(norm2)
         stop2 = (JACOBI_TOL * norm_f) ** 2
         skip = JACOBI_TOL * norm_f / (2.0 * n)
         for _ in range(JACOBI_MAX_SWEEPS):
@@ -661,7 +670,28 @@ def _jacobi_stack(a: np.ndarray, want_vectors: bool):
             )
     order = np.argsort(w, axis=1, kind="stable")
     w = np.take_along_axis(w, order, axis=1)
+    if e.any():  # no copy of a trajectory's w when nothing was scaled
+        w = _unscaled(w, e[:, None], n)
     return w, (np.take_along_axis(v, order[:, None, :], axis=2) if want_vectors else None)
+
+
+def _exponent(a: np.ndarray):
+    """Per matrix of a (..., n, n) stack, the e of frexp(max |Re a|, |Im a|):
+    2^-e A has its largest part in [1/2, 1), and e = 0 for a zero matrix."""
+    return np.frexp(np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1)))[1]
+
+
+def _ldexp(a: np.ndarray, e) -> np.ndarray:
+    """Complex a times 2^e (e broadcasts), exact where the result stays normal."""
+    return np.ldexp(np.ascontiguousarray(a, np.complex128).view(np.float64), e).view(np.complex128)
+
+
+def _unscaled(w: np.ndarray, e, n: int) -> np.ndarray:
+    """The eigenvalues w 2^e of A from those w of 2^-e A."""
+    w = np.ldexp(w, e)
+    if np.isinf(w).any():
+        raise NumericError(f"Jacobi eigensolver: an eigenvalue overflows (dim {n}); scale the matrix down")
+    return w
 
 
 def _min_eigvals(stack: np.ndarray) -> np.ndarray:

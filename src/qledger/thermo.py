@@ -17,8 +17,9 @@ ln(gibbs) = -beta H - ln(Z) I, never through a numerical matrix log.
 
 ``_entropy``, ``_gibbs`` and ``_energy`` are the one definition of each
 spectral quantity, over the last axis, for one process here, for a whole
-trajectory in ``measures`` and for a block of the audit's cases in ``cli``,
-which takes its relative entropies from ``_relent_stack``.
+trajectory in ``measures`` and for a block of the audit's cases in ``cli``;
+``_relent_stack`` is that of S(rho || sigma) and its support rule, for
+``relative_entropy`` and the audit.
 
 Each public function checks its operands (``_as_operands``) and beta
 (``_as_beta``) at entry, so errors name the function and the argument.
@@ -151,12 +152,7 @@ def relative_entropy(rho, sigma) -> float:
         return _relent_from_spectra(float(_entropy(wr)), wr, vr, _gibbs(wh, sigma.beta)[1], vh)
     a, b = _as_operands("relative_entropy", rho=rho, sigma=sigma)
     (wr, vr), (ws, vs) = _spectra(a, b)
-    wr, weights = _overlap_weights(wr, vr, vs)
-    unsupported = ws < SIGMA_SUPPORT_TOL
-    if np.any(weights[unsupported] > RHO_WEIGHT_TOL):
-        return math.inf
-    tr_rho_log_sigma = float(weights[~unsupported] @ np.log(ws[~unsupported]))
-    return -float(_entropy(wr)) - tr_rho_log_sigma
+    return float(_relent_stack(wr, vr, ws, vs))
 
 
 def gibbs_state(hamiltonian, beta: float) -> GibbsSpec:
@@ -372,12 +368,11 @@ def _overlap_weights(wr, vr, vsigma) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _relent_stack(wr, vr, ws, vs) -> np.ndarray:
-    """``relative_entropy`` over a stack, from each rho's spectrum (n, d) and
-    (n, d, d) and each sigma's ascending one: the overlap weights against
-    ln ws, or +inf where rho weight above ``RHO_WEIGHT_TOL`` meets a sigma
-    eigenvalue below ``SIGMA_SUPPORT_TOL``.  Its products are the wrapper's,
-    one matrix at a time, so a row with full support has the wrapper's bits
-    for the same spectra."""
+    """S(rho || sigma) over leading axes from rho's spectrum (..., d) and
+    (..., d, d) and sigma's ascending one: the overlap weights against ln ws,
+    or +inf where rho weight above ``RHO_WEIGHT_TOL`` meets a sigma eigenvalue
+    below ``SIGMA_SUPPORT_TOL``.  Its products are made one matrix at a time,
+    so a row of a stack has the bits of that matrix alone."""
     wr, weights = _overlap_weights(wr, vr, vs)
     unsupported = ws < SIGMA_SUPPORT_TOL
     log_ws = np.log(np.where(unsupported, 1.0, ws))[..., None]

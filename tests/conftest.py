@@ -3,7 +3,7 @@
 import pytest
 
 import qledger
-from qledger import qcore
+from qledger import qcore, sampling
 
 
 def _recorded(monkeypatch, name: str, record) -> list:
@@ -42,3 +42,18 @@ def gates(monkeypatch) -> list:
     that passes the hermiticity gate, and one per matrix of a stack gated
     under a tuple of names (``_as_operands``)."""
     return _recorded(monkeypatch, "_as_hermitian", lambda a, name: name if isinstance(name, tuple) else [name])
+
+
+@pytest.fixture
+def channel_draws(monkeypatch) -> list:
+    """The (weights, angles) of every ``sampling._channel_draws`` call, in
+    call order, from the start of the test; clear it to restart."""
+    drawn = []
+    draw = sampling._channel_draws
+
+    def recorded(rng, dim):
+        drawn.append(draw(rng, dim))
+        return drawn[-1]
+
+    monkeypatch.setattr(sampling, "_channel_draws", recorded)
+    return drawn

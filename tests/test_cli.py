@@ -396,14 +396,15 @@ def _damp_cases(monkeypatch, chosen: dict) -> None:
     monkeypatch.setattr(sampling, "_gibbs_preserving_kraus", kraus_stack)
 
 
-def test_audit_reports_violations_in_case_order(capsys, monkeypatch):
+def test_audit_reports_violations_in_case_order(capsys, monkeypatch, channel_draws):
     """Damped cases in three dimension groups of one block, whose groups come
     in another order than the cases (d = 4 first, at case 0): each fails as
     contractivity, listed in case order, and the first names the case."""
-    draws = list(cli._audit_draws(np.random.default_rng(7), 40))
+    groups = cli._audit_groups(np.random.default_rng(7), 40)
+    dims = {i: h.shape[-1] for idx, _, (hs, _, _), *_ in groups for i, h in zip(idx, hs)}
     chosen = {3: 2, 13: 4, 29: 3}
-    assert {i: draws[i][1].dim for i in chosen} == chosen and draws[0][1].dim == 4
-    _damp_cases(monkeypatch, {i: draws[i][3][1] for i in chosen})
+    assert {i: dims[i] for i in chosen} == chosen and dims[0] == 4
+    _damp_cases(monkeypatch, {i: channel_draws[i][1] for i in chosen})
     assert run(["audit", "--count", "40", "--seed", "7"]) == 4
     captured = capsys.readouterr()
     fails = [line.split()[2:4] for line in captured.out.splitlines() if line.startswith("audit: FAIL")]

@@ -193,18 +193,50 @@ def _pinned_inputs() -> list:
 
 def test_scalar_solver_bits_are_pinned():
     """The scalar path is plain Python arithmetic, so its bits do not depend
-    on the numpy build: (w, V) hash to the digest of the solver that sorted
-    with ``np.argsort(kind="stable")``.  Tied eigenvalues keep their
-    diagonal order, as a stable sort keeps them."""
-    digest = hashlib.sha256()
+    on the numpy build: (w, V) hash to a recorded digest.  The inputs up to
+    1e200 keep the bits of the solver that sorted with
+    ``np.argsort(kind="stable")``; those at 1e300, whose squared norm
+    overflows, are solved exactly scaled, with LAPACK's eigenvalues to
+    1e-13.  Tied eigenvalues keep their diagonal order, as a stable sort
+    keeps them."""
+    digest, kept = hashlib.sha256(), hashlib.sha256()
     for a in _pinned_inputs():
         w, v = _jacobi(a)
         assert w.dtype == np.float64 and v.dtype == np.complex128
-        digest.update(w.tobytes())
-        digest.update(v.tobytes())
-    assert digest.hexdigest() == "2a8db892477752d042df6f758dc5fb6c9b1932583847066c5595f7d3e4057ee6"
+        big = np.abs(a).max() > 1e200
+        for h in (digest,) if big else (digest, kept):
+            h.update(w.tobytes())
+            h.update(v.tobytes())
+        if big:
+            ref = np.linalg.eigvalsh(a)
+            assert np.abs(w - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert kept.hexdigest() == "e5a8c4cd7d5160bdcd55444619d58f5eee675f8fca54d032fdadd67586b76c71"
+    assert digest.hexdigest() == "8b2c962f83d42badaa77f829aad1707e96b9a2676f9cacfff26dd7a4dd551b20"
     w, v = _jacobi(np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex))
     assert w.tolist() == [0.0, 0.0, 1.0, 1.0] and np.array_equal(v, np.eye(4)[:, [1, 3, 0, 2]])
+
+
+@pytest.mark.parametrize("x", [1e-170, 1e-162, 1e154, 1e300])
+def test_a_squared_norm_beyond_the_normal_floats_is_solved_scaled(x):
+    """|A|_F^2 of [[0, x], [x, 0]] and of a seeded 4x4 scaled by x is 0,
+    subnormal or inf; both paths solve 2^-e A, an exact scaling, and agree
+    with eigvalsh (+-x for the first) to 1e-14 of the largest eigenvalue."""
+    g = np.random.default_rng(1).normal(size=(4, 4, 2)) @ [1.0, 1j]
+    for a in (np.array([[0.0, x], [x, 0.0]], dtype=complex), x * 0.5 * (g + g.conj().T)):
+        ref = np.linalg.eigvalsh(a)
+        tol = 1e-14 * np.abs(ref).max()
+        stack = _jacobi_stack(a[None], want_vectors=True)
+        for w, v in (_jacobi(a), (stack[0][0], stack[1][0])):
+            assert np.abs(w - ref).max() <= tol
+            assert np.abs((v * w) @ v.conj().T - a).max() <= tol
+
+
+def test_an_eigenvalue_beyond_the_float_range_is_a_numeric_error():
+    """Scaled back, the eigenvalue 3e308 of a matrix of 1.5e308 overflows."""
+    a = np.full((2, 2), 1.5e308, dtype=complex)
+    for solve in (_jacobi, lambda m: _jacobi_stack(m[None], want_vectors=False)):
+        with pytest.raises(NumericError, match=r"an eigenvalue overflows \(dim 2\); scale the matrix down"):
+            solve(a)
 
 
 def test_scalar_solver_skips_a_tiny_2x2_coupling():
@@ -351,6 +383,13 @@ def test_density_matrix_validation():
     # the positivity check is skippable for constructions positive by design
     r = DensityMatrix(np.diag([1.1, -0.1]), check_psd=False)
     assert r.dim == 2
+
+
+def test_a_state_whose_trace_is_nan_is_rejected():
+    """Finite entries whose trace sums to nan fail the trace check."""
+    with pytest.raises(ValidationError) as info:
+        DensityMatrix(np.diag([1.7e308, -1.7e308, 0, 0, 1.7e308, -1.7e308, 0, 0]), check_psd=False)
+    assert str(info.value) == "DensityMatrix: trace (nan+0j) deviates from 1 beyond 1e-10"
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -784,17 +823,22 @@ def test_stacked_state_check_reports_as_the_single_one(bad):
     (DensityMatrix, np.diag([0.7, 0.6])),
 ], ids=["non-hermitian", "non-finite", "trace"])
 def test_stacked_rows_report_as_their_containers(cls, bad):
-    """A stack gated as rows (the audit's H and rho0) fails with the message
-    its container gives its bad matrix; the rows it holds are read-only and
-    unsolved."""
+    """A stack gated as rows (``_as_operands``' bare operands) fails with the
+    message its container gives its bad matrix, and a stack of states
+    checked by its traces alone (the audit's rho0) with the message of
+    ``DensityMatrix``; the rows it holds are read-only and unsolved."""
     bad = np.asarray(bad, dtype=complex)
+    stack = np.stack([np.eye(2) / 2, bad]).astype(complex)
     with pytest.raises(ValidationError) as single:
         cls(bad, check_psd=False) if cls is DensityMatrix else cls(bad)
     with pytest.raises(ValidationError) as stacked:
-        qcore._rows(np.stack([np.eye(2) / 2, bad]).astype(complex), cls)
+        if cls is DensityMatrix:
+            qcore._check_states(stack, None, "DensityMatrix")
+        else:
+            qcore._rows(stack, "HermitianOperator")
     assert str(stacked.value) == str(single.value)
-    (row,) = qcore._rows(np.eye(2)[None] / 2 + 0j, cls)
-    assert type(row) is cls and row._eig is None and not row.matrix.flags.writeable
+    (row,) = qcore._rows(np.eye(2)[None] / 2 + 0j, "HermitianOperator")
+    assert type(row) is HermitianOperator and row._eig is None and not row.matrix.flags.writeable
 
 
 def test_stacked_kraus_check_reports_as_the_channel():
@@ -826,8 +870,10 @@ def test_channel_kraus_is_a_tuple_of_read_only_operators():
     [([], "QuantumChannel: at least one Kraus operator required"),
      ([np.eye(2), np.eye(3)], "QuantumChannel: Kraus operators must share one dimension"),
      ([np.ones((2, 3))], "QuantumChannel kraus: expected a square matrix, got shape (2, 3)"),
-     ([np.eye(2) * 0.5], "QuantumChannel: completeness defect 7.500e-01 exceeds 1e-10")],
-    ids=["empty", "mixed", "non-square", "incomplete"],
+     ([np.eye(2) * 0.5], "QuantumChannel: completeness defect 7.500e-01 exceeds 1e-10"),
+     # K^dag K overflows to inf and inf - inf: a nan defect
+     ([1e200 * np.array([[1.0, 1.0], [1.0, -1.0]])], "QuantumChannel: completeness defect nan exceeds 1e-10")],
+    ids=["empty", "mixed", "non-square", "incomplete", "nan-defect"],
 )
 def test_channel_errors_keep_their_messages(kraus, message):
     with pytest.raises(ValidationError) as info:

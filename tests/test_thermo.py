@@ -530,11 +530,30 @@ def test_criterion_1_draw_body_solves_four_matrices(solves):
         assert len(solves) <= 4 * draw
 
 
+def _audit_blocks(channel_draws: list, count: int, size: int) -> list:
+    """The audit's first ``count`` cases at seed 7 in blocks of ``size``, drawn
+    from one generator: per block, its groups (``cli._audit_groups``) and its
+    cases' channel draws in case order."""
+    rng, blocks = np.random.default_rng(7), []
+    for first in range(0, count, size):
+        channel_draws.clear()
+        blocks.append((cli._audit_groups(rng, min(size, count - first)), channel_draws[:]))
+    return blocks
+
+
+def _cases(groups) -> list:
+    """Per case of a block's groups, in case order: (beta, H, rho0, kraus, rho_t)."""
+    cases = {}
+    for idx, beta, (h, _, _), _, kraus, ((rho0, _, _), (rho_t, _, _)) in groups:
+        cases.update((i, row) for i, *row in zip(idx, beta, h, rho0, kraus, rho_t))
+    return [cases[i] for i in range(len(cases))]
+
+
 def test_audit_case_solves_three_matrices(solves, stack_solves, capsys, monkeypatch):
-    """Per block, one stack per dimension over every H and rho0, then one over
+    """Per block and dimension, one stack over every H and rho0, then one over
     every channel output: 3 x 25 matrices, no scalar solve.  A stack gives a
     matrix the bits of a solve alone, so the block size moves no output."""
-    dims = [h.dim for _, h, _, _ in cli._audit_draws(np.random.default_rng(7), 25)]
+    dims = [h.shape[-1] for _, h, _, _, _ in _cases(cli._audit_groups(np.random.default_rng(7), 25))]
     outs = set()
     for block in (cli._AUDIT_BLOCK, 10, 1):
         monkeypatch.setattr(cli, "_AUDIT_BLOCK", block)
@@ -543,7 +562,7 @@ def test_audit_case_solves_three_matrices(solves, stack_solves, capsys, monkeypa
             counts = {}
             for d in dims[start : start + block]:
                 counts[d] = counts.get(d, 0) + 1
-            expected += [(2 * k, d) for d, k in counts.items()] + [(k, d) for d, k in counts.items()]
+            expected += [solve for d, k in counts.items() for solve in ((2 * k, d), (k, d))]
         stack_solves.clear()
         assert cli.main(["audit", "--count", "25", "--seed", "7"]) == 0
         out = capsys.readouterr().out
@@ -554,40 +573,36 @@ def test_audit_case_solves_three_matrices(solves, stack_solves, capsys, monkeypa
     assert len(outs) == 1
 
 
-def test_audit_stacks_agree_with_the_public_functions():
+def test_audit_stacks_agree_with_the_public_functions(channel_draws):
     """Each row of the audit's stacked evaluation is what the public functions
     give its case, and has the same bits in blocks of 60 and of 7.  Given the
     spectra of the block's stack solves, the relative entropy, extractable
     work, coherence and dephased entropy have the wrappers' bits (the energy
     agrees within 1e-12); each stacked channel and its output are those of
     ``_channel_from`` and ``apply_channel``, bit for bit."""
-    draws = list(cli._audit_draws(np.random.default_rng(7), 60))
-    assert {h.dim for _, h, _, _ in draws} == {2, 3, 4}
     by_size = []
     for size in (60, 7):
-        values = []
-        for first in range(0, 60, size):
-            block = draws[first : first + size]
-            values.append(cli._audit_values(block))
-            for idx, _, (_, _, vh), p, (_, (rho_t, _, _)) in cli._audit_solve(block):
-                weights, angles = (np.stack([block[i][3][k] for i in idx]) for k in (0, 1))
-                kraus = sampling._gibbs_preserving_kraus(vh, p, weights, angles)
-                for j, i in enumerate(idx):
-                    beta, h, rho0, chan = block[i]
-                    h = HermitianOperator(h.matrix)
-                    _stack_seed([h], 1)  # the bits of the block's stack solve
-                    channel = sampling._channel_from(gibbs_state(h, beta), chan)
-                    assert np.array_equal(kraus[j], channel._stack)
-                    assert np.array_equal(rho_t[j], apply_channel(channel, rho0).matrix)
-        by_size.append(np.concatenate(values, axis=1))
-    assert by_size[0].tobytes() == by_size[1].tobytes()
+        values, cases = [], []
+        for groups, draws in _audit_blocks(channel_draws, 60, size):
+            betas, rows = cli._audit_values(groups)
+            block = _cases(groups)
+            assert betas.tolist() == [case[0] for case in block]
+            values.append(rows)
+            cases += block
+            for (beta, h, rho0, kraus, rho_t), chan in zip(block, draws):
+                h = HermitianOperator(h)
+                _stack_seed([h], 1)  # the bits of the block's stack solve
+                channel = sampling._channel_from(gibbs_state(h, beta), chan)
+                assert np.array_equal(kraus, channel._stack)
+                assert np.array_equal(rho_t, apply_channel(channel, rho0).matrix)
+        by_size.append((np.concatenate(values, axis=1), cases))
+    assert by_size[0][0].tobytes() == by_size[1][0].tobytes()
 
-    outputs = {}
-    for idx, _, _, _, (_, (rho_t, _, _)) in cli._audit_solve(draws):
-        outputs.update((i, rho_t[j]) for j, i in enumerate(idx))
-    for i, (beta, h, rho0, _) in enumerate(draws):
-        h, rho0 = HermitianOperator(h.matrix), DensityMatrix(rho0.matrix, check_psd=False)
-        rho_t = DensityMatrix(outputs[i], check_psd=False)
+    values, cases = by_size[0]
+    assert {h.shape[-1] for _, h, _, _, _ in cases} == {2, 3, 4}
+    for i, (beta, h, rho0, _, rho_t) in enumerate(cases):
+        h, rho0 = HermitianOperator(h), DensityMatrix(rho0, check_psd=False)
+        rho_t = DensityMatrix(rho_t, check_psd=False)
         _stack_seed([h, rho0, rho_t], 1)
         pi = gibbs_state(h, beta).state
         expected = []
@@ -595,7 +610,7 @@ def test_audit_stacks_agree_with_the_public_functions():
             expected += [relative_entropy(rho, pi), extractable_work(rho, h, beta),
                          free_energy(rho, h, beta) + von_neumann_entropy(rho) / beta,
                          coherence(rho, h), von_neumann_entropy(dephase(rho, h))]
-        got = by_size[0][:, i]
+        got = values[:, i]
         assert np.abs(got - expected).max() < 1e-12, i
         exact = [0, 1, 3, 4, 5, 6, 8, 9]
         assert got[exact].tolist() == [expected[k] for k in exact], i
@@ -612,24 +627,24 @@ def test_channel_draws_then_build_give_the_public_channel():
 
 
 @pytest.mark.parametrize("block", [128, 7, 1])
-def test_audit_draws_are_the_one_case_at_a_time_draws(monkeypatch, block):
+def test_audit_draws_are_the_one_case_at_a_time_draws(channel_draws, block):
     """The audit draws its cases ahead of their solves, in the order of a loop
     that draws (dim, beta, H, rho0) and builds the channel one case at a time,
     and builds each block's H and rho0 as stacks with the public samplers'
-    bits, held read-only in the samplers' containers, whatever the block size."""
-    monkeypatch.setattr(cli, "_AUDIT_BLOCK", block)
+    bits, whatever the block size, its blocks drawn from one generator."""
+    cases = [(case, chan) for groups, draws in _audit_blocks(channel_draws, 60, block)
+             for case, chan in zip(_cases(groups), draws)]
     rng = np.random.default_rng(7)
-    for beta, h, rho0, draws in cli._audit_draws(np.random.default_rng(7), 60):
+    for (beta, h, rho0, _, _), draws in cases:
         dim = int(rng.integers(2, 5))
         b = float(10.0 ** rng.uniform(-1.0, 1.0))
         h_ref, rho0_ref = random_hermitian(rng, dim), random_density(rng, dim)
         b = min(b, 10.0 / spectral_span_bound(h_ref))
         chan = gibbs_preserving_channel(rng, h_ref, b)
-        assert h.dim == dim and beta == b
-        assert np.array_equal(h.matrix, h_ref.matrix) and np.array_equal(rho0.matrix, rho0_ref.matrix)
-        assert np.array_equal(sampling._channel_from(gibbs_state(h, beta), draws)._stack, chan._stack)
-        assert type(h) is HermitianOperator and type(rho0) is DensityMatrix
-        assert not (h.matrix.flags.writeable or rho0.matrix.flags.writeable)
+        assert h.shape[-1] == dim and beta == b
+        assert np.array_equal(h, h_ref.matrix) and np.array_equal(rho0, rho0_ref.matrix)
+        channel = sampling._channel_from(gibbs_state(HermitianOperator(h), beta), draws)
+        assert np.array_equal(channel._stack, chan._stack)
 
 
 # ---------------------------------------------------------------------------
