@@ -17,26 +17,35 @@ Its projectors are made one block of ``STACK_BLOCK`` grid points at a time,
 and each block is kept as its partial trace, as on the Lindblad path.
 
 The Lindblad path is classical RK4 with fixed dt.  The generator maps
-Hermitian matrices to Hermitian matrices, so it steps a state's d^2 real
-coordinates x = (Re rho_ii; Re rho_ij and Im rho_ij for i < j) with a real
-(d^2, d^2) generator L.  For a constant L one RK4 step is exactly
-x <- P4(dt L) x, with P4 the degree-4 Taylor polynomial, so the step is
-built once as a dense real propagator M, by Horner's rule in three dense
-products.  The powers M, M^2, ..., M^B sit in one stacked array of at most
-``PROPAGATOR_POWERS_BYTES``, sized to stay in a core's L2 cache:
+Hermitian matrices to Hermitian matrices, so it acts on a state's d^2 real
+coordinates x = (Re rho_ii; Re rho_ij and Im rho_ij for i < j) as a real
+(d^2, d^2) generator L.  A run steps only its live coordinates: the
+closure of x0's nonzero coordinates under L's nonzero pattern (``_live``).
+No live coordinate feeds one outside the set, so those are exactly zero
+at every step and dropping them is exact.  A generator that conserves a
+quantity, such as the oracle's excitation number, confines a run to a
+small block (the oracle's d = 8 run has 7 of 64 coordinates live); a rho0
+with no zero coordinate, as a generic full-rank one, drops nothing.  For a
+constant L one RK4 step is exactly x <- P4(dt L) x, with P4 the degree-4
+Taylor polynomial, so the step is built once on the live block as a dense
+real propagator M, by Horner's rule in three dense products.  The powers
+M, M^2, ..., M^B sit in one stacked array of at most
+``PROPAGATOR_POWERS_BYTES``, sized to stay in a core's L2 cache, so B
+follows the live count n (n = d^2 when every coordinate is live):
 
-    d    1-6   7   8   9  10  11  12  13  14  15-16  17-64
-    B     64  54  32  19  13   8   6   4   3      2      1
+    n  <= 45   49   64   81  100  128  181  256  > 256
+    B      64   54   32   19   13    8    4    2      1
 
 and a single matrix-vector product advances B steps at a time; the next
 chunk starts from the last chunk's coordinates.  Once per block of
-``STACK_BLOCK`` states the coordinates are written into the complex states
-by an exact signed gather: each float of a state is one coordinate, its
-negative or zero, so every state is exactly Hermitian by construction.
+``STACK_BLOCK`` states the coordinates are written into the full complex
+states by an exact signed gather: each float of a state is a live
+coordinate, its negative or zero, so every state is exactly Hermitian by
+construction.
 Every run writes its states into one buffer of a block's size and keeps
 each checked block as its ``partial_trace_stack``: the example-1 oracle
 keeps its battery only, any other run the identity trace, a plain copy.
-The build is paid once per run, so at large d a run of few steps costs
+The build is paid once per run, so at large n a run of few steps costs
 more than the four stage products per step it replaces.
 
 Trace and finiteness are watched every step, positivity every
@@ -44,9 +53,11 @@ Trace and finiteness are watched every step, positivity every
 ``STACK_BLOCK`` states (the chunks that first reach it) and report the
 earliest failing step, trace before positivity at the same step.  The
 positivity monitor compares LAPACK eigenvalues (``qcore._min_eigvals``)
-against its floor; they never reach a reported number.  A breach raises
-``NumericError`` asking for a finer grid; nothing is ever renormalized
-silently.
+against its floor; they never reach a reported number.  It solves only the
+occupied rows and columns, those that hold a live coordinate: the state is
+exactly zero outside them, so its other eigenvalues are zero, above the
+floor.  A breach raises ``NumericError`` asking for a finer grid; nothing
+is ever renormalized silently.
 """
 
 from __future__ import annotations
@@ -89,7 +100,7 @@ POSITIVITY_FLOOR = -1e-7
 # chosen by timing 256 KiB to 4 MiB at d = 4, 8 and 16 on a host with 2 MiB of L2
 # per core, and again with real powers from 256 KiB to 2 MiB: at d = 8 a larger
 # stack is streamed from L3 on every chunk, a smaller one pays more products.  It
-# stays >= 256 KiB, so B = 64 up to d = 4.
+# stays >= 256 KiB, so B = 64 for any d = 4 run (at most 16 live coordinates).
 PROPAGATOR_POWERS_BYTES = 2**20
 MAX_CHUNK = 64
 
@@ -258,11 +269,22 @@ def _liouvillian(spec: LindbladSpec) -> np.ndarray:
     return sup
 
 
-def _rk4_propagator(spec: LindbladSpec, dt: float) -> np.ndarray:
+def _live(pattern: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """The coordinates a run can reach, ascending: the closure of the nonzero
+    coordinates ``seed`` under the generator's nonzero ``pattern``.  No live
+    coordinate feeds one outside the closure, so those stay exactly zero."""
+    live = frontier = seed
+    while frontier.any():
+        reached = pattern[:, frontier].any(axis=1)
+        frontier = reached & ~live
+        live = live | reached
+    return np.flatnonzero(live)
+
+
+def _rk4_propagator(a: np.ndarray, dt: float) -> np.ndarray:
     """The real matrix one classical RK4 step applies to the coordinates of a
-    state for a constant generator, P4(hL) = I + hL(I + hL/2(I + hL/3(I + hL/4)))
-    with h = dt, by Horner."""
-    a = _liouvillian(spec)
+    state for the constant real generator ``a`` (scaled in place),
+    P4(hL) = I + hL(I + hL/2(I + hL/3(I + hL/4))) with h = dt, by Horner."""
     a *= dt
     diag = slice(None, None, a.shape[0] + 1)
     m = a * 0.25
@@ -274,7 +296,8 @@ def _rk4_propagator(spec: LindbladSpec, dt: float) -> np.ndarray:
     return m
 
 
-def _monitor(seg: np.ndarray, k: int, psd_due: np.ndarray, times: np.ndarray, dt: float, name: str) -> None:
+def _monitor(seg: np.ndarray, k: int, psd_due: np.ndarray, occupied: np.ndarray, times: np.ndarray,
+             dt: float, name: str) -> None:
     """Check the states ``seg`` produced by steps k, k+1, ... as a step-by-step
     loop would, and raise the error it would raise first, under ``name``: the
     earliest failing step, and at one step finiteness and trace before positivity.
@@ -282,7 +305,9 @@ def _monitor(seg: np.ndarray, k: int, psd_due: np.ndarray, times: np.ndarray, dt
     The stepper calls it once per block of at least ``STACK_BLOCK`` new states
     and once at the end; every earlier block passed, so the first failure in
     ``seg`` is the first of the run.  ``psd_due[i]`` marks the states whose
-    positivity is checked, all in one ``_min_eigvals`` call."""
+    positivity is checked, all in one ``_min_eigvals`` call on the
+    ``occupied`` rows and columns: every other entry is exactly zero, so the
+    other eigenvalues are zero, above the floor."""
     remedy = f"increase steps (dt={dt:.3e} too coarse)"
     tr = np.einsum("tii->t", seg).real
     finite = np.isfinite(seg).all(axis=(1, 2))
@@ -290,7 +315,7 @@ def _monitor(seg: np.ndarray, k: int, psd_due: np.ndarray, times: np.ndarray, dt
     first = int(broken.argmax()) if broken.any() else len(seg)
     due = np.flatnonzero(psd_due[:first])
     if due.size:
-        wmin = _min_eigvals(seg[due])
+        wmin = _min_eigvals(seg[due[:, None, None], occupied[:, None], occupied])
         low = np.flatnonzero(wmin < POSITIVITY_FLOOR)
         if low.size:
             raise NumericError(
@@ -357,16 +382,26 @@ def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: i
     out = np.empty((n + 1,) + first.shape[1:], dtype=np.complex128)
     out[0] = first[0]
 
-    m = _rk4_propagator(spec, dt)
+    # only the live coordinates are stepped; every other float of a state
+    # reads the zero column, and only the rows holding a live float are occupied
+    a = _liouvillian(spec)
+    live = _live(a != 0, x0[:n2] != 0)
+    nl = live.size
+    m = _rk4_propagator(a[np.ix_(live, live)], dt)
+    del a
+    at = np.full(n2 + 1, nl)
+    at[live] = np.arange(nl)
+    src = at[src]
+    occupied = np.flatnonzero((src.reshape(d, 2 * d) < nl).any(axis=1))
     b = min(MAX_CHUNK, max(1, PROPAGATOR_POWERS_BYTES // m.nbytes))
-    powers = np.empty((b, n2, n2))
+    powers = np.empty((b, nl, nl))
     powers[0] = m
     del m
-    # the coordinates of the last checked state (row 0) and of the states
-    # stepped since, and the zero column of ``_coordinates``
-    xs = np.zeros((STACK_BLOCK + b, n2 + 1))
-    xs[0] = x0
-    chunk = np.empty(b * n2)
+    # the live coordinates of the last checked state (row 0) and of the
+    # states stepped since, and the zero column
+    xs = np.zeros((STACK_BLOCK + b, nl + 1))
+    xs[0, :nl] = x0[live]
+    chunk = np.empty(b * nl)
     # overflow is caught by the monitor, as a non-finite state at its step
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, b):
@@ -376,21 +411,21 @@ def _lindblad_steps(spec: LindbladSpec, rho0, grid: GridSpec, psd_check_every: i
         finite = np.isfinite(powers).all(axis=(1, 2))
         if not finite.all():
             b = max(1, int(finite.argmin()))
-        stacked = powers.reshape(-1, n2)
+        stacked = powers.reshape(-1, nl)
 
         k = checked = 0
         while k < n:
             c = min(b, n - k)
             j = k - checked
-            np.matmul(stacked[: c * n2], xs[j, :n2], out=chunk[: c * n2])
-            xs[j + 1 : j + 1 + c, :n2] = chunk[: c * n2].reshape(c, n2)
+            np.matmul(stacked[: c * nl], xs[j, :nl], out=chunk[: c * nl])
+            xs[j + 1 : j + 1 + c, :nl] = chunk[: c * nl].reshape(c, nl)
             k += c
             if k - checked >= STACK_BLOCK or k == n:
                 rows = slice(0, k - checked)
                 # "clip" skips the bounds check; src is in range
                 np.take(xs[1 : k - checked + 1], src, axis=1, out=view[rows], mode="clip")
                 view[rows] *= sign
-                _monitor(full[rows], checked, psd_due[checked:k], times, dt, name)
+                _monitor(full[rows], checked, psd_due[checked:k], occupied, times, dt, name)
                 out[checked + 1 : k + 1] = partial_trace_stack(full[rows], dims, keep)
                 xs[0] = xs[k - checked]
                 checked = k

@@ -126,8 +126,10 @@ def _as_hermitian(m, name: str, *, stack: bool = False) -> np.ndarray:
     """``_as_square`` plus the hermiticity check against ``HERMITICITY_TOL``."""
     a = _as_square(m, name, stack=stack)
     defect = 0.0
-    for b in _blocks(a):
-        defect = max(defect, float(np.abs(b - b.conj().swapaxes(-1, -2)).max()))
+    # an overflowed defect is inf, above the tolerance: no warning before the error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in _blocks(a):
+            defect = max(defect, float(np.abs(b - b.conj().swapaxes(-1, -2)).max()))
     if defect > HERMITICITY_TOL:
         raise ValidationError(f"{name}: hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}")
     return a
@@ -325,7 +327,8 @@ def _check_states(m: np.ndarray, w, name: str) -> None:
     (n, d), or with ``w`` None its traces alone: each matrix's trace (the
     bits of ``matrix.trace()``) and smallest eigenvalue against the same
     tolerances, the first that fails raising the same message."""
-    tr = np.trace(m, axis1=-2, axis2=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan trace fails below
+        tr = np.trace(m, axis1=-2, axis2=-1)
     low = np.zeros(len(m)) if w is None else w[:, 0]
     bad = ~(np.abs(tr - 1.0) <= TRACE_TOL) | ~(low >= -PSD_TOL)  # so that nan fails
     for t, wmin in zip(tr[bad][:1], low[bad][:1]):
@@ -688,7 +691,8 @@ def _ldexp(a: np.ndarray, e) -> np.ndarray:
 
 def _unscaled(w: np.ndarray, e, n: int) -> np.ndarray:
     """The eigenvalues w 2^e of A from those w of 2^-e A."""
-    w = np.ldexp(w, e)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf is the error below
+        w = np.ldexp(w, e)
     if np.isinf(w).any():
         raise NumericError(f"Jacobi eigensolver: an eigenvalue overflows (dim {n}); scale the matrix down")
     return w

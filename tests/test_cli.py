@@ -296,6 +296,30 @@ def test_ledger_state_errors_keep_their_wording(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["detail"].startswith(detail)
 
 
+def test_ledger_failure_prints_one_json_line_and_no_warning(tmp_path):
+    """A finite rho0 whose trace overflows is a validation error: stderr holds
+    its JSON object alone, no numpy warning before it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qledger
+
+    big = np.diag([1.7e308, -1.7e308, 0.0, 0.0, 1.7e308, -1.7e308, 0.0, 0.0]).astype(complex)
+    path = ledger_config(tmp_path, rho0=matrix_to_json(big), h0=matrix_to_json(np.eye(8, dtype=complex)),
+                         rho_tau=matrix_to_json(np.diag(np.eye(8)[0]).astype(complex)))
+    src = str(Path(qledger.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "qledger.cli", "ledger", "--config", str(path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0]) == {"error": "validation",
+                                    "detail": "ledger config rho0: trace (nan+0j) deviates from 1 beyond 1e-10"}
+
+
 def test_ledger_gates_each_config_matrix_once(tmp_path, capsys, gates):
     rng = np.random.default_rng(241)
     h0, h1 = (random_hermitian(rng, 3).matrix for _ in range(2))

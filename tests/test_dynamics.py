@@ -339,7 +339,7 @@ def test_propagator_build_peak_memory_at_d32():
     spec, _ = _random_spec(32, seed=32)
     tracemalloc.start()
     try:
-        m = dyn._rk4_propagator(spec, 1e-3)
+        m = dyn._rk4_propagator(dyn._liouvillian(spec), 1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -349,27 +349,30 @@ def test_propagator_build_peak_memory_at_d32():
 
 def test_monitor_runs_once_per_block(monkeypatch):
     """The default oracle run checks positivity in blocks of STACK_BLOCK
-    states: one _min_eigvals call per block, not one per chunk."""
+    states: one _min_eigvals call per block, not one per chunk, on the
+    occupied rows only: 3 of 4 in the calibration, 4 of 8 in the d = 8 run."""
     checks = []
     min_eigvals = dyn._min_eigvals
-    monkeypatch.setattr(dyn, "_min_eigvals", lambda a: checks.append(len(a)) or min_eigvals(a))
+    monkeypatch.setattr(dyn, "_min_eigvals", lambda a: checks.append((len(a), a.shape[-1])) or min_eigvals(a))
     per_run = []
     steps = models._lindblad_steps
 
     def counted(spec, rho0, grid, every, name, **kw):
         before = len(checks)
         out = steps(spec, rho0, grid, every, name, **kw)
-        per_run.append((grid.steps, len(checks) - before, kw.get("reduce")))
+        widths = {width for _, width in checks[before:]}
+        per_run.append((grid.steps, len(checks) - before, kw.get("reduce"), widths))
         return out
 
     monkeypatch.setattr(models, "_lindblad_steps", counted)
     example1_pseudomode_oracle(Example1Params(R=12.5))
     assert len(per_run) == 2  # the d = 4 calibration and the d = 8 run
-    assert all(reduce is not None for _, _, reduce in per_run)
-    per_run = [(n, calls) for n, calls, _ in per_run]
+    assert all(reduce is not None for _, _, reduce, _ in per_run)
+    assert [widths for *_, widths in per_run] == [{3}, {4}]
+    per_run = [(n, calls) for n, calls, _, _ in per_run]
     for n, calls in per_run:
         assert 1 <= calls <= -(-n // STACK_BLOCK) + 1
-    assert sum(checks) == sum(-(-n // 10) for n, _ in per_run)  # every 10th state and the last
+    assert sum(n for n, _ in checks) == sum(-(-n // 10) for n, _ in per_run)  # every 10th state and the last
 
 
 @pytest.mark.parametrize("steps", [100, STACK_BLOCK, 2500])
@@ -453,18 +456,23 @@ def test_lindblad_evolve_peak_memory():
     assert peak <= tr.states.nbytes + tr.times.nbytes + 3 * buffer
 
 
-def _step_by_step_failure(spec, rho0, grid, psd_check_every):
-    """The first monitor message of a loop that applies the real RK4 step to
-    the state's coordinates once per step and checks every state right after
-    it is made."""
-    m = dyn._rk4_propagator(spec, grid.dt)
+def _full_steps(spec, rho0, grid):
+    """The states of a loop that applies the real RK4 step to all d^2
+    coordinates of the state once per step."""
+    m = dyn._rk4_propagator(dyn._liouvillian(spec), grid.dt)
     pick, src, sign = dyn._coordinates(spec.dim)
     x = np.append(np.ascontiguousarray(rho0.matrix).view(np.float64).ravel()[pick], 0.0)
+    for _ in range(grid.steps):
+        x[:-1] = m @ x[:-1]
+        yield (sign * x[src]).view(np.complex128).reshape(rho0.matrix.shape)
+
+
+def _step_by_step_failure(spec, rho0, grid, psd_check_every):
+    """The first monitor message of ``_full_steps`` when it checks every
+    state right after it is made."""
     times = grid.times()
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid.steps):
-            x[:-1] = m @ x[:-1]
-            rho = (sign * x[src]).view(np.complex128).reshape(rho0.matrix.shape)
+        for k, rho in enumerate(_full_steps(spec, rho0, grid)):
             t = times[k + 1]
             if not np.isfinite(rho).all():
                 return k + 1, f"state became non-finite at t={t:.6g};"
@@ -475,6 +483,39 @@ def _step_by_step_failure(spec, rho0, grid, psd_check_every):
                 if w < dyn.POSITIVITY_FLOOR:
                     return k + 1, f"eigenvalue {w:.3e} below {dyn.POSITIVITY_FLOOR:.0e} at t={t:.6g};"
     return None
+
+
+def _full_rank_d3():
+    """A random d = 3 generator and a full-rank state with every coordinate
+    nonzero, so every coordinate is live."""
+    spec, _ = _random_spec(3, seed=33)
+    g = np.random.default_rng(33).normal(size=(3, 3, 2)) @ [1.0, 1j]
+    rho = g @ g.conj().T
+    return spec, DensityMatrix(rho / rho.trace().real)
+
+
+@pytest.mark.parametrize("case", ["oracle-d8", "full-d3"])
+def test_live_block_run_matches_the_full_step_loop(case):
+    """Stepping only the live coordinates is exact: outside them the states
+    are exactly zero, and they agree with a loop that steps all d^2
+    coordinates.  The oracle's d = 8 run occupies rows {0, 1, 2, 4}; a
+    full-rank state makes every coordinate live."""
+    if case == "oracle-d8":
+        spec, rho0, _ = _oracle_runs(Example1Params(R=5.0))[1]
+        occupied, live = [0, 1, 2, 4], 7
+    else:
+        spec, rho0 = _full_rank_d3()
+        occupied, live = [0, 1, 2], 9
+    pick, _, _ = dyn._coordinates(spec.dim)
+    x0 = np.ascontiguousarray(rho0.matrix).view(np.float64).ravel()[pick]
+    assert dyn._live(dyn._liouvillian(spec) != 0, x0 != 0).size == live
+    grid = GridSpec(2.5, 2500)  # past two monitor blocks
+    times, states = dyn._lindblad_steps(spec, rho0, grid, 10, "test")
+    dead = np.ones(spec.dim, dtype=bool)
+    dead[occupied] = False
+    assert not states[:, dead, :].any() and not states[:, :, dead].any()
+    ref = np.array([rho0.matrix] + [rho.copy() for rho in _full_steps(spec, rho0, grid)])
+    assert np.abs(states - ref).max() <= 1e-12
 
 
 @pytest.mark.parametrize(

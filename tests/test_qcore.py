@@ -239,6 +239,19 @@ def test_an_eigenvalue_beyond_the_float_range_is_a_numeric_error():
             solve(a)
 
 
+def test_checks_that_overflow_raise_their_error_without_a_warning():
+    """A hermiticity defect and an eigenvalue that overflow become the
+    checks' own errors, with no numpy warning printed first."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="hermiticity defect inf"):
+            HermitianOperator([[0.0, 1.7e308], [-1.7e308, 0.0]])
+        with pytest.raises(NumericError, match="an eigenvalue overflows"):
+            hermitian_eigvals(np.full((2, 2), 1.5e308))
+
+
 def test_scalar_solver_skips_a_tiny_2x2_coupling():
     """A 2x2 takes the scalar loop like any other matrix, with its skip rule:
     an off-diagonal at or below JACOBI_TOL * |A|_F / (2 n) is left alone, so
