@@ -37,15 +37,8 @@ from .qcore import (
     matrix_from_json,
 )
 from .svg import line_plot
-from .thermo import (
-    _energy,
-    _entropy,
-    _gibbs,
-    _relent_stack,
-    delta_S_ir,
-    first_law_ledger,
-    gibbs_state,
-)
+from .thermo import _coherence, _dot, _energy, _entropy, _free, _gibbs, _relent
+from .thermo import delta_S_ir, first_law_ledger, gibbs_state
 
 # subcommand number -> (parameter dataclass, name of the runner in models,
 # the fields the CLI exposes); c01, c02, alpha1 and alpha2 stay library-only.
@@ -318,14 +311,14 @@ def _audit_values(groups) -> tuple[np.ndarray, np.ndarray]:
     n = sum(len(group[0]) for group in groups)
     betas, values = np.empty(n), np.empty((10, n))
     for idx, beta, (h, wh, vh), p, _, states in groups:
-        f_gibbs = (p[:, None, :] @ wh[:, :, None])[:, 0, 0] - _entropy(p) / beta
+        f_gibbs = _free(_dot(p, wh), _entropy(p), beta)
         # the Gibbs state's spectrum ascends: its populations reversed
         ws, vs = p[:, ::-1], vh[:, :, ::-1]
         rows = []
         for rho, w, v in states:
-            energy, pops = _energy(rho, h), _populations(vh, rho)
-            rows += [_relent_stack(w, v, ws, vs), energy - _entropy(w) / beta - f_gibbs, energy,
-                     _entropy(pops) - _entropy(w), _entropy(np.sort(pops, axis=-1))]
+            energy, s, pops = _energy(rho, h), _entropy(w), _populations(vh, rho)
+            rows += [_relent(s, w, v, vs, ws=ws), _free(energy, s, beta) - f_gibbs, energy,
+                     _coherence(pops, s), _entropy(np.sort(pops, axis=-1))]
         betas[idx], values[:, idx] = beta, rows
     return betas, values
 

@@ -56,7 +56,7 @@ from .qcore import (
     _spectrum,
     _synthesize,
 )
-from .thermo import _energy, _entropy, _gibbs
+from .thermo import _coherence, _energy, _entropy, _gibbs
 
 
 def _populations(v: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -92,7 +92,7 @@ def coherence(rho, hamiltonian) -> float:
     spectrum, so it can only raise the entropy.
     """
     a, _, pops = _energy_populations(rho, hamiltonian, "coherence")
-    return float(_entropy(pops) - _entropy(_spectrum(a)[0]))
+    return float(_coherence(pops, _entropy(_spectrum(a)[0])))
 
 
 class Trajectory(_Frozen):

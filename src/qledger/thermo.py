@@ -15,11 +15,12 @@ construction.  Entropies are in nats; hbar = k_B = 1 throughout.
 The log of a Gibbs state is always evaluated in closed form,
 ln(gibbs) = -beta H - ln(Z) I, never through a numerical matrix log.
 
-``_entropy``, ``_gibbs`` and ``_energy`` are the one definition of each
-spectral quantity, over the last axis, for one process here, for a whole
-trajectory in ``measures`` and for a block of the audit's cases in ``cli``;
-``_relent_stack`` is that of S(rho || sigma) and its support rule, for
-``relative_entropy`` and the audit.
+One kernel per quantity, over leading axes, serves the public functions,
+the ledger, a trajectory in ``measures`` and the audit in ``cli``:
+``_entropy``, ``_gibbs``, ``_energy``, ``_dot`` for every product p . w,
+``_free`` for F = E - S/beta (the Gibbs one is F(p . w, S(p))), ``_coherence``
+for S(pops) - S(rho), and ``_relent`` for S(rho || sigma), against a spectrum
+under its support rule or against a Gibbs ln p in closed form.
 
 Each public function checks its operands (``_as_operands``) and beta
 (``_as_beta``) at entry, so errors name the function and the argument.
@@ -130,6 +131,44 @@ def _gibbs(w: np.ndarray, beta: float):
     return shifted / zs, x - log_zs, (log_zs - beta * w0)[..., 0]
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y over the last axis, leading axes broadcasting; one product per
+    row, so a row of a stack, a 1-D pair and a reversed view all give the
+    bits of ``float(x @ y)``."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _free(e, s, beta):
+    """F = E - S/beta; the Gibbs free energy is ``_free(_dot(p, w), _entropy(p), beta)``."""
+    return e - s / beta
+
+
+def _coherence(pops, s_rho):
+    """S(pops) - S(rho) from the populations in the energy basis and S(rho)."""
+    return _entropy(pops) - s_rho
+
+
+def _relent(s_rho, wr, vr, vs, ws=None, log_ps=None):
+    """S(rho || sigma) over leading axes from rho's entropy ``s_rho``, spectrum
+    and eigenvectors and sigma's eigenvectors ``vs``, with sigma's ascending
+    spectrum ``ws``: +inf where rho weight above ``RHO_WEIGHT_TOL`` meets a
+    sigma eigenvalue below ``SIGMA_SUPPORT_TOL``; or with a Gibbs state's
+    ``log_ps`` in closed form, which has full support."""
+    weights = _overlap_weights(wr, vr, vs)
+    if log_ps is not None:
+        return -s_rho - _dot(weights, log_ps)
+    unsupported = ws < SIGMA_SUPPORT_TOL
+    rel = -s_rho - _dot(weights, np.log(np.where(unsupported, 1.0, ws)))
+    return np.where((unsupported & (weights > RHO_WEIGHT_TOL)).any(axis=-1), math.inf, rel)
+
+
+def _overlap_weights(wr, vr, vsigma) -> np.ndarray:
+    """rho's weight on each sigma eigenvector, sum_i p_i |<r_i|s_j>|^2 with
+    rho's spectrum clipped at 0, over leading axes that broadcast."""
+    overlap = np.abs(vr.conj().swapaxes(-1, -2) @ vsigma) ** 2
+    return (np.clip(wr, 0.0, None)[..., None, :] @ overlap)[..., 0, :]
+
+
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr[rho ln rho] in nats; 0 ln 0 contributes nothing."""
     (a,) = _as_operands("von_neumann_entropy", rho=rho)
@@ -149,10 +188,10 @@ def relative_entropy(rho, sigma) -> float:
     if isinstance(sigma, GibbsSpec):
         a, h = _as_operands("relative_entropy", rho=rho, sigma=sigma.hamiltonian)
         (wh, vh), (wr, vr) = _spectra(h, a)
-        return _relent_from_spectra(float(_entropy(wr)), wr, vr, _gibbs(wh, sigma.beta)[1], vh)
+        return float(_relent(_entropy(wr), wr, vr, vh, log_ps=_gibbs(wh, sigma.beta)[1]))
     a, b = _as_operands("relative_entropy", rho=rho, sigma=sigma)
     (wr, vr), (ws, vs) = _spectra(a, b)
-    return float(_relent_stack(wr, vr, ws, vs))
+    return float(_relent(_entropy(wr), wr, vr, vs, ws=ws))
 
 
 def gibbs_state(hamiltonian, beta: float) -> GibbsSpec:
@@ -187,14 +226,14 @@ def ergotropy(rho, hamiltonian) -> float:
     """Unitarily extractable work Tr[rho H] - Tr[passive(rho) H]."""
     a, h = _as_operands("ergotropy", rho=rho, hamiltonian=hamiltonian)
     r = _spectrum(a)[0][::-1]
-    return float(_energy(a.matrix, h.matrix)) - float(r @ _spectrum(h)[0])
+    return float(_energy(a.matrix, h.matrix)) - float(_dot(r, _spectrum(h)[0]))
 
 
 def free_energy(rho, hamiltonian, beta: float) -> float:
     """F(rho) = Tr[H rho] - S(rho)/beta."""
     beta = _as_beta(beta, "free_energy")
     a, h = _as_operands("free_energy", rho=rho, hamiltonian=hamiltonian)
-    return float(_energy(a.matrix, h.matrix) - _entropy(_spectrum(a)[0]) / beta)
+    return float(_free(_energy(a.matrix, h.matrix), _entropy(_spectrum(a)[0]), beta))
 
 
 def extractable_work(rho, hamiltonian, beta: float) -> float:
@@ -207,8 +246,8 @@ def extractable_work(rho, hamiltonian, beta: float) -> float:
     a, h = _as_operands("extractable_work", rho=rho, hamiltonian=hamiltonian)
     w = _spectrum(h)[0]
     p = _gibbs(w, beta)[0]
-    f_gibbs = float(p @ w - _entropy(p) / beta)
-    return free_energy(a, h, beta) - f_gibbs
+    f_rho = _free(_energy(a.matrix, h.matrix), _entropy(_spectrum(a)[0]), beta)
+    return float(f_rho) - float(_free(_dot(p, w), _entropy(p), beta))
 
 
 def delta_S_ir(rho0, h0, rho_tau, h_tau, beta: float) -> float:
@@ -247,7 +286,7 @@ def delta_S_r(rho0, h0, rho_tau, h_tau, beta: float) -> float:
 
 def _gibbs_energy(h, beta: float) -> float:
     w = _spectrum(h)[0]
-    return float(_gibbs(w, beta)[0] @ w)
+    return float(_dot(_gibbs(w, beta)[0], w))
 
 
 def heat(rho0, h0, rho_tau, h_tau, beta: float) -> float:
@@ -272,7 +311,7 @@ def adiabatic_work_passive(rho_tau, h0, h_tau) -> float:
     """
     at, m0, mt = _as_operands("adiabatic_work_passive", rho_tau=rho_tau, h0=h0, h_tau=h_tau)
     r = _spectrum(at)[0][::-1]
-    return float(r @ _spectrum(mt)[0]) - float(r @ _spectrum(m0)[0])
+    return float(_dot(r, _spectrum(mt)[0])) - float(_dot(r, _spectrum(m0)[0]))
 
 
 def operational_heat(rho0, rho_tau, h0) -> float:
@@ -281,23 +320,28 @@ def operational_heat(rho0, rho_tau, h0) -> float:
     r0 = _spectrum(a0)[0][::-1]
     rt = _spectrum(at)[0][::-1]
     w0 = _spectrum(m0)[0]
-    return float(rt @ w0) - float(r0 @ w0)
+    return float(_dot(rt, w0)) - float(_dot(r0, w0))
 
 
 def first_law_ledger(rho0, h0, rho_tau, h_tau, beta: float) -> ThermoLedger:
     """Full two-closure ledger for one process at inverse temperature beta.
 
-    Every eigendecomposition is computed once (``_spectra``: one stack
-    solve for the cold operands above ``SCALAR_MAX_DIM``) and shared between
-    the entries.  ``deltaS_ir`` follows the relative-entropy path (eigenbasis
-    overlaps), while ``deltaWf`` follows the free-energy path, so the
-    identity deltaWf = -deltaS_ir/beta is a genuine cross-check rather
-    than a tautology.
+    Every eigendecomposition is computed once (``_spectra``) and shared.
+    ``deltaS_ir`` follows the relative-entropy path (eigenbasis overlaps),
+    ``deltaWf`` the free-energy path, so deltaWf = -deltaS_ir/beta is a
+    genuine cross-check.  Raises ``NumericError`` when beta times a spectral
+    span overflows or a field is not finite (beta too large or too small).
     """
     beta = _as_beta(beta, "first_law_ledger")
     a0, m0, at, mt = _as_operands("first_law_ledger", rho0=rho0, h0=h0, rho_tau=rho_tau, h_tau=h_tau)
 
     (wr0, vr0), (wrt, vrt), (wh0, vh0), (wht, vht) = _spectra(a0, at, m0, mt)
+    # plain float checks, so an overflow raises here instead of warning in _gibbs
+    span = max(float(wh0[-1]) - float(wh0[0]), float(wht[-1]) - float(wht[0]))
+    remedy = "rescale beta or the Hamiltonians"
+    if not math.isfinite(beta * span):
+        raise NumericError(f"first_law_ledger: beta = {beta:g} times the spectral span {span:.6g} "
+                           f"overflows; {remedy}")
 
     e0 = float(_energy(a0.matrix, m0.matrix))
     et = float(_energy(at.matrix, mt.matrix))
@@ -309,72 +353,34 @@ def first_law_ledger(rho0, h0, rho_tau, h_tau, beta: float) -> ThermoLedger:
     s_rhot = float(_entropy(wrt))
     s_g0 = float(_entropy(p0))
     s_gt = float(_entropy(pt))
+    eg0 = float(_dot(p0, wh0))
+    egt = float(_dot(pt, wht))
 
-    # ergotropy split, passive pricing of the spectra
-    r0_desc = wr0[::-1]
-    rt_desc = wrt[::-1]
-    delta_we = (et - float(rt_desc @ wht)) - (e0 - float(r0_desc @ wh0))
-    w_ad_passive = float(rt_desc @ wht) - float(rt_desc @ wh0)
-    q_op = float(rt_desc @ wh0) - float(r0_desc @ wh0)
+    # ergotropy split, passive pricing of the spectra (each reversed)
+    passive0 = float(_dot(wr0[::-1], wh0))
+    passive_t = float(_dot(wrt[::-1], wht))
+    passive_t0 = float(_dot(wrt[::-1], wh0))
+    delta_we = (et - passive_t) - (e0 - passive0)
+    w_ad_passive = passive_t - passive_t0
+    q_op = passive_t0 - passive0
 
     # free-energy split
-    f0 = e0 - s_rho0 / beta
-    ft = et - s_rhot / beta
-    fg0 = float(p0 @ wh0) - s_g0 / beta
-    fgt = float(pt @ wht) - s_gt / beta
-    delta_wf = (ft - fgt) - (f0 - fg0)
-    w_ad_gibbs = float(pt @ wht) - float(p0 @ wh0)
-
-    ds_r = -beta * ((et - float(pt @ wht)) - (e0 - float(p0 @ wh0)))
-    q = -ds_r / beta
+    delta_wf = ((_free(et, s_rhot, beta) - _free(egt, s_gt, beta))
+                - (_free(e0, s_rho0, beta) - _free(eg0, s_g0, beta)))
+    w_ad_gibbs = egt - eg0
+    ds_r = -beta * ((et - egt) - (e0 - eg0))
 
     # relative entropies through eigenbasis overlaps, against the Gibbs log
     # in closed form, which stays finite where a population underflows
-    rel0 = _relent_from_spectra(s_rho0, wr0, vr0, log_p0, vh0)
-    relt = _relent_from_spectra(s_rhot, wrt, vrt, log_pt, vht)
-    ds_ir = rel0 - relt
+    ds_ir = (float(_relent(s_rho0, wr0, vr0, vh0, log_ps=log_p0))
+             - float(_relent(s_rhot, wrt, vrt, vht, log_ps=log_pt)))
 
     residual_eq2 = delta_e - (delta_we + w_ad_passive + q_op)
     residual_eq7 = delta_e - (delta_wf + w_ad_gibbs + (s_rhot - s_rho0 - (s_gt - s_g0)) / beta)
 
-    return ThermoLedger(
-        deltaE=delta_e,
-        deltaWe=delta_we,
-        deltaWf=delta_wf,
-        adiabaticWork=w_ad_passive,
-        operationalHeat=q_op,
-        heat=q,
-        deltaS_rho=s_rhot - s_rho0,
-        deltaS_gibbs=s_gt - s_g0,
-        deltaS_ir=ds_ir,
-        deltaS_r=ds_r,
-        residual_eq2=residual_eq2,
-        residual_eq7=residual_eq7,
-    )
-
-
-def _relent_from_spectra(s_rho, wr, vr, log_psigma, vsigma) -> float:
-    """S(rho || sigma) from rho's entropy ``s_rho`` and spectrum and sigma's
-    ln p and eigenvectors (``_entropy`` clips rho's spectrum itself)."""
-    return -s_rho - float(_overlap_weights(wr, vr, vsigma)[1] @ log_psigma)
-
-
-def _overlap_weights(wr, vr, vsigma) -> tuple[np.ndarray, np.ndarray]:
-    """rho's spectrum clipped at 0, and its weight on each sigma eigenvector:
-    sum_i p_i |<r_i|s_j>|^2, over leading axes that broadcast."""
-    overlap = np.abs(vr.conj().swapaxes(-1, -2) @ vsigma) ** 2
-    wr = np.clip(wr, 0.0, None)
-    return wr, (wr[..., None, :] @ overlap)[..., 0, :]
-
-
-def _relent_stack(wr, vr, ws, vs) -> np.ndarray:
-    """S(rho || sigma) over leading axes from rho's spectrum (..., d) and
-    (..., d, d) and sigma's ascending one: the overlap weights against ln ws,
-    or +inf where rho weight above ``RHO_WEIGHT_TOL`` meets a sigma eigenvalue
-    below ``SIGMA_SUPPORT_TOL``.  Its products are made one matrix at a time,
-    so a row of a stack has the bits of that matrix alone."""
-    wr, weights = _overlap_weights(wr, vr, vs)
-    unsupported = ws < SIGMA_SUPPORT_TOL
-    log_ws = np.log(np.where(unsupported, 1.0, ws))[..., None]
-    rel = -_entropy(wr) - (weights[..., None, :] @ log_ws)[..., 0, 0]
-    return np.where((unsupported & (weights > RHO_WEIGHT_TOL)).any(axis=-1), math.inf, rel)
+    values = (delta_e, delta_we, delta_wf, w_ad_passive, q_op, -ds_r / beta, s_rhot - s_rho0,
+              s_gt - s_g0, ds_ir, ds_r, residual_eq2, residual_eq7)  # in field order
+    bad = [name for name, x in zip(ThermoLedger.__dataclass_fields__, values) if not math.isfinite(x)]
+    if bad:
+        raise NumericError(f"first_law_ledger: {', '.join(bad)} not finite at beta = {beta:g}; {remedy}")
+    return ThermoLedger(*values)

@@ -296,9 +296,9 @@ def test_ledger_state_errors_keep_their_wording(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["detail"].startswith(detail)
 
 
-def test_ledger_failure_prints_one_json_line_and_no_warning(tmp_path):
-    """A finite rho0 whose trace overflows is a validation error: stderr holds
-    its JSON object alone, no numpy warning before it."""
+def _ledger_in_a_child(path):
+    """``qledger ledger --config path`` in a fresh interpreter, whose stderr
+    shows any warning: (exit code, stdout, stderr lines)."""
     import os
     import subprocess
     import sys
@@ -306,18 +306,42 @@ def test_ledger_failure_prints_one_json_line_and_no_warning(tmp_path):
 
     import qledger
 
-    big = np.diag([1.7e308, -1.7e308, 0.0, 0.0, 1.7e308, -1.7e308, 0.0, 0.0]).astype(complex)
-    path = ledger_config(tmp_path, rho0=matrix_to_json(big), h0=matrix_to_json(np.eye(8, dtype=complex)),
-                         rho_tau=matrix_to_json(np.diag(np.eye(8)[0]).astype(complex)))
     src = str(Path(qledger.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "qledger.cli", "ledger", "--config", str(path)],
                           env=env, capture_output=True, text=True)
-    assert done.returncode == 2
-    lines = done.stderr.splitlines()
+    return done.returncode, done.stdout, done.stderr.splitlines()
+
+
+def test_ledger_failure_prints_one_json_line_and_no_warning(tmp_path):
+    """A finite rho0 whose trace overflows is a validation error: stderr holds
+    its JSON object alone, no numpy warning before it."""
+    big = np.diag([1.7e308, -1.7e308, 0.0, 0.0, 1.7e308, -1.7e308, 0.0, 0.0]).astype(complex)
+    path = ledger_config(tmp_path, rho0=matrix_to_json(big), h0=matrix_to_json(np.eye(8, dtype=complex)),
+                         rho_tau=matrix_to_json(np.diag(np.eye(8)[0]).astype(complex)))
+    code, _, lines = _ledger_in_a_child(path)
+    assert code == 2
     assert len(lines) == 1, lines
     assert json.loads(lines[0]) == {"error": "validation",
                                     "detail": "ledger config rho0: trace (nan+0j) deviates from 1 beyond 1e-10"}
+
+
+@pytest.mark.parametrize("beta, detail", [
+    (1e307, "beta = 1e+307 times the spectral span 100 overflows"),
+    (1e-320, "deltaWf, residual_eq7 not finite at beta = 9.99989e-321"),
+])
+def test_ledger_beta_that_leaves_the_float_range_is_a_numeric_error(tmp_path, beta, detail):
+    """An extreme beta overflows inside the ledger (beta times the spectral
+    span, or the entropies over beta): exit 3, one JSON line on stderr and
+    nothing on stdout, not NaN fields with exit 0."""
+    path = ledger_config(tmp_path, beta=beta, rho0=matrix_to_json(np.eye(2, dtype=complex) / 2),
+                         h0=matrix_to_json(np.diag([0.0, 100.0]).astype(complex)),
+                         rho_tau=matrix_to_json(np.diag([0.6, 0.4]).astype(complex)))
+    code, out, lines = _ledger_in_a_child(path)
+    assert (code, out) == (3, "")
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0]) == {"error": "numeric", "detail": f"first_law_ledger: {detail}; "
+                                    "rescale beta or the Hamiltonians"}
 
 
 def test_ledger_gates_each_config_matrix_once(tmp_path, capsys, gates):

@@ -8,7 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from qledger import dynamics, measures, qcore, sampling, thermo
+from qledger import cli, dynamics, measures, qcore, sampling, thermo
 from qledger.dynamics import GridSpec, schrodinger_evolve
 from qledger.measures import dephase
 from qledger.models import Example1Params, Example2Params, run_example1, run_example2
@@ -63,16 +63,19 @@ SYNTHESIS = {
 }
 
 
-def _blas_products(fn) -> list[str]:
-    """Each ``@``, ``matmul`` or ``dot`` in the source of ``fn``."""
+def _blas_products(obj, skip=()) -> list[str]:
+    """Each ``@``, ``matmul`` or ``dot`` in the source of a function or a
+    module, outside the module's top-level functions named in ``skip``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
+    tree.body = [node for node in tree.body if getattr(node, "name", None) not in skip]
     found = []
-    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+    for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-            found.append(f"{fn.__name__}:{node.lineno} @")
+            found.append(f"{obj.__name__}:{node.lineno} @")
         elif isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot"):
-            found.append(f"{fn.__name__}:{node.lineno} {node.attr}")
+            found.append(f"{obj.__name__}:{node.lineno} {node.attr}")
         elif isinstance(node, ast.Name) and node.id in ("matmul", "dot"):
-            found.append(f"{fn.__name__}:{node.lineno} {node.id}")
+            found.append(f"{obj.__name__}:{node.lineno} {node.id}")
     return found
 
 
@@ -80,6 +83,14 @@ def test_synthesis_takes_no_blas_product():
     found = [hit for module, names in SYNTHESIS.items() for name in names
              for hit in _blas_products(getattr(module, name))]
     assert not found, found
+
+
+def test_thermo_and_cli_take_their_products_from_two_kernels():
+    """Every product in ``thermo`` and ``cli`` goes through ``thermo._dot`` (p . w)
+    or ``thermo._overlap_weights`` (the eigenbasis overlaps), which hold them all."""
+    kernels = ("_dot", "_overlap_weights")
+    assert _blas_products(thermo, kernels) + _blas_products(cli) == []
+    assert len(_blas_products(thermo)) == 3
 
 
 def test_the_scan_sees_a_blas_product():

@@ -24,6 +24,7 @@ from qledger.sampling import gibbs_preserving_channel, random_density, random_he
 from qledger.thermo import (
     GibbsSpec,
     ThermoLedger,
+    _dot,
     adiabatic_work_gibbs,
     adiabatic_work_passive,
     delta_S_ir,
@@ -614,6 +615,21 @@ def test_audit_stacks_agree_with_the_public_functions(channel_draws):
         assert np.abs(got - expected).max() < 1e-12, i
         exact = [0, 1, 3, 4, 5, 6, 8, 9]
         assert got[exact].tolist() == [expected[k] for k in exact], i
+
+
+def test_dot_has_the_bits_of_the_one_dimensional_product():
+    """``_dot``, the one energy product of the ledger, the public functions
+    and the audit, gives ``float(x @ y)``'s bits for a pair, for a reversed
+    (passive-order) view, and for each row of a stack."""
+    rng = np.random.default_rng(2023)
+    for d in range(1, 65):
+        x = rng.dirichlet(np.ones(d), size=40)
+        y = np.sort(rng.standard_normal((40, d)) * 10.0 ** rng.uniform(-3, 3, (40, 1)), axis=-1)
+        rows = _dot(x, y)
+        for i in range(40):
+            for xi in (x[i], x[i, ::-1]):
+                assert float(_dot(xi, y[i])).hex() == float(xi @ y[i]).hex(), d
+            assert float(rows[i]).hex() == float(x[i] @ y[i]).hex(), d
 
 
 def test_channel_draws_then_build_give_the_public_channel():
