@@ -36,6 +36,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._text import _decimal_text
 from .qcore import (
     STACK_BLOCK,
     TRACE_TOL,
@@ -56,7 +57,7 @@ from .qcore import (
     _spectrum,
     _synthesize,
 )
-from .thermo import _coherence, _energy, _entropy, _gibbs
+from .thermo import _coherence, _energy, _entropy, _gibbs, _log_z
 
 
 def _populations(v: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -212,7 +213,6 @@ class MeasureSeries:
 CSV_HEADER = "t,E,S,C_r,S_ir,I,P,P_c,P_i,W_f"
 
 _CSV_FIELDS = tuple(f.name for f in fields(MeasureSeries))
-_CSV_ROW = ",".join(["%.12g"] * len(_CSV_FIELDS))
 
 
 def _comment_lines(comments, name: str) -> list[str]:
@@ -234,12 +234,13 @@ def _csv_blocks(series: MeasureSeries, lines: list[str]):
     yield "\n".join([*lines, CSV_HEADER]) + "\n"
     for i in range(0, len(series), STACK_BLOCK):
         # x + 0.0 folds negative zero into plain 0
-        cols = [(getattr(series, f)[i : i + STACK_BLOCK] + 0.0).tolist() for f in _CSV_FIELDS]
-        yield "\n".join(map(_CSV_ROW.__mod__, zip(*cols))) + "\n"
+        block = np.stack([getattr(series, f)[i : i + STACK_BLOCK] for f in _CSV_FIELDS], axis=1) + 0.0
+        yield from (_decimal_text(block, "%.12g", "\n"), "\n")
 
 
 def format_csv(series: MeasureSeries, comments=()) -> str:
-    """Render a series as CSV text, 12 significant digits per value.
+    """Render a series as CSV text, 12 significant digits per value: the
+    bytes of ``"%.12g" % v`` (-0 as 0), from ``_text._decimal_text``.
 
     ``comments`` lines are emitted first, each prefixed with ``# ``; the
     parser skips them, so they are free-form text of one line each (the CLI
@@ -307,7 +308,7 @@ def _tables(tr: Trajectory):
             blk = slice(i, i + STACK_BLOCK)
             diag[blk] = _populations(v[blk], s[blk])
     s_rho = _entropy(_jacobi_stack(s, want_vectors=False)[0])
-    return _energy(s, h), s_rho, _entropy(diag), _gibbs(w, tr.beta)[2]
+    return _energy(s, h), s_rho, _entropy(diag), _log_z(w, _gibbs(w, tr.beta)[1], tr.beta)
 
 
 def _ddt(y: np.ndarray, dt: float) -> np.ndarray:

@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 
+from ._text import _decimal_text
 from .qcore import STACK_BLOCK, ValidationError, _as_array
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
@@ -58,7 +59,8 @@ def line_plot(path, x, curves, title: str = "", xlabel: str = "t", ylabel: str =
 
     ``curves`` is a sequence of (label, y-array) pairs; all arrays must
     match x in length and be finite, and each axis must span a width that
-    is a finite normal float once padded.
+    is a finite normal float once padded.  A point is written as the bytes
+    of ``"%.2f,%.2f" % (px, py)``, from ``_text._decimal_text``.
     """
     x = _as_array(x, "line_plot x", np.float64, "line_plot: x values must be finite")
     if x.ndim != 1 or x.size < 2:
@@ -159,8 +161,8 @@ def line_plot(path, x, curves, title: str = "", xlabel: str = "t", ylabel: str =
             fh.write('<polyline points="')
             for i in range(0, x.size, STACK_BLOCK):
                 blk = slice(i, i + STACK_BLOCK)
-                points = map("%.2f,%.2f".__mod__, zip(x_px[blk].tolist(), sy(y[blk]).tolist()))
-                fh.write((" " if i else "") + " ".join(points))
+                points = np.stack((x_px[blk], sy(y[blk])), axis=1)
+                fh.write((" " if i else "") + _decimal_text(points, "%.2f", " "))
             fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
             fh.write(
                 f'<text x="{_WIDTH - _MARGIN_R - 6}" y="{_MARGIN_T + 18 + 16 * idx}" font-size="12" '

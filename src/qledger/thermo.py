@@ -17,7 +17,7 @@ ln(gibbs) = -beta H - ln(Z) I, never through a numerical matrix log.
 
 One kernel per quantity, over leading axes, serves the public functions,
 the ledger, a trajectory in ``measures`` and the audit in ``cli``:
-``_entropy``, ``_gibbs``, ``_energy``, ``_dot`` for every product p . w,
+``_entropy``, ``_gibbs`` with ``_log_z``, ``_energy``, ``_dot`` for every p . w,
 ``_free`` for F = E - S/beta (the Gibbs one is F(p . w, S(p))), ``_coherence``
 for S(pops) - S(rho), and ``_relent`` for S(rho || sigma), against a spectrum
 under its support rule or against a Gibbs ln p in closed form.
@@ -120,15 +120,18 @@ def _entropy(p: np.ndarray) -> np.ndarray:
 
 
 def _gibbs(w: np.ndarray, beta: float):
-    """Populations, ln p and ln Z of exp(-beta w)/Z over the last axis, for
+    """Populations and ln p of exp(-beta w)/Z over the last axis, for
     ascending w; shifted by the ground energy, so no large terms cancel and
     ln p stays finite where a population underflows to 0."""
-    w0 = w[..., :1]
-    x = -beta * (w - w0)
+    x = -beta * (w - w[..., :1])
     shifted = np.exp(x)
     zs = shifted.sum(axis=-1, keepdims=True)
-    log_zs = np.log(zs)
-    return shifted / zs, x - log_zs, (log_zs - beta * w0)[..., 0]
+    return shifted / zs, x - np.log(zs)
+
+
+def _log_z(w: np.ndarray, log_p: np.ndarray, beta: float):
+    """ln Z = -beta w_0 - ln p_0; beta w_0 may overflow where the span does not."""
+    return -log_p[..., 0] - beta * w[..., 0]
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -200,7 +203,8 @@ def gibbs_state(hamiltonian, beta: float) -> GibbsSpec:
     (h,) = _as_operands("gibbs_state", hamiltonian=hamiltonian)
     op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
     w, v = _spectrum(op)
-    p, _, log_z = _gibbs(w, beta)
+    p, log_p = _gibbs(w, beta)
+    log_z = _log_z(w, log_p, beta)
     try:
         z = math.exp(log_z)
     except OverflowError:
@@ -347,8 +351,8 @@ def first_law_ledger(rho0, h0, rho_tau, h_tau, beta: float) -> ThermoLedger:
     et = float(_energy(at.matrix, mt.matrix))
     delta_e = et - e0
 
-    p0, log_p0, _ = _gibbs(wh0, beta)
-    pt, log_pt, _ = _gibbs(wht, beta)
+    p0, log_p0 = _gibbs(wh0, beta)
+    pt, log_pt = _gibbs(wht, beta)
     s_rho0 = float(_entropy(wr0))
     s_rhot = float(_entropy(wrt))
     s_g0 = float(_entropy(p0))

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from qledger import cli, models, sampling
+from qledger import cli, measures, models, sampling, svg
 from qledger.cli import main
 from qledger.measures import CSV_HEADER, read_csv
 from qledger.qcore import matrix_from_json, matrix_to_json
@@ -38,6 +38,30 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert run(["example1", "--override", "steps=400", "--out", str(a)]) == 0
     assert run(["example1", "--override", "steps=400", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _percent_rows(block, spec, end):
+    """The reference for the number text: one ``%`` per row, a CSV row of ten
+    values as ``"%.12g,...,%.12g" % row``, an SVG point as ``"%.2f,%.2f" % pt``."""
+    row = ",".join([spec] * block.shape[1])
+    return end.join(row % tuple(values) for values in block.tolist())
+
+
+@pytest.mark.parametrize("args", [
+    ["example1"], ["example1", "--override", "R=25"],
+    ["example2", "--override", "case=1"], ["example2", "--override", "case=2"],
+])
+def test_example_text_is_that_of_one_percent_per_row(tmp_path, capsys, monkeypatch, args):
+    """The CSV and the SVG of the worked examples are, byte for byte, those
+    written when ``%`` formats every CSV row and every polyline point."""
+    files = [tmp_path / name for name in ("a.csv", "a.svg", "b.csv", "b.svg")]
+    assert run([*args, "--out", str(files[0]), "--svg", str(files[1])]) == 0
+    for module in (measures, svg):
+        monkeypatch.setattr(module, "_decimal_text", _percent_rows)
+    assert run([*args, "--out", str(files[2]), "--svg", str(files[3])]) == 0
+    capsys.readouterr()
+    assert files[0].read_bytes() == files[2].read_bytes()
+    assert files[1].read_bytes() == files[3].read_bytes()
 
 
 def test_override_beats_config_beats_default(tmp_path, capsys):
@@ -342,6 +366,23 @@ def test_ledger_beta_that_leaves_the_float_range_is_a_numeric_error(tmp_path, be
     assert len(lines) == 1, lines
     assert json.loads(lines[0]) == {"error": "numeric", "detail": f"first_law_ledger: {detail}; "
                                     "rescale beta or the Hamiltonians"}
+
+
+def test_ledger_never_forms_beta_times_the_ground_energy(tmp_path):
+    """beta times the ground energy overflows where beta times the spectral
+    span does not; the ledger has no use for ln Z, so stderr stays empty and
+    stdout holds the ledger it printed when ln Z was formed (and warned)."""
+    h = matrix_to_json(np.diag([1e300, 1.000000000000001e300]).astype(complex))
+    path = ledger_config(tmp_path, beta=1e10, rho0=matrix_to_json(np.eye(2, dtype=complex) / 2), h0=h, h_tau=h,
+                         rho_tau=matrix_to_json(np.diag([0.6, 0.4]).astype(complex)))
+    code, out, lines = _ledger_in_a_child(path)
+    assert (code, lines) == (0, [])
+    e, s_rho = -1.487016908477783e+284, -0.020135513550688766
+    assert out == json.dumps({
+        "deltaE": e, "deltaWe": 0.0, "deltaWf": e, "adiabaticWork": 0.0, "operationalHeat": e, "heat": e,
+        "deltaS_rho": s_rho, "deltaS_gibbs": 0.0, "deltaS_ir": 8.922101450866698e+293,
+        "deltaS_r": 1.487016908477783e+294, "residual_eq2": 0.0, "residual_eq7": 0.0,
+    }, indent=2) + "\n"
 
 
 def test_ledger_gates_each_config_matrix_once(tmp_path, capsys, gates):
