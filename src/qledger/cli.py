@@ -65,14 +65,22 @@ _AUDIT_KINDS = ("contractivity", "dual-path", "closure")
 _AUDIT_BLOCK = 128
 
 
-def _read_json(path):
+def _read_object(path, keys, what: str) -> dict:
+    """The JSON object in the file at ``path``, whose keys must be among
+    ``keys``; ``what`` names the config in the unknown-keys error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON, too long an int, too deep a nesting
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: config must be a JSON object")
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise ValidationError(f"unknown {what} keys {sorted(unknown)}")
+    return data
 
 
 def _coerce(key: str, value, default):
@@ -110,13 +118,7 @@ def _effective_config(defaults: dict, config_path, overrides) -> dict:
     """Overrides beat the config file, which beats the defaults."""
     cfg = dict(defaults)
     if config_path:
-        data = _read_json(config_path)
-        if not isinstance(data, dict):
-            raise ValidationError(f"{config_path}: config must be a JSON object")
-        unknown = set(data) - set(defaults)
-        if unknown:
-            raise ValidationError(f"unknown config keys {sorted(unknown)}")
-        for k, v in data.items():
+        for k, v in _read_object(config_path, defaults, "config").items():
             cfg[k] = _coerce(k, v, defaults[k])
     for item in overrides or ():
         k, v = _parse_override(item)
@@ -163,12 +165,7 @@ _LEDGER_KEYS = {"beta", "rho0", "h0", "rho_tau", "h_tau", "channel"}
 def _cmd_ledger(args) -> int:
     if not args.config:
         raise ValidationError("ledger: --config FILE is required")
-    data = _read_json(args.config)
-    if not isinstance(data, dict):
-        raise ValidationError(f"{args.config}: config must be a JSON object")
-    unknown = set(data) - _LEDGER_KEYS
-    if unknown:
-        raise ValidationError(f"unknown ledger config keys {sorted(unknown)}")
+    data = _read_object(args.config, _LEDGER_KEYS, "ledger config")
     for key in ("beta", "rho0", "h0"):
         if key not in data:
             raise ValidationError(f"ledger config needs key {key!r}")
@@ -293,9 +290,7 @@ def _audit_groups(rng: np.random.Generator, n: int) -> list:
         p = _gibbs(wh, beta[:, None])[0]
         kraus = sampling._gibbs_preserving_kraus(vh, p, weights, angles)
         _check_kraus(kraus)
-        rho_t = _kraus_apply(kraus, rho0)
-        if not np.isfinite(rho_t).all():
-            raise ValidationError("audit rho_t: entries must be finite")
+        rho_t = _as_hermitian(_kraus_apply(kraus, rho0), "audit rho_t", stack=True)
         wt, vt = _jacobi_stack(rho_t, want_vectors=True)
         _check_states(rho_t, wt, "audit rho_t")
         groups.append((idx, beta, (h, wh, vh), p, kraus, ((rho0, w0, v0), (rho_t, wt, vt))))

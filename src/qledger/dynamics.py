@@ -79,6 +79,7 @@ from .qcore import (
     _as_beta,
     _as_square,
     _count,
+    _frozen,
     _Frozen,
     _gated,
     _integral,
@@ -169,9 +170,7 @@ class LindbladSpec(_Frozen):
                     f"LindbladSpec: jump dim {a.shape[0]} does not match Hamiltonian dim {d}"
                 )
             r = _scalar(rate, "LindbladSpec: jump rate", _NONNEGATIVE)
-            a = a.copy()
-            a.setflags(write=False)
-            ops.append(a)
+            ops.append(_frozen(a, op))
             rates.append(r)
 
         m = len(ops)

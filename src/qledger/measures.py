@@ -39,14 +39,15 @@ import numpy as np
 from ._text import _decimal_text
 from .qcore import (
     STACK_BLOCK,
-    TRACE_TOL,
     DensityMatrix,
     HermitianOperator,
+    NumericError,
     ValidationError,
     _as_array,
     _as_beta,
     _as_hermitian,
     _as_operands,
+    _check_states,
     _frozen,
     _Frozen,
     _jacobi,
@@ -57,7 +58,7 @@ from .qcore import (
     _spectrum,
     _synthesize,
 )
-from .thermo import _coherence, _energy, _entropy, _gibbs, _log_z
+from .thermo import _check_beta_scale, _coherence, _energy, _entropy, _gibbs, _log_z
 
 
 def _populations(v: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -100,7 +101,7 @@ class Trajectory(_Frozen):
     """An evolving state on a uniform time grid, with its Hamiltonian(s).
 
     ``states`` is a read-only (T, d, d) complex stack, a copy if the caller's
-    was writable.  Unit trace is checked here, the rest by the ``qcore`` gate;
+    was writable.  The ``qcore`` gate checks it, unit trace included;
     positivity is the producing integrator's job (its monitor has already
     walked every step, and an eigendecomposition per grid point would double
     the cost of a run).
@@ -129,11 +130,7 @@ class Trajectory(_Frozen):
             raise ValidationError(
                 f"Trajectory: states must be one square matrix per grid point, got shape {s.shape}"
             )
-        trdev = np.abs(np.einsum("tii->t", s) - 1.0).max()
-        if trdev > TRACE_TOL:
-            raise ValidationError(
-                f"Trajectory: worst state trace deviation {trdev:.3e} exceeds {TRACE_TOL:.0e}"
-            )
+        _check_states(s, None, "Trajectory states")
 
         h = _as_hermitian(hamiltonians, "Trajectory hamiltonians", stack=True)
         if h.ndim == 3 and h.shape[0] == 1:
@@ -180,6 +177,10 @@ class MeasureSeries:
     Attribute -> CSV column: times=t, energy=E, entropy=S, coherence=C_r,
     irr_entropy=S_ir, backflow=I, power=P, coherent_power=P_c,
     incoherent_power=P_i, extractable_work=W_f.
+
+    Each column is held as ``Trajectory`` holds its arrays: a read-only
+    float64 array is kept, anything else converted or, if it is the
+    caller's writable array, copied, and then made read-only.
     """
 
     times: np.ndarray
@@ -196,15 +197,15 @@ class MeasureSeries:
     def __post_init__(self):
         n = None
         for f in fields(self):
-            a = _as_array(getattr(self, f.name), f"MeasureSeries {f.name}", np.float64)
+            source = getattr(self, f.name)
+            a = _as_array(source, f"MeasureSeries {f.name}", np.float64)
             if a.ndim != 1:
                 raise ValidationError(f"MeasureSeries: {f.name} must be 1-d")
             if n is None:
                 n = a.size
             elif a.size != n:
                 raise ValidationError("MeasureSeries: all columns must share one length")
-            a.setflags(write=False)
-            object.__setattr__(self, f.name, a)
+            object.__setattr__(self, f.name, _frozen(a, source))
 
     def __len__(self) -> int:
         return self.times.size
@@ -288,6 +289,7 @@ def read_csv(source) -> MeasureSeries:
     if not header_seen:
         raise ValidationError("CSV: header row missing")
     data = np.frombuffer(values, dtype=np.float64).reshape(-1, width)
+    data.setflags(write=False)  # so the series keeps its columns, not copies
     return MeasureSeries(**{f: data[:, i] for i, f in enumerate(_CSV_FIELDS)})
 
 
@@ -308,6 +310,7 @@ def _tables(tr: Trajectory):
             blk = slice(i, i + STACK_BLOCK)
             diag[blk] = _populations(v[blk], s[blk])
     s_rho = _entropy(_jacobi_stack(s, want_vectors=False)[0])
+    _check_beta_scale("measure_series", tr.beta, w, log_z=True)
     return _energy(s, h), s_rho, _entropy(diag), _log_z(w, _gibbs(w, tr.beta)[1], tr.beta)
 
 
@@ -351,30 +354,34 @@ def incoherent_power_series(tr: Trajectory) -> np.ndarray:
 
 
 def measure_series(tr: Trajectory) -> MeasureSeries:
-    """All measures of one trajectory in a single pass over the grid."""
+    """All measures of one trajectory in a single pass over the grid.
+
+    Raises ``NumericError`` when a column is not finite: a grid step or a
+    beta so small or so large that a difference quotient or a product
+    leaves the float range."""
     energy, s_rho, s_deph, log_z = _tables(tr)
     beta = tr.beta
     dt = tr.dt
 
-    relent = beta * energy + log_z - s_rho
-    s_ir = relent[0] - relent
-    coh = s_deph - s_rho
-    backflow = -_ddt(s_ir, dt)
-    de = _ddt(energy, dt)
-    if tr.constant_hamiltonian:
-        p_i = de - _ddt(s_deph, dt) / beta
-    else:
-        p_i = de - (_ddt(s_deph, dt) - _ddt(log_z, dt)) / beta
+    # a non-finite value is reported below, by its column, not as a warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        relent = beta * energy + log_z - s_rho
+        s_ir = relent[0] - relent
+        coh = s_deph - s_rho
+        backflow = -_ddt(s_ir, dt)
+        de = _ddt(energy, dt)
+        if tr.constant_hamiltonian:
+            p_i = de - _ddt(s_deph, dt) / beta
+        else:
+            p_i = de - (_ddt(s_deph, dt) - _ddt(log_z, dt)) / beta
+        # in field order, which is the CSV's
+        columns = (tr.times, energy, s_rho, coh, s_ir, backflow, backflow / beta,
+                   _ddt(coh, dt) / beta, p_i, relent / beta)
 
-    return MeasureSeries(
-        times=tr.times.copy(),
-        energy=energy,
-        entropy=s_rho,
-        coherence=coh,
-        irr_entropy=s_ir,
-        backflow=backflow,
-        power=backflow / beta,
-        coherent_power=_ddt(coh, dt) / beta,
-        incoherent_power=p_i,
-        extractable_work=relent / beta,
-    )
+    bad = [name for name, c in zip(CSV_HEADER.split(","), columns) if not np.isfinite(c).all()]
+    if bad:
+        raise NumericError(f"measure_series: {', '.join(bad)} not finite at beta = {beta:g}, dt = {dt:g}; "
+                           "lengthen the time step, or rescale beta or the Hamiltonian")
+    for c in columns:
+        c.setflags(write=False)  # so the series keeps them, not copies
+    return MeasureSeries(*columns)

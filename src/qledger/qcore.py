@@ -352,13 +352,13 @@ def _gated(m, name: str, *, state: bool = False):
 
 
 def _rows(m, name) -> list:
-    """The matrices of a fresh (n, d, d) stack, or of a list, gated as one
-    under ``name`` (or a tuple of one name per matrix); each held, read only,
-    in a new ``HermitianOperator``."""
+    """The matrices of a (n, d, d) stack, or of a list, gated as one under
+    ``name`` (or a tuple of one name per matrix); each held, read only, in a
+    new ``HermitianOperator``."""
     a = _as_hermitian(m, name, stack=True)
     if a.ndim != 3:
         raise ValidationError(f"{name}: expected a stack of square matrices, got shape {a.shape}")
-    a.setflags(write=False)
+    a = _frozen(a, m)
     out = [object.__new__(HermitianOperator) for _ in a]
     for x, row in zip(out, a):
         object.__setattr__(x, "matrix", row)
@@ -448,7 +448,7 @@ class QuantumChannel(_Frozen):
             raise ValidationError(f"QuantumChannel kraus: expected a square matrix, got shape {shape}")
         ops = _as_square(np.stack(kraus), "QuantumChannel kraus", stack=True)
         _check_kraus(ops)
-        ops.setflags(write=False)  # np.stack always makes a new array
+        ops = _frozen(ops, kraus)
         object.__setattr__(self, "_stack", ops)
         object.__setattr__(self, "kraus", tuple(ops))
 

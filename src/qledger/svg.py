@@ -31,6 +31,18 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
+def _text(x, y, body: str, anchor: str = "middle", size: int = 12, extra: str = "") -> str:
+    """A ``<text>`` element at (x, y), each written as given, whose escaped
+    ``body`` is drawn in sans-serif; ``extra`` is attribute text appended."""
+    return (f'<text x="{x}" y="{y}" font-size="{size}" text-anchor="{anchor}" '
+            f'font-family="sans-serif"{extra}>{_escape(body)}</text>')
+
+
+def _gridline(x1, y1, x2, y2) -> str:
+    """A light grey gridline from (x1, y1) to (x2, y2), each written as given."""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#dddddd" stroke-width="1"/>'
+
+
 def _ticks(lo: float, hi: float) -> np.ndarray:
     """Around five ticks on a 1-2-5 grid covering [lo, hi]."""
     span = hi - lo
@@ -113,43 +125,22 @@ def line_plot(path, x, curves, title: str = "", xlabel: str = "t", ylabel: str =
         px = sx(float(tick))
         if not (_MARGIN_L - 0.5 <= px <= _WIDTH - _MARGIN_R + 0.5):
             continue
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{_MARGIN_T}" x2="{px:.2f}" y2="{_MARGIN_T + px_h}" '
-            'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{_HEIGHT - _MARGIN_B + 18}" font-size="12" '
-            f'text-anchor="middle" font-family="sans-serif">{format(tick, ".6g")}</text>'
-        )
+        px = f"{px:.2f}"
+        parts += [_gridline(px, _MARGIN_T, px, _MARGIN_T + px_h),
+                  _text(px, _HEIGHT - _MARGIN_B + 18, format(tick, ".6g"))]
     for tick in _ticks(y_lo, y_hi):
         py = sy(float(tick))
         if not (_MARGIN_T - 0.5 <= py <= _HEIGHT - _MARGIN_B + 0.5):
             continue
-        parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{py:.2f}" x2="{_MARGIN_L + px_w}" y2="{py:.2f}" '
-            'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 8}" y="{py + 4:.2f}" font-size="12" '
-            f'text-anchor="end" font-family="sans-serif">{format(tick, ".6g")}</text>'
-        )
+        py, text_y = f"{py:.2f}", f"{py + 4:.2f}"
+        parts += [_gridline(_MARGIN_L, py, _MARGIN_L + px_w, py),
+                  _text(_MARGIN_L - 8, text_y, format(tick, ".6g"), "end")]
 
-    tail = []
-    if title:
-        tail.append(
-            f'<text x="{_WIDTH / 2:.0f}" y="{_MARGIN_T - 12}" font-size="14" '
-            f'text-anchor="middle" font-family="sans-serif">{_escape(title)}</text>'
-        )
-    tail.append(
-        f'<text x="{_MARGIN_L + px_w / 2:.0f}" y="{_HEIGHT - 10}" font-size="12" '
-        f'text-anchor="middle" font-family="sans-serif">{_escape(xlabel)}</text>'
-    )
+    tail = [_text(f"{_WIDTH / 2:.0f}", _MARGIN_T - 12, title, size=14)] if title else []
+    tail.append(_text(f"{_MARGIN_L + px_w / 2:.0f}", _HEIGHT - 10, xlabel))
     if ylabel:
-        tail.append(
-            f'<text x="16" y="{_MARGIN_T + px_h / 2:.0f}" font-size="12" text-anchor="middle" '
-            f'font-family="sans-serif" transform="rotate(-90 16 {_MARGIN_T + px_h / 2:.0f})">'
-            f"{_escape(ylabel)}</text>"
-        )
+        mid = f"{_MARGIN_T + px_h / 2:.0f}"
+        tail.append(_text(16, mid, ylabel, extra=f' transform="rotate(-90 16 {mid})"'))
     tail.append("</svg>")
 
     x_px = sx(x)
@@ -164,8 +155,6 @@ def line_plot(path, x, curves, title: str = "", xlabel: str = "t", ylabel: str =
                 points = np.stack((x_px[blk], sy(y[blk])), axis=1)
                 fh.write((" " if i else "") + _decimal_text(points, "%.2f", " "))
             fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
-            fh.write(
-                f'<text x="{_WIDTH - _MARGIN_R - 6}" y="{_MARGIN_T + 18 + 16 * idx}" font-size="12" '
-                f'text-anchor="end" font-family="sans-serif" fill="{color}">{_escape(label)}</text>\n'
-            )
+            legend_y = _MARGIN_T + 18 + 16 * idx
+            fh.write(_text(_WIDTH - _MARGIN_R - 6, legend_y, label, "end", extra=f' fill="{color}"') + "\n")
         fh.writelines(part + "\n" for part in tail)

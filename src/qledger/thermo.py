@@ -60,6 +60,9 @@ from .qcore import (
 SIGMA_SUPPORT_TOL = 1e-14
 RHO_WEIGHT_TOL = 1e-12
 
+# the remedy of every NumericError raised for a beta the float range cannot hold
+_RESCALE = "rescale beta or the Hamiltonians"
+
 
 @dataclass(frozen=True)
 class GibbsSpec:
@@ -134,6 +137,21 @@ def _log_z(w: np.ndarray, log_p: np.ndarray, beta: float):
     return -log_p[..., 0] - beta * w[..., 0]
 
 
+def _check_beta_scale(name: str, beta: float, *ws: np.ndarray, log_z: bool = False) -> None:
+    """Raise ``NumericError`` unless beta times the spectral span of each
+    ascending spectrum (or stack of them) in ``ws`` is finite and, with
+    ``log_z``, beta times each ground energy too, as ``_log_z`` needs; so a
+    Gibbs reference that would overflow raises here instead of warning in
+    ``_gibbs``."""
+    # (ground, top) pairs in plain floats, whose arithmetic overflows to inf without a warning
+    ends = [e for w in ws for e in zip(w[..., 0].ravel().tolist(), w[..., -1].ravel().tolist())]
+    span = max(top - ground for ground, top in ends)
+    ground = max((ground for ground, _ in ends), key=abs)
+    for what, x in [("spectral span", span), ("ground energy", ground)][: 1 + log_z]:
+        if not math.isfinite(beta * x):
+            raise NumericError(f"{name}: beta = {beta:g} times the {what} {x:.6g} overflows; {_RESCALE}")
+
+
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x . y over the last axis, leading axes broadcasting; one product per
     row, so a row of a stack, a 1-D pair and a reversed view all give the
@@ -191,6 +209,7 @@ def relative_entropy(rho, sigma) -> float:
     if isinstance(sigma, GibbsSpec):
         a, h = _as_operands("relative_entropy", rho=rho, sigma=sigma.hamiltonian)
         (wh, vh), (wr, vr) = _spectra(h, a)
+        _check_beta_scale("relative_entropy", sigma.beta, wh)
         return float(_relent(_entropy(wr), wr, vr, vh, log_ps=_gibbs(wh, sigma.beta)[1]))
     a, b = _as_operands("relative_entropy", rho=rho, sigma=sigma)
     (wr, vr), (ws, vs) = _spectra(a, b)
@@ -203,6 +222,7 @@ def gibbs_state(hamiltonian, beta: float) -> GibbsSpec:
     (h,) = _as_operands("gibbs_state", hamiltonian=hamiltonian)
     op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
     w, v = _spectrum(op)
+    _check_beta_scale("gibbs_state", beta, w, log_z=True)
     p, log_p = _gibbs(w, beta)
     log_z = _log_z(w, log_p, beta)
     try:
@@ -249,6 +269,7 @@ def extractable_work(rho, hamiltonian, beta: float) -> float:
     beta = _as_beta(beta, "extractable_work")
     a, h = _as_operands("extractable_work", rho=rho, hamiltonian=hamiltonian)
     w = _spectrum(h)[0]
+    _check_beta_scale("extractable_work", beta, w)
     p = _gibbs(w, beta)[0]
     f_rho = _free(_energy(a.matrix, h.matrix), _entropy(_spectrum(a)[0]), beta)
     return float(f_rho) - float(_free(_dot(p, w), _entropy(p), beta))
@@ -263,6 +284,7 @@ def delta_S_ir(rho0, h0, rho_tau, h_tau, beta: float) -> float:
     """
     beta = _as_beta(beta, "delta_S_ir")
     a0, m0, at, mt = _as_operands("delta_S_ir", rho0=rho0, h0=h0, rho_tau=rho_tau, h_tau=h_tau)
+    _check_beta_scale("delta_S_ir", beta, _spectrum(m0)[0], _spectrum(mt)[0])
     g0 = gibbs_state(m0, beta).state
     gt = gibbs_state(mt, beta).state
     ds_ir = relative_entropy(a0, g0) - relative_entropy(at, gt)
@@ -283,13 +305,14 @@ def delta_S_r(rho0, h0, rho_tau, h_tau, beta: float) -> float:
     """
     beta = _as_beta(beta, "delta_S_r")
     a0, m0, at, mt = _as_operands("delta_S_r", rho0=rho0, h0=h0, rho_tau=rho_tau, h_tau=h_tau)
-    dev0 = float(_energy(a0.matrix, m0.matrix)) - _gibbs_energy(m0, beta)
-    devt = float(_energy(at.matrix, mt.matrix)) - _gibbs_energy(mt, beta)
+    dev0 = float(_energy(a0.matrix, m0.matrix)) - _gibbs_energy(m0, beta, "delta_S_r")
+    devt = float(_energy(at.matrix, mt.matrix)) - _gibbs_energy(mt, beta, "delta_S_r")
     return -beta * (devt - dev0)
 
 
-def _gibbs_energy(h, beta: float) -> float:
+def _gibbs_energy(h, beta: float, name: str) -> float:
     w = _spectrum(h)[0]
+    _check_beta_scale(name, beta, w)
     return float(_dot(_gibbs(w, beta)[0], w))
 
 
@@ -297,6 +320,7 @@ def heat(rho0, h0, rho_tau, h_tau, beta: float) -> float:
     """Heat exchanged, -delta_S_r/beta; equals dE minus Gibbs adiabatic work."""
     beta = _as_beta(beta, "heat")
     a0, m0, at, mt = _as_operands("heat", rho0=rho0, h0=h0, rho_tau=rho_tau, h_tau=h_tau)
+    _check_beta_scale("heat", beta, _spectrum(m0)[0], _spectrum(mt)[0])
     return -delta_S_r(a0, m0, at, mt, beta) / beta
 
 
@@ -304,7 +328,7 @@ def adiabatic_work_gibbs(h0, h_tau, beta: float) -> float:
     """Tr[gibbs_tau H_tau] - Tr[gibbs_0 H_0], the Gibbs-referenced quench work."""
     beta = _as_beta(beta, "adiabatic_work_gibbs")
     m0, mt = _as_operands("adiabatic_work_gibbs", h0=h0, h_tau=h_tau)
-    return _gibbs_energy(mt, beta) - _gibbs_energy(m0, beta)
+    return _gibbs_energy(mt, beta, "adiabatic_work_gibbs") - _gibbs_energy(m0, beta, "adiabatic_work_gibbs")
 
 
 def adiabatic_work_passive(rho_tau, h0, h_tau) -> float:
@@ -340,12 +364,7 @@ def first_law_ledger(rho0, h0, rho_tau, h_tau, beta: float) -> ThermoLedger:
     a0, m0, at, mt = _as_operands("first_law_ledger", rho0=rho0, h0=h0, rho_tau=rho_tau, h_tau=h_tau)
 
     (wr0, vr0), (wrt, vrt), (wh0, vh0), (wht, vht) = _spectra(a0, at, m0, mt)
-    # plain float checks, so an overflow raises here instead of warning in _gibbs
-    span = max(float(wh0[-1]) - float(wh0[0]), float(wht[-1]) - float(wht[0]))
-    remedy = "rescale beta or the Hamiltonians"
-    if not math.isfinite(beta * span):
-        raise NumericError(f"first_law_ledger: beta = {beta:g} times the spectral span {span:.6g} "
-                           f"overflows; {remedy}")
+    _check_beta_scale("first_law_ledger", beta, wh0, wht)
 
     e0 = float(_energy(a0.matrix, m0.matrix))
     et = float(_energy(at.matrix, mt.matrix))
@@ -386,5 +405,5 @@ def first_law_ledger(rho0, h0, rho_tau, h_tau, beta: float) -> ThermoLedger:
               s_gt - s_g0, ds_ir, ds_r, residual_eq2, residual_eq7)  # in field order
     bad = [name for name, x in zip(ThermoLedger.__dataclass_fields__, values) if not math.isfinite(x)]
     if bad:
-        raise NumericError(f"first_law_ledger: {', '.join(bad)} not finite at beta = {beta:g}; {remedy}")
+        raise NumericError(f"first_law_ledger: {', '.join(bad)} not finite at beta = {beta:g}; {_RESCALE}")
     return ThermoLedger(*values)

@@ -320,9 +320,9 @@ def test_ledger_state_errors_keep_their_wording(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["detail"].startswith(detail)
 
 
-def _ledger_in_a_child(path):
-    """``qledger ledger --config path`` in a fresh interpreter, whose stderr
-    shows any warning: (exit code, stdout, stderr lines)."""
+def _cli_in_a_child(*args, cwd=None):
+    """``qledger *args`` in a fresh interpreter, whose stderr shows any
+    warning: (exit code, stdout, stderr lines)."""
     import os
     import subprocess
     import sys
@@ -332,9 +332,14 @@ def _ledger_in_a_child(path):
 
     src = str(Path(qledger.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "qledger.cli", "ledger", "--config", str(path)],
-                          env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-m", "qledger.cli", *args],
+                          env=env, capture_output=True, text=True, cwd=cwd)
     return done.returncode, done.stdout, done.stderr.splitlines()
+
+
+def _ledger_in_a_child(path):
+    """``qledger ledger --config path`` in a fresh interpreter."""
+    return _cli_in_a_child("ledger", "--config", str(path))
 
 
 def test_ledger_failure_prints_one_json_line_and_no_warning(tmp_path):
@@ -383,6 +388,22 @@ def test_ledger_never_forms_beta_times_the_ground_energy(tmp_path):
         "deltaS_rho": s_rho, "deltaS_gibbs": 0.0, "deltaS_ir": 8.922101450866698e+293,
         "deltaS_r": 1.487016908477783e+294, "residual_eq2": 0.0, "residual_eq7": 0.0,
     }, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("overrides, detail", [
+    (("t_max=1e-320", "steps=4"), "measure_series: I, P, P_c, P_i not finite at beta = 0.1, dt = 2.49997e-321; "
+                                  "lengthen the time step, or rescale beta or the Hamiltonian"),
+    (("omega0=1e300", "beta=1e10"), "measure_series: beta = 1e+10 times the spectral span 1e+300 overflows; "
+                                    "rescale beta or the Hamiltonians"),
+])
+def test_example_with_a_non_finite_measure_is_a_numeric_error(tmp_path, overrides, detail):
+    """A grid step or a beta that takes a measure out of the float range: exit
+    3, one JSON line on stderr and no warning, nothing on stdout and no CSV."""
+    args = [arg for item in overrides for arg in ("--override", item)]
+    code, out, lines = _cli_in_a_child("example1", *args, "--svg", "e1.svg", cwd=tmp_path)
+    assert (code, out, list(tmp_path.iterdir())) == (3, "", [])
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0]) == {"error": "numeric", "detail": detail}
 
 
 def test_ledger_gates_each_config_matrix_once(tmp_path, capsys, gates):

@@ -24,8 +24,8 @@ from qledger.measures import (
     read_csv,
     write_csv,
 )
-from qledger.models import Example2Params, run_example2
-from qledger.qcore import STACK_BLOCK, DensityMatrix, ValidationError
+from qledger.models import Example1Params, Example2Params, run_example1, run_example2
+from qledger.qcore import STACK_BLOCK, DensityMatrix, NumericError, ValidationError
 from qledger.sampling import random_density, random_hermitian
 from qledger.thermo import gibbs_state, von_neumann_entropy
 
@@ -195,6 +195,64 @@ def test_trajectory_keeps_read_only_arrays_without_a_copy():
     tr = thermal_qubit_trajectory(steps=20)
     again = Trajectory(tr.times, tr.states, tr.hamiltonians, tr.beta)
     assert again.states is tr.states and again.times is tr.times
+
+
+def test_trajectory_with_a_bad_trace_names_its_first_bad_grid_point():
+    """The unit-trace check is the containers': the first grid point off
+    by more than the tolerance is named, not the worst one."""
+    times = GridSpec(1.0, 4).times()
+    states = np.stack([np.eye(2, dtype=np.complex128) / 2] * 5)
+    states[2, 1, 1] = 0.75
+    states[4, 1, 1] = 2.5
+    with pytest.raises(ValidationError, match=r"^Trajectory states: trace \(1\.25\+0j\) deviates from 1 beyond 1e-10$"):
+        Trajectory(times, states, H2, 1.0)
+
+
+def test_measure_series_leaves_the_callers_arrays_writable_and_unshared():
+    columns = {f.name: np.linspace(0.0, 1.0, 4) for f in fields(MeasureSeries)}
+    series = MeasureSeries(**columns)
+    columns["times"][0] = 1.0
+    columns["power"][3] = -1.0
+    assert series.times[0] == 0.0 and series.power[3] == 1.0
+    for f in fields(MeasureSeries):
+        assert not np.shares_memory(getattr(series, f.name), columns[f.name])
+        with pytest.raises(ValueError):
+            getattr(series, f.name)[0] = 9.0
+
+
+def test_measure_series_keeps_read_only_arrays_without_a_copy():
+    tr = thermal_qubit_trajectory(steps=20)
+    series = measure_series(tr)
+    assert series.times is tr.times
+    again = MeasureSeries(**{f.name: getattr(series, f.name) for f in fields(MeasureSeries)})
+    assert all(getattr(again, f.name) is getattr(series, f.name) for f in fields(MeasureSeries))
+
+
+def test_measure_series_peak_memory():
+    """The series keeps the trajectory's times and the columns it made, not
+    copies: on the default example 1 (20001 points) the traced peak is at most
+    the 2 402 704 bytes it took when it copied the times."""
+    import tracemalloc
+
+    tr, _ = run_example1(Example1Params())  # and a warm-up
+    tracemalloc.start()
+    try:
+        measure_series(tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_402_704
+
+
+def test_a_non_finite_measure_is_a_numeric_error():
+    """A subnormal grid step overflows the edge stencil's difference quotient:
+    the columns at fault are named, with beta and dt, and nothing warns."""
+    times = np.array([0.0, 1.0, 2.0]) * 5e-324
+    states = np.stack([np.diag([1.0, 0.0]), np.diag([0.5, 0.5]), np.diag([0.25, 0.75])]).astype(complex)
+    tr = Trajectory(times, states, H2, 1.0)
+    with pytest.raises(NumericError, match=r"^measure_series: I, P, P_c, P_i not finite at beta = 1, "
+                                           r"dt = 4\.94066e-324; lengthen the time step"):
+        measure_series(tr)
 
 
 @pytest.mark.parametrize("dim", [8, 16])

@@ -100,12 +100,11 @@ def test_measures_and_svg_take_their_number_text_from_one_kernel():
     """No series value is formatted outside ``_text._decimal_text``: what is
     left are the spec each caller passes it, the SVG tick labels, the .2f
     tick and label positions, the .0f text coordinates, and the numbers in
-    a Trajectory's errors and repr."""
+    a Trajectory's repr and in measure_series's error."""
     assert _number_formats(measures) == {
-        ("_csv_blocks", "'%.12g'"): 1,
-        ("Trajectory", "f'.3e'"): 1, ("Trajectory", "f'.0e'"): 1, ("Trajectory", "f'g'"): 2,
+        ("_csv_blocks", "'%.12g'"): 1, ("Trajectory", "f'g'"): 2, ("measure_series", "f'g'"): 2,
     }
     assert _number_formats(svg) == {
         ("line_plot", "'%.2f'"): 1,
-        ("line_plot", "format(tick, '.6g')"): 2, ("line_plot", "f'.2f'"): 6, ("line_plot", "f'.0f'"): 4,
+        ("line_plot", "format(tick, '.6g')"): 2, ("line_plot", "f'.2f'"): 3, ("line_plot", "f'.0f'"): 3,
     }

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qledger import cli, sampling
-from qledger.measures import coherence, dephase
+from qledger.measures import Trajectory, coherence, dephase, measure_series
 from qledger.qcore import (
     DensityMatrix,
     HermitianOperator,
@@ -419,6 +419,35 @@ def test_gibbs_state_beyond_the_float_range_of_z():
     assert (spec.Z, spec.log_Z) == (math.inf, 1000.0)
     with pytest.raises(NumericError, match="^delta_S_ir: a Gibbs population underflows to 0"):
         delta_S_ir(RHO_HALF, h, RHO_MOSTLY_GROUND, h, 1.0)
+
+
+H_HUGE = np.diag([0.0, 1e300])  # beta = 1e10 times its span overflows
+H_HIGH = np.diag([1e300, 1.000000000000001e300])  # its span does not, its ground energy does
+SPAN_OVERFLOWS = "beta = 1e+10 times the spectral span 1e+300 overflows; rescale beta or the Hamiltonians"
+
+
+@pytest.mark.parametrize("name, call, detail", [
+    ("gibbs_state", lambda: gibbs_state(H_HUGE, 1e10), SPAN_OVERFLOWS),
+    ("gibbs_state", lambda: gibbs_state(H_HIGH, 1e10),
+     "beta = 1e+10 times the ground energy 1e+300 overflows; rescale beta or the Hamiltonians"),
+    ("extractable_work", lambda: extractable_work(RHO_HALF, H_HUGE, 1e10), SPAN_OVERFLOWS),
+    ("relative_entropy", lambda: relative_entropy(RHO_HALF, GibbsSpec(HermitianOperator(H_HUGE), 1e10, 1.0, 0.0,
+                                                                      RHO_HALF)), SPAN_OVERFLOWS),
+    ("delta_S_ir", lambda: delta_S_ir(RHO_HALF, H2, RHO_HALF, H_HUGE, 1e10), SPAN_OVERFLOWS),
+    ("delta_S_r", lambda: delta_S_r(RHO_HALF, H2, RHO_HALF, H_HUGE, 1e10), SPAN_OVERFLOWS),
+    ("heat", lambda: heat(RHO_HALF, H2, RHO_HALF, H_HUGE, 1e10), SPAN_OVERFLOWS),
+    ("adiabatic_work_gibbs", lambda: adiabatic_work_gibbs(H_HUGE, H2, 1e10), SPAN_OVERFLOWS),
+    ("first_law_ledger", lambda: first_law_ledger(RHO_HALF, H_HUGE, RHO_HALF, H2, 1e10), SPAN_OVERFLOWS),
+    ("measure_series", lambda: measure_series(Trajectory(np.arange(3.0), [RHO_HALF] * 3, H_HIGH, 1e10)),
+     "beta = 1e+10 times the ground energy 1e+300 overflows; rescale beta or the Hamiltonians"),
+])
+def test_every_gibbs_reference_checks_the_beta_scale(name, call, detail):
+    """beta times a spectral span (and, where ln Z is formed, beta times the
+    ground energy) must be a finite float: each function that builds a Gibbs
+    reference raises one NumericError under its own name, and nothing warns."""
+    with pytest.raises(NumericError) as info:
+        call()
+    assert str(info.value) == f"{name}: {detail}"
 
 
 def test_relative_entropy_to_a_gibbs_spec_survives_underflow():
