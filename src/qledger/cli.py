@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import models, sampling
+from ._eig import _jacobi_stack
 from .measures import _populations, write_csv
 from .qcore import (
     HermitianOperator,
@@ -28,7 +29,6 @@ from .qcore import (
     _check_states,
     _gated,
     _integral,
-    _jacobi_stack,
     _kraus_apply,
     _kraus_sum,
     _real,

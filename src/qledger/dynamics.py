@@ -52,7 +52,7 @@ Trace and finiteness are watched every step, positivity every
 ``psd_check_every`` steps; the monitors run over a block of
 ``STACK_BLOCK`` states (the chunks that first reach it) and report the
 earliest failing step, trace before positivity at the same step.  The
-positivity monitor compares LAPACK eigenvalues (``qcore._min_eigvals``)
+positivity monitor compares LAPACK eigenvalues (``_eig._min_eigvals``)
 against its floor; they never reach a reported number.  It solves only the
 occupied rows and columns, those that hold a live coordinate: the state is
 exactly zero outside them, so its other eigenvalues are zero, above the
@@ -66,6 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._eig import _jacobi, _min_eigvals
 from .measures import Trajectory
 from .qcore import (
     _COMPLEX,
@@ -83,9 +84,7 @@ from .qcore import (
     _Frozen,
     _gated,
     _integral,
-    _jacobi,
     _listed,
-    _min_eigvals,
     _mirror,
     _real,
     _reject,

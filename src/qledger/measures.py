@@ -36,6 +36,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._eig import _jacobi, _jacobi_stack
 from ._text import _decimal_text
 from .qcore import (
     STACK_BLOCK,
@@ -50,8 +51,6 @@ from .qcore import (
     _check_states,
     _frozen,
     _Frozen,
-    _jacobi,
-    _jacobi_stack,
     _listed,
     _reject,
     _seed,

@@ -221,17 +221,25 @@ def gibbs_state(hamiltonian, beta: float) -> GibbsSpec:
     beta = _as_beta(beta, "gibbs_state")
     (h,) = _as_operands("gibbs_state", hamiltonian=hamiltonian)
     op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
-    w, v = _spectrum(op)
+    w = _spectrum(op)[0]
     _check_beta_scale("gibbs_state", beta, w, log_z=True)
-    p, log_p = _gibbs(w, beta)
+    state, log_p = _gibbs_matrix(op, beta)
     log_z = _log_z(w, log_p, beta)
     try:
         z = math.exp(log_z)
     except OverflowError:
         z = math.inf
-    # p falls as w rises, so the reversed pair is the ascending spectrum
-    state = _seed(DensityMatrix(_synthesize(v, p), check_psd=False), p[::-1], v[:, ::-1])
     return GibbsSpec(hamiltonian=op, beta=beta, Z=z, log_Z=float(log_z), state=state)
+
+
+def _gibbs_matrix(h, beta: float):
+    """The Gibbs state of the container ``h``, its spectrum seeded with the
+    populations and H's eigenvectors, and ln p; it forms no ln Z, so beta
+    times the ground energy need not be finite."""
+    w, v = _spectrum(h)
+    p, log_p = _gibbs(w, beta)
+    # p falls as w rises, so the reversed pair is the ascending spectrum
+    return _seed(DensityMatrix(_synthesize(v, p), check_psd=False), p[::-1], v[:, ::-1]), log_p
 
 
 def passive_state(rho, hamiltonian) -> DensityMatrix:
@@ -285,8 +293,8 @@ def delta_S_ir(rho0, h0, rho_tau, h_tau, beta: float) -> float:
     beta = _as_beta(beta, "delta_S_ir")
     a0, m0, at, mt = _as_operands("delta_S_ir", rho0=rho0, h0=h0, rho_tau=rho_tau, h_tau=h_tau)
     _check_beta_scale("delta_S_ir", beta, _spectrum(m0)[0], _spectrum(mt)[0])
-    g0 = gibbs_state(m0, beta).state
-    gt = gibbs_state(mt, beta).state
+    g0 = _gibbs_matrix(m0, beta)[0]
+    gt = _gibbs_matrix(mt, beta)[0]
     ds_ir = relative_entropy(a0, g0) - relative_entropy(at, gt)
     if not math.isfinite(ds_ir):
         span = max(float(np.ptp(_spectrum(m)[0])) for m in (m0, mt))

@@ -7,9 +7,9 @@ from qledger import qcore, sampling
 
 
 def _recorded(monkeypatch, name: str, record) -> list:
-    """The entries ``record(a, *args)`` lists for every call of the qcore
-    function ``name`` (its positional arguments), through every module that
-    binds it, from the start of the test; clear it to restart."""
+    """The entries ``record(a, *args)`` lists for every call of the function
+    that qcore binds as ``name`` (its positional arguments), through every
+    module that binds it, from the start of the test; clear it to restart."""
     calls = []
     solve = getattr(qcore, name)
 

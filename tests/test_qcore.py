@@ -7,11 +7,11 @@ import re
 import numpy as np
 import pytest
 
-from qledger import qcore, sampling
+from qledger import _eig, qcore, sampling
+from qledger._eig import SCALAR_MAX_DIM, _jacobi, _jacobi_stack
 from qledger.measures import Trajectory, _tables, dephase
 from qledger.qcore import (
     MAX_DIM,
-    SCALAR_MAX_DIM,
     STACK_BLOCK,
     DensityMatrix,
     HermitianOperator,
@@ -19,8 +19,6 @@ from qledger.qcore import (
     PureState,
     QuantumChannel,
     ValidationError,
-    _jacobi,
-    _jacobi_stack,
     apply_channel,
     hermitian_eig,
     hermitian_eigvals,
@@ -257,28 +255,31 @@ def test_scalar_solver_skips_a_tiny_2x2_coupling():
     an off-diagonal at or below JACOBI_TOL * |A|_F / (2 n) is left alone, so
     the matrix already counts as diagonal and comes back as it is."""
     a = np.array([[1.0, 1e-15j], [-1e-15j, 2.0]])
-    assert 0.0 < abs(a[0, 1]) <= qcore.JACOBI_TOL * np.linalg.norm(a) / 4
+    assert 0.0 < abs(a[0, 1]) <= _eig.JACOBI_TOL * np.linalg.norm(a) / 4
     w, v = _jacobi(a)
     assert np.array_equal(w, [1.0, 2.0]) and np.array_equal(v, np.eye(2))
     assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-13 * np.linalg.norm(a)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 16, 32, 33, 64])
-def test_stack_matches_scalar_solver(monkeypatch, dim):
+def test_stack_matches_scalar_solver(monkeypatch, stack_solves, dim):
     """Eigenvalues agree with the scalar path, and the vectors reconstruct
-    each matrix, within 1e-12 of its Frobenius norm."""
-    monkeypatch.setattr(qcore, "SCALAR_MAX_DIM", MAX_DIM)
+    each matrix, within 1e-12 of its Frobenius norm; the single solves take
+    the scalar loop at every dimension, with no stack call."""
+    monkeypatch.setattr(_eig, "SCALAR_MAX_DIM", MAX_DIM)
     rng = np.random.default_rng(910 + dim)
     a = random_hermitian_stack(rng, 2, dim)
     w, v = _jacobi_stack(a, want_vectors=True)
     w_only, none = _jacobi_stack(a, want_vectors=False)
     assert none is None and np.array_equal(w_only, w)
+    stack_solves.clear()
     for k in range(a.shape[0]):
         tol = 1e-12 * np.linalg.norm(a[k])
         assert np.abs(w[k] - _jacobi(a[k])[0]).max() <= tol
         assert np.all(np.diff(w[k]) >= 0.0)
         assert np.linalg.norm((v[k] * w[k]) @ v[k].conj().T - a[k]) <= tol
         assert np.linalg.norm(v[k].conj().T @ v[k] - np.eye(dim)) <= tol
+    assert stack_solves == []
 
 
 @pytest.mark.parametrize("dim", [2, 3, 6, 17, 32, 64])
@@ -331,10 +332,18 @@ def test_stack_special_inputs():
 
 
 def test_stack_nonconvergence_names_dimension(monkeypatch):
-    monkeypatch.setattr(qcore, "JACOBI_MAX_SWEEPS", 1)
+    monkeypatch.setattr(_eig, "JACOBI_MAX_SWEEPS", 1)
     a = random_hermitian_stack(np.random.default_rng(932), 3, 5)
     with pytest.raises(NumericError, match=r"within 1 sweeps \(dim 5\)"):
         _jacobi_stack(a, want_vectors=False)
+
+
+def test_scalar_nonconvergence_names_dimension(monkeypatch):
+    monkeypatch.setattr(_eig, "JACOBI_MAX_SWEEPS", 1)
+    a = random_hermitian(np.random.default_rng(932), 5)
+    with pytest.raises(NumericError) as err:
+        _jacobi(a)
+    assert str(err.value) == "Jacobi eigensolver did not converge within 1 sweeps (dim 5)"
 
 
 def test_large_single_matrix_goes_through_the_stack():

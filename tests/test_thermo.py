@@ -450,6 +450,19 @@ def test_every_gibbs_reference_checks_the_beta_scale(name, call, detail):
     assert str(info.value) == f"{name}: {detail}"
 
 
+def test_delta_S_ir_forms_no_ln_z():
+    """delta_S_ir needs no ln Z, so beta times a ground energy beyond the
+    float range is no error of its own: the population that underflows is."""
+    with pytest.raises(NumericError, match="^delta_S_ir: a Gibbs population underflows to 0 at beta = 1e"):
+        delta_S_ir(RHO_HALF, H_HIGH, RHO_HALF, H_HIGH, 1e10)
+
+
+def test_delta_S_ir_of_a_flat_spectrum_beyond_the_float_range_of_beta_w0():
+    h = 1e300 * np.eye(2)
+    expected = math.log(2.0) + 0.6 * math.log(0.6) + 0.4 * math.log(0.4)  # ln 2 - S(.6, .4)
+    assert delta_S_ir(np.diag([0.6, 0.4]), h, RHO_HALF, h, 1e10) == pytest.approx(expected, rel=1e-13)
+
+
 def test_relative_entropy_to_a_gibbs_spec_survives_underflow():
     spec = gibbs_state(H_WIDE, 1.0)
     # S(rho||pi) = -S(rho) + 1000 p_1 + ln Z = 500 - ln 2, the dual path of W_f
